@@ -1,7 +1,7 @@
 """Discrete time-interval simulator of serverless container caching and
 request routing across resource-constrained edge nodes."""
 
-from .costs import CostLedger, IntervalDecision, normalized_cost, total_cost
+from .costs import CostLedger, IntervalDecision
 from .model import (
     DEFAULT_CATALOG,
     CostParams,
@@ -42,7 +42,6 @@ __all__ = [
     "generate_batch",
     "ingest_trace",
     "make_policy",
-    "normalized_cost",
     "occupancy",
     "pcache_distribution",
     "per_request_lower_bound",
@@ -51,6 +50,5 @@ __all__ = [
     "solve_exact",
     "sweep",
     "switching_cost",
-    "total_cost",
     "zipf_popularity",
 ]

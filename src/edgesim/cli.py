@@ -85,9 +85,9 @@ def _load_inputs(args):
 
 def _base_config(args, topology, catalog, alpha, policy, beta):
     params = CostParams(alpha=alpha, switch_coeff=args.switch_coeff, run_coeff=args.run_coeff)
-    trace_batches = None
+    batches = None
     if args.trace is not None:
-        trace_batches = ingest_trace(
+        batches = ingest_trace(
             args.trace,
             n_nodes=topology.n_nodes,
             n_types=len(catalog),
@@ -105,7 +105,7 @@ def _base_config(args, topology, catalog, alpha, policy, beta):
         beta=beta,
         mean_rate=args.mean_rate,
         zipf_global=args.zipf_global,
-        trace_batches=trace_batches,
+        batches=batches,
         ttl=args.ttl,
         global_stats=args.global_stats,
         check=args.check,
@@ -152,7 +152,7 @@ def cmd_sweep(args) -> int:
     if (args.betas is None) == (args.trace is None):
         raise ConfigError("exactly one of --betas or --trace is required")
     alphas = _parse_floats(args.alphas, "--alphas")
-    betas = _parse_floats(args.betas, "--betas") if args.betas else [0.0]
+    betas = _parse_floats(args.betas, "--betas") if args.betas else [None]
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise ConfigError("--policies: empty list")

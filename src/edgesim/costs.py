@@ -5,8 +5,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, InvariantViolation
-from .model import CostParams, RequestBatch, Topology, running_cost, switching_cost
+from .errors import InvariantViolation
+from .model import RequestBatch, Topology
 
 
 @dataclass
@@ -56,11 +56,15 @@ class IntervalDecision:
                 )
 
 
-def interval_switching_cost(decision: IntervalDecision, topology: Topology, catalog, params: CostParams) -> float:
-    """Sum of p over the containers actually instantiated this interval."""
+def interval_switching_cost(decision: IntervalDecision, ctx) -> float:
+    """Sum of p over the containers actually instantiated this interval.
+
+    `ctx` is the run's RoutingContext; its `p` table holds p per (node, type).
+    """
+    p = ctx.p
     total = 0.0
     for (v, n), c in decision.created.items():
-        total += switching_cost(topology.nodes[v], catalog[n], params) * c
+        total += p[v][n] * c
     return total
 
 
@@ -70,18 +74,20 @@ def interval_comm_cost(decision: IntervalDecision, topology: Topology) -> float:
     return sum(d[v][v2] * c for (v, v2, n), c in decision.offloaded.items())
 
 
-def interval_running_cost(states, topology: Topology, catalog, params: CostParams) -> float:
+def interval_running_cost(states, ctx) -> float:
     """One interval of q for every alive container, serving or cached.
 
-    Returned unweighted; the ledger applies alpha.
+    Reads q per (node, type) from the run's RoutingContext `ctx`. Returned
+    unweighted; the ledger applies alpha.
     """
     total = 0.0
     for state in states:
-        node = topology.nodes[state.node_id]
-        for f in catalog:
-            alive = state.active[f.id] + state.cache[f.id]
+        q_v = ctx.q[state.node_id]
+        active = state.active
+        for n, cached in enumerate(state.cache):
+            alive = active[n] + cached
             if alive:
-                total += running_cost(node, f, params) * alive
+                total += q_v[n] * alive
     return total
 
 
@@ -127,14 +133,3 @@ class CostLedger:
             for r in self.rows:
                 writer.writerow([r.interval, repr(r.switching), repr(r.communication), repr(r.running), repr(r.total), r.cold_starts, r.requests])
 
-
-def total_cost(ledger: CostLedger) -> float:
-    return ledger.total_cost()
-
-
-def normalized_cost(ledger: CostLedger, baseline: CostLedger) -> float:
-    """Ratio against the no-cache baseline on the identical trace and seed."""
-    base = baseline.total_cost()
-    if base <= 0:
-        raise ConfigError("baseline total cost is zero; normalized cost undefined")
-    return ledger.total_cost() / base

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +19,11 @@ class EdgeNode:
     coord: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.capacity_mb <= 0:
-            raise ConfigError(f"node {self.id}: capacity_mb must be > 0")
-        if self.cpu_ghz <= 0:
-            raise ConfigError(f"node {self.id}: cpu_ghz must be > 0")
+        # written so that NaN fails too
+        if not 0 < self.capacity_mb < math.inf:
+            raise ConfigError(f"node {self.id}: capacity_mb must be finite and > 0")
+        if not 0 < self.cpu_ghz < math.inf:
+            raise ConfigError(f"node {self.id}: cpu_ghz must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,8 @@ class FunctionType:
     name: str = ""
 
     def __post_init__(self):
-        if self.mem_mb <= 0:
-            raise ConfigError(f"function type {self.id}: mem_mb must be > 0")
+        if not 0 < self.mem_mb < math.inf:
+            raise ConfigError(f"function type {self.id}: mem_mb must be finite and > 0")
 
 
 # Default container catalog: the four application classes used throughout the
@@ -54,12 +56,9 @@ class CostParams:
     run_coeff: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be > 0")
-        if self.switch_coeff <= 0:
-            raise ConfigError("switch_coeff must be > 0")
-        if self.run_coeff <= 0:
-            raise ConfigError("run_coeff must be > 0")
+        for name in ("alpha", "switch_coeff", "run_coeff"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
 
 
 def switching_cost(node: EdgeNode, ftype: FunctionType, params: CostParams) -> float:
@@ -209,8 +208,10 @@ class RequestBatch:
 
     def __post_init__(self):
         for (v, n), c in self.counts.items():
-            if not isinstance(c, int) or c < 0:
+            if not isinstance(c, (int, np.integer)) or c < 0:
                 raise ConfigError(f"request count for node {v}, type {n} must be a non-negative int")
+            if type(c) is not int:
+                self.counts[(v, n)] = int(c)
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -233,17 +234,14 @@ def load_topology(path, comm_path=None, scale: float = 1.0) -> Topology:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ConfigError(f"{path}: topology header must contain id,capacity_mb,cpu_ghz[,x,y]")
         for row in reader:
-            coord = None
-            if row.get("x") not in (None, "") and row.get("y") not in (None, ""):
-                coord = (float(row["x"]), float(row["y"]))
-            nodes.append(
-                EdgeNode(
-                    id=int(row["id"]),
-                    capacity_mb=float(row["capacity_mb"]),
-                    cpu_ghz=float(row["cpu_ghz"]),
-                    coord=coord,
-                )
-            )
+            try:
+                node_id, capacity, cpu = int(row["id"]), float(row["capacity_mb"]), float(row["cpu_ghz"])
+                coord = None
+                if row.get("x") not in (None, "") and row.get("y") not in (None, ""):
+                    coord = (float(row["x"]), float(row["y"]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
+            nodes.append(EdgeNode(id=node_id, capacity_mb=capacity, cpu_ghz=cpu, coord=coord))
     nodes.sort(key=lambda n: n.id)
     if comm_path is not None:
         comm = load_comm_matrix(comm_path, len(nodes))
@@ -276,6 +274,10 @@ def load_catalog(path) -> tuple[FunctionType, ...]:
         if reader.fieldnames is None or not {"id", "mem_mb"}.issubset(reader.fieldnames):
             raise ConfigError(f"{path}: catalog header must contain id,mem_mb[,name]")
         for row in reader:
-            types.append(FunctionType(int(row["id"]), float(row["mem_mb"]), row.get("name", "") or ""))
+            try:
+                type_id, mem = int(row["id"]), float(row["mem_mb"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
+            types.append(FunctionType(type_id, mem, row.get("name", "") or ""))
     types.sort(key=lambda f: f.id)
     return tuple(types)

@@ -9,18 +9,6 @@ from .costs import IntervalDecision
 from .errors import ContractError, InvariantViolation
 from .model import CostParams, NodeState, RequestBatch, Topology, running_cost, switching_cost
 
-AUDIT_ACTIONS = ("hit", "offload", "create", "reject")
-
-
-@dataclass
-class PendingWork:
-    """Requests of one (origin, type) still unserved after local warm hits."""
-
-    origin: int
-    ftype: int
-    remaining: int
-
-
 @dataclass
 class AuditRecord:
     interval: int
@@ -48,10 +36,10 @@ class RoutingContext:
         self.p = [
             [switching_cost(node, f, params) for f in catalog] for node in topology.nodes
         ]
-        self.aq = [
-            [params.alpha * running_cost(node, f, params) for f in catalog]
-            for node in topology.nodes
+        self.q = [
+            [running_cost(node, f, params) for f in catalog] for node in topology.nodes
         ]
+        self.aq = [[params.alpha * q for q in row] for row in self.q]
         # Offload candidates per origin: ascending (distance, id), self excluded.
         self.neighbor_order = [
             sorted((v2 for v2 in range(self.n_nodes) if v2 != v), key=lambda v2: (self.d[v][v2], v2))
@@ -162,7 +150,7 @@ def distribute_interval(
                     note(v, n, "hit", v, aq_vn, bound)
         if hit == lam:
             continue
-        work = PendingWork(origin=v, ftype=n, remaining=lam - hit)
+        remaining = lam - hit
 
         # 2) offload to cached containers at nodes with d <= p, nearest first
         for v2 in ctx.neighbor_order[v]:
@@ -170,29 +158,29 @@ def distribute_interval(
             if d > p_vn:
                 break
             state_2 = states[v2]
-            take = min(work.remaining, state_2.cache[n])
+            take = min(remaining, state_2.cache[n])
             if take:
                 state_2.consume_cache(n, take)
                 policy.on_invocation(state_2, n, t, count=take)
                 key = (v, v2, n)
                 offloaded[key] = offloaded.get(key, 0) + take
-                work.remaining -= take
+                remaining -= take
                 if trace:
                     realized = d + aq_vn
                     bound = max(aq_vn + p_vn, aq_vn + d)
                     for _ in range(take):
                         note(v, n, "offload", v2, realized, bound)
-                if work.remaining == 0:
+                if remaining == 0:
                     break
 
         # 3) create at the origin; overflow to the cheapest feasible node
-        while work.remaining:
+        while remaining:
             if _make_room(state_v, v, mem, ctx, policy, rng, t, destroyed):
                 state_v.add_active(n, mem)
                 policy.on_invocation(state_v, n, t)
                 created[(v, n)] = created.get((v, n), 0) + 1
                 local_served[(v, n)] = local_served.get((v, n), 0) + 1
-                work.remaining -= 1
+                remaining -= 1
                 if trace:
                     realized = p_vn + aq_vn
                     note(v, n, "create", v, realized, max(aq_vn + p_vn, aq_vn))
@@ -208,7 +196,7 @@ def distribute_interval(
                     policy.on_invocation(state_2, n, t)
                     key = (v, v2, n)
                     offloaded[key] = offloaded.get(key, 0) + 1
-                    work.remaining -= 1
+                    remaining -= 1
                     served = True
                     if trace:
                         note(v, n, "offload", v2, d + aq_vn, max(aq_vn + p_vn, aq_vn + d))
@@ -220,7 +208,7 @@ def distribute_interval(
                     key = (v, v2, n)
                     offloaded[key] = offloaded.get(key, 0) + 1
                     decision.fallback_creations += 1
-                    work.remaining -= 1
+                    remaining -= 1
                     served = True
                     if audit is not None:
                         # outside the worst-case analysis; not bound-checked
@@ -229,11 +217,11 @@ def distribute_interval(
                     break
             if not served:
                 key = (v, n)
-                decision.rejected[key] = decision.rejected.get(key, 0) + work.remaining
+                decision.rejected[key] = decision.rejected.get(key, 0) + remaining
                 if audit is not None:
-                    for _ in range(work.remaining):
+                    for _ in range(remaining):
                         audit.append(AuditRecord(t, v, n, "reject", -1, 0.0, 0.0))
-                work.remaining = 0
+                remaining = 0
     return decision
 
 

@@ -23,7 +23,7 @@ from .model import (
 )
 from .policies import POLICY_NAMES, make_policy
 from .scheduler import RoutingContext, distribute_interval, end_interval
-from .workload import ListSource, TraceSource, ZipfConfig, ZipfSource
+from .workload import ListSource, ZipfConfig, ZipfSource
 
 CHECK_LEVELS = ("off", "sample", "full")
 
@@ -57,7 +57,6 @@ class SimConfig:
     beta: float | None = None
     mean_rate: float = 0.0
     zipf_global: bool = False
-    trace_batches: list[RequestBatch] | None = None
     batches: list[RequestBatch] | None = None
     ttl: int = 10
     global_stats: bool = False
@@ -71,9 +70,8 @@ class SimConfig:
             raise ConfigError(f"unknown policy {self.policy!r}; valid policies: {', '.join(POLICY_NAMES)}")
         if self.check not in CHECK_LEVELS:
             raise ConfigError(f"check level must be one of {CHECK_LEVELS}")
-        sources = sum(x is not None for x in (self.beta, self.trace_batches, self.batches))
-        if sources != 1:
-            raise ConfigError("exactly one workload source required: zipf beta, trace, or batch list")
+        if (self.beta is None) == (self.batches is None):
+            raise ConfigError("exactly one workload source required: zipf beta, or a trace or batch list")
 
 
 @dataclass
@@ -85,9 +83,7 @@ class RunResult:
 
 def _workload_source(config: SimConfig):
     if config.batches is not None:
-        return ListSource(config.batches)
-    if config.trace_batches is not None:
-        return TraceSource(config.trace_batches)
+        return ListSource(config.batches, config.topology.n_nodes, len(config.catalog))
     cfg = ZipfConfig(
         beta=config.beta,
         n_types=len(config.catalog),
@@ -151,9 +147,9 @@ def run(config: SimConfig, baseline_total: float | None = None) -> RunResult:
             raise InvariantViolation(f"workload produced interval {batch.interval} for clock {t}")
         check_now = config.check == "full" or (config.check == "sample" and t % 10 == 0)
         decision = distribute_interval(batch, states, ctx, policy, rng, audit=audit, check=check_now)
-        switching = interval_switching_cost(decision, config.topology, config.catalog, config.params)
+        switching = interval_switching_cost(decision, ctx)
         communication = interval_comm_cost(decision, config.topology)
-        running = interval_running_cost(states, config.topology, config.catalog, config.params)
+        running = interval_running_cost(states, ctx)
         if check_now:
             decision.check_conservation(batch)
             _check_states(config, states, t)
@@ -218,14 +214,14 @@ class SweepGrid:
                 raise ConfigError(f"unknown policy {p!r} in grid; valid policies: {', '.join(POLICY_NAMES)}")
 
 
-def _cell_config(base: SimConfig, seed: int, beta: float, alpha: float, policy: str) -> SimConfig:
+def _cell_config(base: SimConfig, seed: int, beta: float | None, alpha: float, policy: str) -> SimConfig:
     # Cells sharing (seed, beta) see the identical workload stream, so policies
     # and alphas are compared on the same request realization.
     return replace(
         base,
         policy=policy,
         params=replace(base.params, alpha=alpha),
-        beta=beta if base.trace_batches is None else None,
+        beta=beta,
         seed=derive_seed(seed, "cell", beta),
     )
 
@@ -241,66 +237,55 @@ def _run_cell(args):
         return key, None, f"{type(exc).__name__}: {exc}"
 
 
+def _run_cells(cells, jobs: int, errors: list) -> list:
+    """Run (config, baseline_total, key) cells, serially or in a process pool.
+
+    Returns (key, summary) per successful cell, in cell order; each failed
+    cell is appended to `errors` instead.
+    """
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outs = list(pool.map(_run_cell, cells))
+    else:
+        outs = [_run_cell(cell) for cell in cells]
+    done = []
+    for key, summary, err in outs:
+        if err is not None:
+            errors.append({"seed": key[0], "beta": key[1], "alpha": key[2], "policy": key[3], "error": err})
+        else:
+            done.append((key, summary))
+    return done
+
+
 def sweep(grid: SweepGrid, base: SimConfig, jobs: int = 1):
     """Cartesian product of runs; returns (records, errors) keyed by grid point.
 
     Each cell is reproducible in isolation and independent of grid-axis order;
-    records come back sorted by (seed, beta, alpha, policy).
+    records come back sorted by (seed, beta, alpha, policy). A replay base
+    (`batches` set) has no beta axis: its records carry beta None.
     """
-    betas = grid.betas if base.trace_batches is None else [None]
-    cells = []
-    for seed in grid.seeds:
-        for beta in betas:
-            for alpha in grid.alphas:
-                base_cfg = _cell_config(base, seed, beta, alpha, "nocache")
-                cells.append(((seed, beta, alpha, "nocache"), base_cfg))
-
-    baselines = {}
+    betas = grid.betas if base.batches is None else [None]
+    points = [(seed, beta, alpha) for seed in grid.seeds for beta in betas for alpha in grid.alphas]
     errors = []
-    jobs = max(1, jobs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(_run_cell, [(cfg, None, key) for key, cfg in cells]))
-    else:
-        outs = [_run_cell((cfg, None, key)) for key, cfg in cells]
-    for key, summary, err in outs:
-        if err is not None:
-            errors.append({"seed": key[0], "beta": key[1], "alpha": key[2], "policy": key[3], "error": err})
-        else:
-            baselines[key] = summary
+    baselines = dict(
+        _run_cells([(_cell_config(base, *pt, "nocache"), None, (*pt, "nocache")) for pt in points], jobs, errors)
+    )
 
     policy_cells = []
-    for seed in grid.seeds:
-        for beta in betas:
-            for alpha in grid.alphas:
-                base_key = (seed, beta, alpha, "nocache")
-                base_summary = baselines.get(base_key)
-                for policy in grid.policies:
-                    if policy == "nocache":
-                        continue
-                    cfg = _cell_config(base, seed, beta, alpha, policy)
-                    total = base_summary["total_cost"] if base_summary else None
-                    policy_cells.append(((seed, beta, alpha, policy), cfg, total))
+    for pt in points:
+        base_summary = baselines.get((*pt, "nocache"))
+        total = base_summary["total_cost"] if base_summary else None
+        for policy in grid.policies:
+            if policy != "nocache":
+                policy_cells.append((_cell_config(base, *pt, policy), total, (*pt, policy)))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(_run_cell, [(cfg, total, key) for key, cfg, total in policy_cells]))
-    else:
-        outs = [_run_cell((cfg, total, key)) for key, cfg, total in policy_cells]
-
-    records = []
-    for key, summary, err in outs:
-        if err is not None:
-            errors.append({"seed": key[0], "beta": key[1], "alpha": key[2], "policy": key[3], "error": err})
-        else:
-            records.append(summary)
-    for key, summary in baselines.items():
-        if "nocache" in grid.policies:
-            records.append(summary)
+    records = [summary for _key, summary in _run_cells(policy_cells, jobs, errors)]
+    if "nocache" in grid.policies:
+        records.extend(baselines.values())
 
     def sort_key(rec):
         return (rec["seed"], rec["beta"] if rec["beta"] is not None else -1.0, rec["alpha"], rec["policy"])
 
     records.sort(key=sort_key)
-    errors.sort(key=lambda e: (e["seed"], e["beta"] if e["beta"] is not None else -1.0, e["alpha"], e["policy"]))
+    errors.sort(key=sort_key)
     return records, errors

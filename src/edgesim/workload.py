@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,10 @@ class ZipfConfig:
     def __post_init__(self):
         if self.n_types < 1:
             raise ConfigError("n_types must be >= 1")
-        if self.beta <= 0:
-            raise ConfigError("zipf beta must be > 0")
-        if self.mean_rate < 0:
-            raise ConfigError("mean_rate must be >= 0")
+        if not 0 < self.beta < math.inf:
+            raise ConfigError("zipf beta must be finite and > 0")
+        if not 0 <= self.mean_rate < math.inf:
+            raise ConfigError("mean_rate must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -71,16 +72,14 @@ def generate_batch(
     if rank_maps is None:
         rank_maps = node_rank_maps(cfg, topology.n_nodes)
     pop = zipf_popularity(cfg.beta, cfg.n_types)
-    counts: dict[tuple[int, int], int] = {}
     totals = rng.poisson(cfg.mean_rate, size=topology.n_nodes)
-    for v in range(topology.n_nodes):
-        if totals[v] == 0:
-            continue
-        split = rng.multinomial(totals[v], pop)
-        perm = rank_maps[v]
-        for rank, c in enumerate(split):
-            if c:
-                counts[(v, int(perm[rank]))] = int(c)
+    # one call draws every node's split, from the same stream as per-node calls
+    splits = rng.multinomial(totals, pop)
+    nodes, ranks = np.nonzero(splits)
+    counts = {
+        (v, int(rank_maps[v][rank])): c
+        for v, rank, c in zip(nodes.tolist(), ranks.tolist(), splits[nodes, ranks].tolist())
+    }
     return RequestBatch(interval=interval, counts=counts)
 
 
@@ -97,23 +96,18 @@ class ZipfSource:
         return generate_batch(self.cfg, self.topology, interval, self._rng, self._rank_maps)
 
 
-class TraceSource:
-    """Replays pre-ingested batches; returns None past the last trace interval."""
-
-    def __init__(self, batches: list[RequestBatch]):
-        self._by_interval = {b.interval: b for b in batches}
-        self._last = max(self._by_interval) if self._by_interval else 0
-
-    def batch(self, interval: int) -> RequestBatch | None:
-        if interval > self._last:
-            return None
-        return self._by_interval.get(interval, RequestBatch(interval=interval, counts={}))
-
-
 class ListSource:
-    """Fixed batch list for tests and offline-solver instances."""
+    """Replays a fixed batch list (an ingested trace or a hand-built one);
+    returns None past the last interval."""
 
-    def __init__(self, batches: list[RequestBatch]):
+    def __init__(self, batches: list[RequestBatch], n_nodes: int, n_types: int):
+        for b in batches:
+            for v, n in b.counts:
+                if not (0 <= v < n_nodes and 0 <= n < n_types):
+                    raise ConfigError(
+                        f"batch for interval {b.interval} names node {v}, type {n}; "
+                        f"outside 0..{n_nodes - 1} nodes, 0..{n_types - 1} types"
+                    )
         self._by_interval = {b.interval: b for b in batches}
         self._last = max(self._by_interval) if self._by_interval else 0
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import edgesim
 from edgesim.cli import main
 
 SUMMARY_KEYS = {
@@ -236,10 +239,65 @@ def test_oracle_oversize_instance_refused(tmp_path, capsys):
 
 def test_console_entry_point(nodes_csv, tmp_path):
     out = tmp_path / "out"
+    # the child imports the same edgesim as this process, installed or not
+    src = str(Path(edgesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "edgesim", *(_run_flags(nodes_csv, out))],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()
+
+
+def test_sweep_with_trace(nodes_csv, tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("interval,node,ftype,count\n1,0,0,3\n2,1,2,1\n2,3,3,2\n3,0,0,2\n")
+    out = tmp_path / "sweep"
+    flags = _sweep_flags(nodes_csv, out)
+    i = flags.index("--betas")
+    del flags[i : i + 2]
+    flags += ["--trace", str(trace)]
+    assert main(flags) == 0
+    records = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert [(r["alpha"], r["policy"]) for r in records] == [
+        (0.005, "lru"),
+        (0.005, "pcache"),
+        (0.01, "lru"),
+        (0.01, "pcache"),
+    ]
+    assert all(r["beta"] is None and r["requests"] == 8 for r in records)
+    assert not (out / "errors.jsonl").exists()
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+BAD_NUMBER_CASES = {
+    "capacity_nan": ("nodes", "id,capacity_mb,cpu_ghz,x,y\n0,2500,1.0,0,0\n1,nan,1.0,5,0\n", "capacity_mb"),
+    "capacity_inf": ("nodes", "id,capacity_mb,cpu_ghz,x,y\n0,inf,1.0,0,0\n", "capacity_mb"),
+    "capacity_text": ("nodes", "id,capacity_mb,cpu_ghz,x,y\n0,2500,1.0,0,0\n1,big,1.0,5,0\n", "nodes.csv: line 3"),
+    "mem_text": ("catalog", "id,mem_mb,name\n0,55,web\n1,lots,db\n", "catalog.csv: line 3"),
+    "alpha_nan": ("--alpha", "nan", "alpha"),
+    "mean_rate_nan": ("--mean-rate", "nan", "mean_rate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBER_CASES))
+def test_run_bad_number_exits_usage(case, nodes_csv, tmp_path, capsys):
+    target, value, message = BAD_NUMBER_CASES[case]
+    out = tmp_path / "out"
+    flags = _run_flags(nodes_csv, out)
+    if target == "nodes":
+        flags[flags.index(str(nodes_csv))] = _write(tmp_path / "nodes.csv", value)
+    elif target == "catalog":
+        flags += ["--catalog", _write(tmp_path / "catalog.csv", value)]
+    else:
+        flags[flags.index(target) + 1] = value
+    assert main(flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

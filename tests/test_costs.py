@@ -6,11 +6,10 @@ from edgesim.costs import (
     interval_comm_cost,
     interval_running_cost,
     interval_switching_cost,
-    normalized_cost,
-    total_cost,
 )
-from edgesim.errors import ConfigError, InvariantViolation
+from edgesim.errors import InvariantViolation
 from edgesim.model import DEFAULT_CATALOG, CostParams, NodeState, RequestBatch
+from edgesim.scheduler import RoutingContext
 
 from conftest import make_topology
 
@@ -21,22 +20,26 @@ def _params(alpha=0.01, run_coeff=0.01):
     return CostParams(alpha=alpha, switch_coeff=1.0, run_coeff=run_coeff)
 
 
+def _ctx(topo):
+    return RoutingContext(topo, DEFAULT_CATALOG, _params())
+
+
 def test_switching_cost_no_creations():
     topo = make_topology([4000.0])
     d = IntervalDecision(interval=1)
-    assert interval_switching_cost(d, topo, DEFAULT_CATALOG, _params()) == 0.0
+    assert interval_switching_cost(d, _ctx(topo)) == 0.0
 
 
 def test_switching_cost_single_web_server():
     topo = make_topology([4000.0])
     d = IntervalDecision(interval=1, created={(0, WEB.id): 1})
-    assert interval_switching_cost(d, topo, DEFAULT_CATALOG, _params()) == 55.0
+    assert interval_switching_cost(d, _ctx(topo)) == 55.0
 
 
 def test_switching_cost_two_types_one_node():
     topo = make_topology([4000.0])
     d = IntervalDecision(interval=1, created={(0, WEB.id): 1, (0, IMGREC.id): 1})
-    assert interval_switching_cost(d, topo, DEFAULT_CATALOG, _params()) == 147.0
+    assert interval_switching_cost(d, _ctx(topo)) == 147.0
 
 
 def test_comm_cost_all_local():
@@ -60,14 +63,14 @@ def test_comm_cost_mixed_links():
 def test_running_cost_no_alive():
     topo = make_topology([4000.0])
     states = [NodeState(0, 4)]
-    assert interval_running_cost(states, topo, DEFAULT_CATALOG, _params()) == 0.0
+    assert interval_running_cost(states, _ctx(topo)) == 0.0
 
 
 def test_running_cost_one_cached_container():
     topo = make_topology([4000.0])
     states = [NodeState(0, 4)]
     states[0].cache[IMGREC.id] = 1
-    assert interval_running_cost(states, topo, DEFAULT_CATALOG, _params()) == pytest.approx(0.92)
+    assert interval_running_cost(states, _ctx(topo)) == pytest.approx(0.92)
 
 
 def test_running_cost_two_nodes():
@@ -75,18 +78,18 @@ def test_running_cost_two_nodes():
     states = [NodeState(0, 4), NodeState(1, 4)]
     states[0].active[WEB.id] = 1
     states[1].cache[WEB.id] = 1
-    assert interval_running_cost(states, topo, DEFAULT_CATALOG, _params()) == pytest.approx(1.10)
+    assert interval_running_cost(states, _ctx(topo)) == pytest.approx(1.10)
 
 
 def test_total_cost_empty_ledger():
     ledger = CostLedger(alpha=0.01)
-    assert total_cost(ledger) == 0.0
+    assert ledger.total_cost() == 0.0
 
 
 def test_total_cost_single_interval_hand_sum():
     ledger = CostLedger(alpha=0.01)
     ledger.append_interval(1, 55.0, 15.0, 0.92, cold_starts=1, requests=4)
-    assert total_cost(ledger) == pytest.approx(70.0092, abs=1e-12)
+    assert ledger.total_cost() == pytest.approx(70.0092, abs=1e-12)
 
 
 def test_total_cost_matches_row_recomputation():
@@ -95,7 +98,7 @@ def test_total_cost_matches_row_recomputation():
     for r in rows:
         ledger.append_interval(*r[:4], cold_starts=r[4], requests=r[5])
     expect = sum(s + c + 0.005 * r for (_, s, c, r, _, _) in rows)
-    assert total_cost(ledger) == pytest.approx(expect, rel=1e-15)
+    assert ledger.total_cost() == pytest.approx(expect, rel=1e-15)
     for row, (_, s, c, r, _, _) in zip(ledger.rows, rows):
         assert row.total == pytest.approx(s + c + 0.005 * r, rel=1e-15)
 
@@ -104,23 +107,6 @@ def test_negative_component_rejected():
     ledger = CostLedger(alpha=0.01)
     with pytest.raises(InvariantViolation):
         ledger.append_interval(1, -1.0, 0.0, 0.0, 0, 0)
-
-
-def test_normalized_cost_ratios():
-    a = CostLedger(alpha=0.01)
-    a.append_interval(1, 50.0, 0.0, 0.0, 1, 1)
-    b = CostLedger(alpha=0.01)
-    b.append_interval(1, 100.0, 0.0, 0.0, 1, 1)
-    assert normalized_cost(a, a) == 1.0
-    assert normalized_cost(a, b) == 0.5
-
-
-def test_normalized_cost_zero_baseline():
-    a = CostLedger(alpha=0.01)
-    a.append_interval(1, 1.0, 0.0, 0.0, 0, 0)
-    empty = CostLedger(alpha=0.01)
-    with pytest.raises(ConfigError):
-        normalized_cost(a, empty)
 
 
 def test_conservation_check():

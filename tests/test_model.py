@@ -202,3 +202,32 @@ def test_load_topology_explicit_matrix(tmp_path):
 def test_load_topology_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_topology(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_numbers_rejected(bad):
+    from edgesim.workload import ZipfConfig
+
+    with pytest.raises(ConfigError):
+        EdgeNode(0, bad, 1.0)
+    with pytest.raises(ConfigError):
+        EdgeNode(0, 1000.0, bad)
+    with pytest.raises(ConfigError):
+        FunctionType(0, bad)
+    for field in ("alpha", "switch_coeff", "run_coeff"):
+        with pytest.raises(ConfigError):
+            CostParams(**{"alpha": 0.01, field: bad})
+    with pytest.raises(ConfigError):
+        ZipfConfig(beta=bad, n_types=2, mean_rate=1.0)
+    with pytest.raises(ConfigError):
+        ZipfConfig(beta=1.0, n_types=2, mean_rate=bad)
+
+
+def test_request_batch_stores_numpy_counts_as_int():
+    batch = RequestBatch(interval=1, counts={(0, 0): np.int64(2), (0, 1): 3})
+    assert batch.counts == {(0, 0): 2, (0, 1): 3}
+    assert all(type(c) is int for c in batch.counts.values())
+    with pytest.raises(ConfigError):
+        RequestBatch(interval=1, counts={(0, 0): np.int64(-1)})
+    with pytest.raises(ConfigError):
+        RequestBatch(interval=1, counts={(0, 0): 2.0})

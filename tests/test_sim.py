@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from edgesim.errors import ConfigError
@@ -115,7 +117,7 @@ def test_trace_workload_truncates_before_horizon():
         policy="pcache",
         horizon=10,
         seed=1,
-        trace_batches=[
+        batches=[
             RequestBatch(interval=1, counts={(0, 0): 2}),
             RequestBatch(interval=3, counts={(0, 1): 1}),
         ],
@@ -218,3 +220,48 @@ def test_derive_seed_stable_and_sensitive():
     assert derive_seed(1, "cell", 0.5) == derive_seed(1, "cell", 0.5)
     assert derive_seed(1, "cell", 0.5) != derive_seed(1, "cell", 1.0)
     assert derive_seed(1, "cell", 0.5) != derive_seed(2, "cell", 0.5)
+
+
+@pytest.mark.parametrize("key", [(5, 0), (-1, 0), (0, 4), (1, -1)])
+def test_replay_batch_out_of_range_rejected(key):
+    import edgesim.model as model
+
+    config = SimConfig(
+        topology=make_topology([2000.0, 2000.0]),
+        catalog=model.DEFAULT_CATALOG,
+        params=CostParams(alpha=0.005),
+        policy="pcache",
+        horizon=3,
+        seed=0,
+        batches=[RequestBatch(1, {(0, 0): 1}), RequestBatch(2, {key: 1})],
+    )
+    with pytest.raises(ConfigError, match="interval 2"):
+        run(config)
+
+
+def test_sweep_over_batch_list_has_no_beta_axis():
+    base = _zipf_config(horizon=8)
+    batches = [RequestBatch(t, {(t % 4, t % 3): 1 + t % 2, (0, 0): 1}) for t in range(1, 9)]
+    base = SimConfig(
+        topology=base.topology,
+        catalog=base.catalog,
+        params=base.params,
+        policy="pcache",
+        horizon=8,
+        seed=0,
+        batches=batches,
+        check="full",
+    )
+    grid = SweepGrid(alphas=[0.002, 0.005], betas=[0.5, 1.0], policies=["pcache", "nocache"], seeds=[3])
+    records, errors = sweep(grid, base)
+    assert errors == []
+    assert [(r["alpha"], r["policy"], r["beta"]) for r in records] == [
+        (0.002, "nocache", None),
+        (0.002, "pcache", None),
+        (0.005, "nocache", None),
+        (0.005, "pcache", None),
+    ]
+    assert all(r["requests"] == sum(b.total() for b in batches) for r in records)
+    direct = run(replace(base, seed=derive_seed(3, "cell", None))).summary
+    assert records[3]["total_cost"] == direct["total_cost"]
+    assert records[3]["normalized_cost"] == direct["normalized_cost"]

@@ -3,7 +3,7 @@ import pytest
 
 from edgesim.errors import ConfigError, MappingError, TraceParseError
 from edgesim.workload import (
-    TraceSource,
+    ListSource,
     ZipfConfig,
     ZipfSource,
     generate_batch,
@@ -149,7 +149,7 @@ def test_ingest_orders_intervals_and_bins(tmp_path):
 def test_trace_source_exhaustion(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("interval,node,ftype,count\n1,0,0,1\n3,0,0,1\n")
-    source = TraceSource(ingest_trace(path, n_nodes=1, n_types=1))
+    source = ListSource(ingest_trace(path, n_nodes=1, n_types=1), n_nodes=1, n_types=1)
     assert source.batch(1).counts == {(0, 0): 1}
     assert source.batch(2).counts == {}
     assert source.batch(3).counts == {(0, 0): 1}
