@@ -117,8 +117,11 @@ class CostLedger:
             LedgerRow(interval, switching, communication, running, total, cold_starts, requests)
         )
 
-    def total_cost(self) -> float:
-        return sum(r.total for r in self.rows)
+    def total_cost(self, alpha: float | None = None) -> float:
+        """Sum of the row totals at `alpha` (default: the ledger's), recomputed
+        from the unweighted components with the same per-row expression."""
+        alpha = self.alpha if alpha is None else alpha
+        return sum(r.switching + r.communication + alpha * r.running for r in self.rows)
 
     def total_cold_starts(self) -> int:
         return sum(r.cold_starts for r in self.rows)

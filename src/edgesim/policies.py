@@ -27,7 +27,7 @@ class EvictionDistribution:
             raise ContractError(f"eviction probabilities sum to {s!r}, not 1")
 
 
-def pcache_distribution(state: NodeState, catalog, now: int, freq=None, last_used=None) -> EvictionDistribution:
+def pcache_distribution(state: NodeState, catalog, freq=None, last_used=None) -> EvictionDistribution:
     """Eviction distribution over the node's cached types.
 
     A type's weight is its memory footprint divided by (invocation count +
@@ -55,9 +55,9 @@ def pcache_distribution(state: NodeState, catalog, now: int, freq=None, last_use
     return EvictionDistribution({n: w / total for n, w in sorted(weights.items())})
 
 
-def pcache_select_victim(state: NodeState, catalog, now: int, rng, freq=None, last_used=None) -> int:
+def pcache_select_victim(state: NodeState, catalog, rng, freq=None, last_used=None) -> int:
     """Sample one victim type by inverse CDF over ascending type id."""
-    dist = pcache_distribution(state, catalog, now, freq, last_used)
+    dist = pcache_distribution(state, catalog, freq, last_used)
     r = rng.random()
     acc = 0.0
     last = None
@@ -69,7 +69,7 @@ def pcache_select_victim(state: NodeState, catalog, now: int, rng, freq=None, la
     return last  # guard against accumulated rounding
 
 
-def lru_select_victim(state: NodeState, catalog, now: int = 0, last_used=None) -> int:
+def lru_select_victim(state: NodeState, catalog, last_used=None) -> int:
     """Cached type with the smallest last-invocation interval; ties to lower id."""
     last_used = state.last_used if last_used is None else last_used
     best = None
@@ -127,7 +127,7 @@ class PCache(EvictionPolicy):
 
     def select_victim(self, state, catalog, rng, now):
         freq, last_used = self._stats(state)
-        return pcache_select_victim(state, catalog, now, rng, freq, last_used)
+        return pcache_select_victim(state, catalog, rng, freq, last_used)
 
 
 class LRU(EvictionPolicy):
@@ -135,7 +135,7 @@ class LRU(EvictionPolicy):
 
     def select_victim(self, state, catalog, rng, now):
         _, last_used = self._stats(state)
-        return lru_select_victim(state, catalog, now, last_used)
+        return lru_select_victim(state, catalog, last_used)
 
 
 class FixedCaching(EvictionPolicy):
@@ -209,7 +209,7 @@ class NoCache(EvictionPolicy):
     name = "nocache"
 
     def select_victim(self, state, catalog, rng, now):
-        return lru_select_victim(state, catalog, now, self._stats(state)[1])
+        return lru_select_victim(state, catalog, self._stats(state)[1])
 
     def end_of_interval(self, state, now):
         return [(n, state.cache[n]) for n in range(self.n_types) if state.cache[n]]

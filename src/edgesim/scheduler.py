@@ -81,6 +81,26 @@ def per_request_bound(ftype, origin, serving_node, served_from_cache, params, to
     return realized, bound
 
 
+class BoundChecks:
+    """Per-request worst-case bound checks of one trajectory, at every alpha it
+    is priced at.
+
+    Routing never reads alpha, so one trajectory serves every alpha. A
+    request's realized cost and bound differ between alphas only through
+    alpha * q: `live` maps each alpha still checked to its alpha * q table.
+    The first violation at an alpha is kept in `failures` and ends that
+    alpha's checks; the other alphas carry on.
+    """
+
+    def __init__(self, ctx: RoutingContext, alphas):
+        self.live = {alpha: [[alpha * q for q in row] for row in ctx.q] for alpha in alphas}
+        self.failures: dict[float, InvariantViolation] = {}
+
+    def fail(self, alpha: float, record: AuditRecord) -> None:
+        self.failures[alpha] = InvariantViolation(f"per-request cost bound exceeded: {record}")
+        self.live = {a: table for a, table in self.live.items() if a != alpha}
+
+
 def _make_room(state, node_id, mem_needed, ctx, policy, rng, now, destroyed):
     """Evict cached containers via the policy until one more container fits."""
     capacity = ctx.capacity[node_id]
@@ -101,7 +121,7 @@ def distribute_interval(
     policy,
     rng,
     audit: list[AuditRecord] | None = None,
-    check: bool = False,
+    check: BoundChecks | None = None,
 ) -> IntervalDecision:
     """Route one interval's requests (deterministic ascending (node, type) order).
 
@@ -111,7 +131,8 @@ def distribute_interval(
     at the origin, evicting via the policy under capacity pressure. When the
     origin cannot host even after emptying its cache, the request overflows to
     the cheapest feasible node by (d + p); only if no node can host is it
-    counted as rejected.
+    counted as rejected. Each served request inside the analyzed channels is
+    audited at the context's alpha and bound-checked by `check`.
     """
     t = batch.interval
     decision = IntervalDecision(interval=t)
@@ -119,15 +140,19 @@ def distribute_interval(
     offloaded = decision.offloaded
     created = decision.created
     destroyed = decision.destroyed
+    aq_audit = ctx.aq
 
-    def note(origin, n, action, serving, realized, bound):
+    # A request's realized cost is cost + alpha*q and its bound
+    # max(alpha*q + p, alpha*q + d) = alpha*q + top, with top = max(p, d).
+    def note(origin, n, action, serving, cost, top):
         if audit is not None:
-            audit.append(AuditRecord(t, origin, n, action, serving, realized, bound))
-        if check and action != "reject" and realized > bound + 1e-9:
-            record = AuditRecord(t, origin, n, action, serving, realized, bound)
-            raise InvariantViolation(
-                f"per-request cost bound exceeded: {record}"
-            )
+            aq = aq_audit[origin][n]
+            audit.append(AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
+        if check is not None:
+            for alpha, aq_table in check.live.items():
+                aq = aq_table[origin][n]
+                if cost + aq > aq + top + 1e-9:
+                    check.fail(alpha, AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
 
     for (v, n), lam in sorted(batch.counts.items()):
         if lam == 0:
@@ -135,8 +160,7 @@ def distribute_interval(
         state_v = states[v]
         mem = ctx.mem[n]
         p_vn = ctx.p[v][n]
-        aq_vn = ctx.aq[v][n]
-        trace = audit is not None or check
+        trace = audit is not None or check is not None
 
         # 1) serve from the origin's own cache
         hit = min(lam, state_v.cache[n])
@@ -145,9 +169,8 @@ def distribute_interval(
             policy.on_invocation(state_v, n, t, count=hit)
             local_served[(v, n)] = local_served.get((v, n), 0) + hit
             if trace:
-                bound = max(aq_vn + p_vn, aq_vn)
                 for _ in range(hit):
-                    note(v, n, "hit", v, aq_vn, bound)
+                    note(v, n, "hit", v, 0.0, p_vn)
         if hit == lam:
             continue
         remaining = lam - hit
@@ -166,10 +189,8 @@ def distribute_interval(
                 offloaded[key] = offloaded.get(key, 0) + take
                 remaining -= take
                 if trace:
-                    realized = d + aq_vn
-                    bound = max(aq_vn + p_vn, aq_vn + d)
                     for _ in range(take):
-                        note(v, n, "offload", v2, realized, bound)
+                        note(v, n, "offload", v2, d, p_vn)  # d <= p here
                 if remaining == 0:
                     break
 
@@ -182,8 +203,7 @@ def distribute_interval(
                 local_served[(v, n)] = local_served.get((v, n), 0) + 1
                 remaining -= 1
                 if trace:
-                    realized = p_vn + aq_vn
-                    note(v, n, "create", v, realized, max(aq_vn + p_vn, aq_vn))
+                    note(v, n, "create", v, p_vn, p_vn)
                 continue
             served = False
             for v2 in ctx.fallback_order(v, n):
@@ -199,7 +219,7 @@ def distribute_interval(
                     remaining -= 1
                     served = True
                     if trace:
-                        note(v, n, "offload", v2, d + aq_vn, max(aq_vn + p_vn, aq_vn + d))
+                        note(v, n, "offload", v2, d, max(p_vn, d))
                     break
                 if _make_room(state_2, v2, mem, ctx, policy, rng, t, destroyed):
                     state_2.add_active(n, mem)
@@ -212,6 +232,7 @@ def distribute_interval(
                     served = True
                     if audit is not None:
                         # outside the worst-case analysis; not bound-checked
+                        aq_vn = aq_audit[v][n]
                         realized = d + ctx.p[v2][n] + aq_vn
                         audit.append(AuditRecord(t, v, n, "create", v2, realized, max(aq_vn + p_vn, aq_vn + d)))
                     break

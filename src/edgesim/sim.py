@@ -22,7 +22,7 @@ from .model import (
     validate_setup,
 )
 from .policies import POLICY_NAMES, make_policy
-from .scheduler import RoutingContext, distribute_interval, end_interval
+from .scheduler import BoundChecks, RoutingContext, distribute_interval, end_interval
 from .workload import ListSource, ZipfConfig, ZipfSource
 
 CHECK_LEVELS = ("off", "sample", "full")
@@ -81,16 +81,19 @@ class RunResult:
     audit: list | None = None
 
 
-def _workload_source(config: SimConfig):
-    if config.batches is not None:
-        return ListSource(config.batches, config.topology.n_nodes, len(config.catalog))
-    cfg = ZipfConfig(
+def _zipf_config(config: SimConfig) -> ZipfConfig:
+    return ZipfConfig(
         beta=config.beta,
         n_types=len(config.catalog),
         mean_rate=config.mean_rate,
         seed=derive_seed(config.seed, "workload"),
     )
-    return ZipfSource(cfg, config.topology, global_ranking=config.zipf_global)
+
+
+def _workload_source(config: SimConfig):
+    if config.batches is not None:
+        return ListSource(config.batches, config.topology.n_nodes, len(config.catalog))
+    return ZipfSource(_zipf_config(config), config.topology, global_ranking=config.zipf_global)
 
 
 def _check_states(config: SimConfig, states, interval: int) -> None:
@@ -118,81 +121,139 @@ def _check_states(config: SimConfig, states, interval: int) -> None:
                 )
 
 
+@dataclass
+class _Trajectory:
+    """One simulated request stream and what it cost, before alpha weights it."""
+
+    ledger: CostLedger
+    audit: list | None
+    failures: dict  # alpha -> the exception that ends that alpha's run
+    rejections: int = 0
+    fallback_creations: int = 0
+    intervals: int = 0
+    truncated: bool = False
+
+
+def _simulate(config: SimConfig, params: list[CostParams]) -> _Trajectory:
+    """Simulate config's request stream once, checked at every alpha of `params`.
+
+    Routing, eviction and every random draw ignore alpha, so this is the
+    trajectory each alpha's own run follows. `validate_setup` and the
+    per-request bound depend on alpha and run per alpha; a failure there ends
+    that alpha only. Any other exception ends every alpha still running.
+    """
+    failures = {}
+    for p in params:
+        try:
+            validate_setup(config.topology, config.catalog, p)
+        except ConfigError as exc:
+            failures[p.alpha] = exc
+    alphas = [p.alpha for p in params if p.alpha not in failures]
+    traj = _Trajectory(CostLedger(config.params.alpha), [] if config.audit else None, failures)
+    if not alphas:
+        return traj
+    ctx = RoutingContext(config.topology, config.catalog, config.params)
+    bounds = BoundChecks(ctx, alphas)
+    try:
+        n_types = len(config.catalog)
+        states = [NodeState(v, n_types) for v in range(config.topology.n_nodes)]
+        policy = make_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
+        source = _workload_source(config)
+        rng = np.random.default_rng(derive_seed(config.seed, "policy", config.policy))
+        ledger = traj.ledger
+        audit = traj.audit
+        for t in range(1, config.horizon + 1):
+            batch = source.batch(t)
+            if batch is None:
+                traj.truncated = True
+                break
+            if batch.interval != t:
+                raise InvariantViolation(f"workload produced interval {batch.interval} for clock {t}")
+            check_now = config.check == "full" or (config.check == "sample" and t % 10 == 0)
+            checked = bounds if check_now else None
+            decision = distribute_interval(batch, states, ctx, policy, rng, audit=audit, check=checked)
+            if not bounds.live:
+                break
+            switching = interval_switching_cost(decision, ctx)
+            communication = interval_comm_cost(decision, config.topology)
+            running = interval_running_cost(states, ctx)
+            if check_now:
+                decision.check_conservation(batch)
+                _check_states(config, states, t)
+            for v, n, count in end_interval(states, policy, t, config.catalog):
+                key = (v, n)
+                decision.destroyed[key] = decision.destroyed.get(key, 0) + count
+            if check_now:
+                _check_states(config, states, t)
+            ledger.append_interval(
+                t, switching, communication, running,
+                cold_starts=decision.total_created(), requests=batch.total(),
+            )
+            traj.rejections += decision.total_rejected()
+            traj.fallback_creations += decision.fallback_creations
+            traj.intervals = t
+    except Exception as exc:  # ends every alpha that has not failed already
+        for alpha in bounds.live:
+            failures[alpha] = exc
+    failures.update(bounds.failures)
+    return traj
+
+
+def _run_alphas(config: SimConfig, params: list[CostParams], baselines: dict) -> tuple[_Trajectory, dict]:
+    """Simulate once and summarize the run at every alpha of `params`.
+
+    Returns the trajectory and a summary per alpha that did not fail (the
+    failures are in the trajectory). The normalized cost divides by the
+    no-cache total in `baselines` (alpha -> total) on the identical workload
+    and seed; alphas missing there get it from one no-cache run of their own.
+    """
+    traj = _simulate(config, params)
+    if config.policy != "nocache":
+        missing = [p for p in params if p.alpha not in traj.failures and p.alpha not in baselines]
+        if missing:
+            base_cfg = replace(config, policy="nocache", audit=False, check="off")
+            base_traj, base_summaries = _run_alphas(base_cfg, missing, {})
+            traj.failures.update(base_traj.failures)
+            baselines = {**baselines, **{a: s["total_cost"] for a, s in base_summaries.items()}}
+    requests = traj.ledger.total_requests()
+    cold_starts = traj.ledger.total_cold_starts()
+    summaries = {}
+    for alpha in (p.alpha for p in params if p.alpha not in traj.failures):
+        total = traj.ledger.total_cost(alpha)
+        if config.policy == "nocache":
+            normalized = 1.0 if total > 0 else None
+        else:
+            normalized = total / baselines[alpha] if baselines[alpha] > 0 else None
+        summaries[alpha] = {
+            "policy": config.policy,
+            "alpha": alpha,
+            "beta": config.beta,
+            "seed": config.seed,
+            "total_cost": total,
+            "normalized_cost": normalized,
+            "cold_start_frequency": (cold_starts / requests) if requests else None,
+            "rejections": traj.rejections,
+            "fallback_creations": traj.fallback_creations,
+            "intervals": traj.intervals,
+            "requests": requests,
+            "cold_starts": cold_starts,
+            "truncated": traj.truncated,
+        }
+    return traj, summaries
+
+
 def run(config: SimConfig, baseline_total: float | None = None) -> RunResult:
     """Execute one simulation; deterministic for a fixed config.
 
     The summary's normalized cost divides by the no-cache policy on the
     identical workload and seed (computed here unless supplied).
     """
-    validate_setup(config.topology, config.catalog, config.params)
-    ctx = RoutingContext(config.topology, config.catalog, config.params)
-    n_types = len(config.catalog)
-    states = [NodeState(v, n_types) for v in range(config.topology.n_nodes)]
-    policy = make_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
-    source = _workload_source(config)
-    rng = np.random.default_rng(derive_seed(config.seed, "policy", config.policy))
-    ledger = CostLedger(config.params.alpha)
-    audit = [] if config.audit else None
-
-    rejections = 0
-    fallback_creations = 0
-    truncated = False
-    intervals_run = 0
-    for t in range(1, config.horizon + 1):
-        batch = source.batch(t)
-        if batch is None:
-            truncated = True
-            break
-        if batch.interval != t:
-            raise InvariantViolation(f"workload produced interval {batch.interval} for clock {t}")
-        check_now = config.check == "full" or (config.check == "sample" and t % 10 == 0)
-        decision = distribute_interval(batch, states, ctx, policy, rng, audit=audit, check=check_now)
-        switching = interval_switching_cost(decision, ctx)
-        communication = interval_comm_cost(decision, config.topology)
-        running = interval_running_cost(states, ctx)
-        if check_now:
-            decision.check_conservation(batch)
-            _check_states(config, states, t)
-        for v, n, count in end_interval(states, policy, t, config.catalog):
-            key = (v, n)
-            decision.destroyed[key] = decision.destroyed.get(key, 0) + count
-        if check_now:
-            _check_states(config, states, t)
-        ledger.append_interval(
-            t, switching, communication, running,
-            cold_starts=decision.total_created(), requests=batch.total(),
-        )
-        rejections += decision.total_rejected()
-        fallback_creations += decision.fallback_creations
-        intervals_run = t
-
-    total = ledger.total_cost()
-    requests = ledger.total_requests()
-    cold_starts = ledger.total_cold_starts()
-    if config.policy == "nocache":
-        normalized = 1.0 if total > 0 else None
-    else:
-        if baseline_total is None:
-            base_cfg = replace(config, policy="nocache", audit=False, check="off")
-            baseline_total = run(base_cfg).ledger.total_cost()
-        normalized = total / baseline_total if baseline_total > 0 else None
-
-    summary = {
-        "policy": config.policy,
-        "alpha": config.params.alpha,
-        "beta": config.beta,
-        "seed": config.seed,
-        "total_cost": total,
-        "normalized_cost": normalized,
-        "cold_start_frequency": (cold_starts / requests) if requests else None,
-        "rejections": rejections,
-        "fallback_creations": fallback_creations,
-        "intervals": intervals_run,
-        "requests": requests,
-        "cold_starts": cold_starts,
-        "truncated": truncated,
-    }
-    return RunResult(ledger=ledger, summary=summary, audit=audit)
+    alpha = config.params.alpha
+    baselines = {} if baseline_total is None else {alpha: baseline_total}
+    traj, summaries = _run_alphas(config, [config.params], baselines)
+    if alpha in traj.failures:
+        raise traj.failures[alpha]
+    return RunResult(ledger=traj.ledger, summary=summaries[alpha], audit=traj.audit)
 
 
 def summary_json(result: RunResult) -> str:
@@ -214,74 +275,70 @@ class SweepGrid:
                 raise ConfigError(f"unknown policy {p!r} in grid; valid policies: {', '.join(POLICY_NAMES)}")
 
 
-def _cell_config(base: SimConfig, seed: int, beta: float | None, alpha: float, policy: str) -> SimConfig:
-    # Cells sharing (seed, beta) see the identical workload stream, so policies
-    # and alphas are compared on the same request realization.
-    return replace(
-        base,
-        policy=policy,
-        params=replace(base.params, alpha=alpha),
-        beta=beta,
-        seed=derive_seed(seed, "cell", beta),
-    )
+def _run_group(args):
+    """One (seed, beta, policy) group: one simulation, one record or error per alpha."""
+    config, params, baselines, seed = args
+    traj, summaries = _run_alphas(config, params, baselines)
+    records, errors = [], []
+    for p in params:
+        if p.alpha in summaries:
+            records.append(dict(summaries[p.alpha], seed=seed))  # report the master seed
+        else:
+            exc = traj.failures[p.alpha]
+            errors.append({
+                "seed": seed, "beta": config.beta, "alpha": p.alpha, "policy": config.policy,
+                "error": f"{type(exc).__name__}: {exc}",
+            })
+    return records, errors
 
 
-def _run_cell(args):
-    config, baseline_total, key = args
-    try:
-        result = run(config, baseline_total=baseline_total)
-        summary = dict(result.summary)
-        summary["seed"] = key[0]  # report the master seed the cell derives from
-        return key, summary, None
-    except Exception as exc:  # per-cell failures are reported, sweep continues
-        return key, None, f"{type(exc).__name__}: {exc}"
-
-
-def _run_cells(cells, jobs: int, errors: list) -> list:
-    """Run (config, baseline_total, key) cells, serially or in a process pool.
-
-    Returns (key, summary) per successful cell, in cell order; each failed
-    cell is appended to `errors` instead.
-    """
+def _run_groups(groups, jobs: int) -> list:
+    """(records, errors) per group, in group order, serially or in a process pool."""
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(_run_cell, cells))
-    else:
-        outs = [_run_cell(cell) for cell in cells]
-    done = []
-    for key, summary, err in outs:
-        if err is not None:
-            errors.append({"seed": key[0], "beta": key[1], "alpha": key[2], "policy": key[3], "error": err})
-        else:
-            done.append((key, summary))
-    return done
+            return list(pool.map(_run_group, groups))
+    return [_run_group(group) for group in groups]
 
 
 def sweep(grid: SweepGrid, base: SimConfig, jobs: int = 1):
     """Cartesian product of runs; returns (records, errors) keyed by grid point.
 
-    Each cell is reproducible in isolation and independent of grid-axis order;
-    records come back sorted by (seed, beta, alpha, policy). A replay base
-    (`batches` set) has no beta axis: its records carry beta None.
+    Each (seed, beta, policy) is simulated once and priced at every alpha,
+    because alpha never changes a trajectory. Each cell is reproducible in
+    isolation and independent of grid-axis order; records come back sorted by
+    (seed, beta, alpha, policy). A replay base (`batches` set) has no beta
+    axis: its records carry beta None.
     """
     betas = grid.betas if base.batches is None else [None]
-    points = [(seed, beta, alpha) for seed in grid.seeds for beta in betas for alpha in grid.alphas]
-    errors = []
-    baselines = dict(
-        _run_cells([(_cell_config(base, *pt, "nocache"), None, (*pt, "nocache")) for pt in points], jobs, errors)
-    )
+    for beta in betas:  # inputs every cell shares fail the sweep, not each cell
+        if beta is not None:
+            _zipf_config(replace(base, beta=beta))
+    params = [replace(base.params, alpha=alpha) for alpha in grid.alphas]
+    points = [(seed, beta) for seed in grid.seeds for beta in betas]
 
-    policy_cells = []
-    for pt in points:
-        base_summary = baselines.get((*pt, "nocache"))
-        total = base_summary["total_cost"] if base_summary else None
-        for policy in grid.policies:
-            if policy != "nocache":
-                policy_cells.append((_cell_config(base, *pt, policy), total, (*pt, policy)))
+    def group(seed, beta, policy, baselines):
+        # Groups sharing (seed, beta) see the identical workload stream, so
+        # policies and alphas are compared on the same request realization.
+        config = replace(base, policy=policy, beta=beta, seed=derive_seed(seed, "cell", beta), audit=False)
+        return config, params, baselines, seed
 
-    records = [summary for _key, summary in _run_cells(policy_cells, jobs, errors)]
-    if "nocache" in grid.policies:
-        records.extend(baselines.values())
+    records, errors = [], []
+    baselines = {}
+    for pt, (recs, errs) in zip(points, _run_groups([group(*pt, "nocache", {}) for pt in points], jobs)):
+        baselines[pt] = {rec["alpha"]: rec for rec in recs}
+        errors.extend(errs)
+        if "nocache" in grid.policies:
+            records.extend(baselines[pt].values())
+
+    policy_groups = [
+        group(*pt, policy, {alpha: rec["total_cost"] for alpha, rec in baselines[pt].items()})
+        for pt in points
+        for policy in grid.policies
+        if policy != "nocache"
+    ]
+    for recs, errs in _run_groups(policy_groups, jobs):
+        records.extend(recs)
+        errors.extend(errs)
 
     def sort_key(rec):
         return (rec["seed"], rec["beta"] if rec["beta"] is not None else -1.0, rec["alpha"], rec["policy"])

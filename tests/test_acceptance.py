@@ -144,7 +144,7 @@ def test_criterion_3_eviction_probability():
     for n in (web.id, checkout.id):
         state.freq[n] = 4
         state.last_used[n] = 6
-    dist = pcache_distribution(state, DEFAULT_CATALOG, now=7)
+    dist = pcache_distribution(state, DEFAULT_CATALOG)
     hand_ok = abs(dist.probs[checkout.id] - 0.858) <= 1e-3 and abs(dist.probs[web.id] - 0.142) <= 1e-3
     sum_ok = abs(sum(dist.probs.values()) - 1.0) <= 1e-9
 
@@ -155,12 +155,12 @@ def test_criterion_3_eviction_probability():
         state4.cache[n] = 1
     state4.freq = [9, 2, 5, 1]
     state4.last_used = [11, 4, 9, 12]
-    dist4 = pcache_distribution(state4, DEFAULT_CATALOG, now=12)
+    dist4 = pcache_distribution(state4, DEFAULT_CATALOG)
     rng = np.random.default_rng(2024)
     draws = 10_000
     observed = [0] * 4
     for _ in range(draws):
-        observed[pcache_select_victim(state4, DEFAULT_CATALOG, 12, rng)] += 1
+        observed[pcache_select_victim(state4, DEFAULT_CATALOG, rng)] += 1
     expected = [dist4.probs[n] * draws for n in range(4)]
     gof = stats.chisquare(observed, expected)
     passed = hand_ok and sum_ok and gof.pvalue >= 0.01

@@ -30,6 +30,7 @@ DESK_GOLDEN = {
     ("nocache", "full"): "3e59a3582c62ab23e1281614e7c023aa1d95d34ff5fb5287a5f9ce7a80222024",
 }
 AUDIT_GOLDEN = "4b3f82b09420b86adbd176ba9578baea1fc7296d8110a48458454a68c05590e8"
+SWEEP_ERRORS_GOLDEN = "6f180fab4b1bd35280699ead9eac98e21d372826e63626cba50a3e9bd68caa05"
 SWEEP_GOLDEN = "ee8f365f1eae875f350383d7a813447150a999ca33774a996dd4150772ebf834"
 
 
@@ -110,6 +111,27 @@ def sweep_digest(tmp_path):
     return _sha(*lines)
 
 
+def sweep_errors_digest(tmp_path):
+    """A sweep whose middle alpha fails validate_setup at the 2.5 GHz node
+    (alpha * q > p once alpha > 1 / cpu^2 = 0.16): only that alpha's cells,
+    nocache included, land in errors.jsonl."""
+    nodes = tmp_path / "nodes.csv"
+    _write_nodes(nodes, 5, 1200)
+    out = tmp_path / "sweep-errors-out"
+    argv = [
+        "sweep", "--alphas", "0.002,0.2,0.01", "--betas", "0.6,1.4", "--policies", "pcache,lru,fc",
+        "--nodes", str(nodes), "--mean-rate", "1.5", "--horizon", "20", "--seeds", "4",
+        "--check", "full", "--output", str(out),
+    ]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    results = (out / "results.jsonl").read_bytes()
+    errors = (out / "errors.jsonl").read_bytes()
+    assert len(results.splitlines()) == 2 * 2 * 3
+    assert len(errors.splitlines()) == 2 * 4
+    return _sha(results, errors)
+
+
 @pytest.mark.parametrize("policy,check", sorted(DESK_GOLDEN))
 def test_desk_run_bytes(policy, check, tmp_path):
     assert desk_digest(policy, check, tmp_path) == DESK_GOLDEN[(policy, check)]
@@ -121,6 +143,10 @@ def test_trace_audit_run_bytes(tmp_path):
 
 def test_sweep_results_bytes(tmp_path):
     assert sweep_digest(tmp_path) == SWEEP_GOLDEN
+
+
+def test_sweep_errors_bytes(tmp_path):
+    assert sweep_errors_digest(tmp_path) == SWEEP_ERRORS_GOLDEN
 
 
 def test_golden_inputs_exercise_every_path(tmp_path):

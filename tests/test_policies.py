@@ -31,14 +31,14 @@ def _state(cache=None, freq=None, last_used=None, n_types=4):
 
 def test_distribution_single_cached_type():
     state = _state(cache={WEB.id: 2}, freq={WEB.id: 3}, last_used={WEB.id: 5})
-    dist = pcache_distribution(state, DEFAULT_CATALOG, now=6)
+    dist = pcache_distribution(state, DEFAULT_CATALOG)
     assert dist.probs == {WEB.id: 1.0}
 
 
 def test_distribution_symmetric_weights():
     catalog = (FunctionType(0, 100.0), FunctionType(1, 100.0))
     state = _state(cache={0: 1, 1: 1}, freq={0: 4, 1: 7}, last_used={0: 6, 1: 3}, n_types=2)
-    dist = pcache_distribution(state, catalog, now=7)
+    dist = pcache_distribution(state, catalog)
     assert dist.probs[0] == pytest.approx(0.5)
     assert dist.probs[1] == pytest.approx(0.5)
 
@@ -50,7 +50,7 @@ def test_distribution_checkout_vs_web_sizes():
         freq={WEB.id: 4, CHECKOUT.id: 4},
         last_used={WEB.id: 6, CHECKOUT.id: 6},
     )
-    dist = pcache_distribution(state, DEFAULT_CATALOG, now=7)
+    dist = pcache_distribution(state, DEFAULT_CATALOG)
     assert dist.probs[CHECKOUT.id] == pytest.approx(0.858, abs=1e-3)
     assert dist.probs[WEB.id] == pytest.approx(0.142, abs=1e-3)
     assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
@@ -62,20 +62,20 @@ def test_distribution_excludes_uncached_types():
         freq={WEB.id: 1, CHECKOUT.id: 50},
         last_used={WEB.id: 1, CHECKOUT.id: 50},
     )
-    dist = pcache_distribution(state, DEFAULT_CATALOG, now=50)
+    dist = pcache_distribution(state, DEFAULT_CATALOG)
     assert set(dist.probs) == {WEB.id}
 
 
 def test_distribution_empty_cache_rejected():
     state = _state()
     with pytest.raises(ContractError):
-        pcache_distribution(state, DEFAULT_CATALOG, now=1)
+        pcache_distribution(state, DEFAULT_CATALOG)
 
 
 def test_distribution_zero_denominator_guard():
     state = _state(cache={WEB.id: 1})  # freq and last_used both 0: invariant broken
     with pytest.raises(ContractError):
-        pcache_distribution(state, DEFAULT_CATALOG, now=1)
+        pcache_distribution(state, DEFAULT_CATALOG)
 
 
 def test_distribution_monotone_in_size_freq_recency():
@@ -83,16 +83,16 @@ def test_distribution_monotone_in_size_freq_recency():
     catalog_small = (FunctionType(0, 100.0), FunctionType(1, 100.0))
     catalog_big = (FunctionType(0, 200.0), FunctionType(1, 100.0))
     s = _state(freq={0: 5, 1: 5}, last_used={0: 5, 1: 5}, **base)
-    p_small = pcache_distribution(s, catalog_small, now=6).probs[0]
-    p_big = pcache_distribution(s, catalog_big, now=6).probs[0]
+    p_small = pcache_distribution(s, catalog_small).probs[0]
+    p_big = pcache_distribution(s, catalog_big).probs[0]
     assert p_big > p_small  # larger memory footprint -> likelier victim
 
     s_hot = _state(freq={0: 50, 1: 5}, last_used={0: 5, 1: 5}, **base)
-    p_hot = pcache_distribution(s_hot, catalog_small, now=6).probs[0]
+    p_hot = pcache_distribution(s_hot, catalog_small).probs[0]
     assert p_hot < p_small  # more invocations -> safer
 
     s_recent = _state(freq={0: 5, 1: 5}, last_used={0: 50, 1: 5}, **base)
-    p_recent = pcache_distribution(s_recent, catalog_small, now=51).probs[0]
+    p_recent = pcache_distribution(s_recent, catalog_small).probs[0]
     assert p_recent < p_small  # more recent -> safer
 
 
@@ -100,14 +100,14 @@ def test_select_victim_single_type():
     state = _state(cache={IMGREC.id: 1}, freq={IMGREC.id: 1}, last_used={IMGREC.id: 1})
     rng = np.random.default_rng(0)
     for _ in range(5):
-        assert pcache_select_victim(state, DEFAULT_CATALOG, 2, rng) == IMGREC.id
+        assert pcache_select_victim(state, DEFAULT_CATALOG, rng) == IMGREC.id
 
 
 def test_select_victim_balanced_frequencies():
     catalog = (FunctionType(0, 100.0), FunctionType(1, 100.0))
     state = _state(cache={0: 1, 1: 1}, freq={0: 3, 1: 3}, last_used={0: 4, 1: 4}, n_types=2)
     rng = np.random.default_rng(7)
-    hits = sum(pcache_select_victim(state, catalog, 5, rng) == 0 for _ in range(10_000))
+    hits = sum(pcache_select_victim(state, catalog, rng) == 0 for _ in range(10_000))
     assert abs(hits / 10_000 - 0.5) <= 0.02
 
 
@@ -117,12 +117,12 @@ def test_select_victim_deterministic_sequence():
         freq={WEB.id: 2, CHECKOUT.id: 2},
         last_used={WEB.id: 3, CHECKOUT.id: 3},
     )
-    seq_a = [pcache_select_victim(state, DEFAULT_CATALOG, 4, np.random.default_rng(9)) for _ in range(1)]
-    seq_b = [pcache_select_victim(state, DEFAULT_CATALOG, 4, np.random.default_rng(9)) for _ in range(1)]
+    seq_a = [pcache_select_victim(state, DEFAULT_CATALOG, np.random.default_rng(9)) for _ in range(1)]
+    seq_b = [pcache_select_victim(state, DEFAULT_CATALOG, np.random.default_rng(9)) for _ in range(1)]
     rng_a = np.random.default_rng(13)
     rng_b = np.random.default_rng(13)
-    seq_a += [pcache_select_victim(state, DEFAULT_CATALOG, 4, rng_a) for _ in range(50)]
-    seq_b += [pcache_select_victim(state, DEFAULT_CATALOG, 4, rng_b) for _ in range(50)]
+    seq_a += [pcache_select_victim(state, DEFAULT_CATALOG, rng_a) for _ in range(50)]
+    seq_b += [pcache_select_victim(state, DEFAULT_CATALOG, rng_b) for _ in range(50)]
     assert seq_a == seq_b
 
 
@@ -133,12 +133,12 @@ def test_select_victim_chi_square_fit():
         freq={0: 9, 1: 2, 2: 5, 3: 1},
         last_used={0: 11, 1: 4, 2: 9, 3: 12},
     )
-    dist = pcache_distribution(state, DEFAULT_CATALOG, now=12)
+    dist = pcache_distribution(state, DEFAULT_CATALOG)
     rng = np.random.default_rng(2024)
     draws = 10_000
     observed = [0, 0, 0, 0]
     for _ in range(draws):
-        observed[pcache_select_victim(state, DEFAULT_CATALOG, 12, rng)] += 1
+        observed[pcache_select_victim(state, DEFAULT_CATALOG, rng)] += 1
     expected = [dist.probs[n] * draws for n in range(4)]
     result = scipy_stats.chisquare(observed, expected)
     assert result.pvalue >= 0.01
@@ -249,7 +249,7 @@ def test_global_stats_shared_across_nodes():
     catalog = (FunctionType(0, 100.0), FunctionType(1, 100.0))
     b.cache = [1, 1]
     freq, last = policy._stats(b)
-    dist = pcache_distribution(b, catalog, now=6, freq=freq, last_used=last)
+    dist = pcache_distribution(b, catalog, freq=freq, last_used=last)
     assert dist.probs[1] > dist.probs[0]
 
 

@@ -14,6 +14,7 @@ from edgesim.model import (
 from edgesim.policies import make_policy
 from edgesim.scheduler import (
     AuditRecord,
+    BoundChecks,
     RoutingContext,
     distribute_interval,
     end_interval,
@@ -34,6 +35,14 @@ def _setup(capacities, comm=None, cpus=None, catalog=DEFAULT_CATALOG, alpha=0.00
     return topo, params, ctx, states
 
 
+def _checked(batch, states, ctx, policy, rng, audit=None):
+    """Route one interval with every request's cost bound checked at the context's alpha."""
+    bounds = BoundChecks(ctx, [ctx.alpha])
+    decision = distribute_interval(batch, states, ctx, policy, rng, audit=audit, check=bounds)
+    assert bounds.failures == {}
+    return decision
+
+
 def _warm(states, policy, v, n, count, ctx, now=1):
     """Put `count` warm containers of type n in node v's cache."""
     for _ in range(count):
@@ -47,7 +56,7 @@ def test_local_cache_serves_everything():
     policy = make_policy("pcache", 1)
     _warm(states, policy, 0, 0, 3, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 2})
-    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
+    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
     assert d.local_served == {(0, 0): 2}
     assert d.offloaded == {} and d.created == {} and d.rejected == {}
     assert states[0].active[0] == 2 and states[0].cache[0] == 1
@@ -59,7 +68,7 @@ def test_offload_to_cached_neighbor_within_radius():
     policy = make_policy("pcache", 1)
     _warm(states, policy, 1, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 1})
-    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
+    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
     assert d.offloaded == {(0, 1, 0): 1}
     assert d.created == {} and d.local_served == {}
     assert states[1].active[0] == 1
@@ -69,7 +78,7 @@ def test_create_when_no_cache_anywhere():
     topo, params, ctx, states = _setup([4000.0, 4000.0], comm=[[0, 3], [3, 0]], catalog=ONE_TYPE)
     policy = make_policy("pcache", 1)
     batch = RequestBatch(interval=1, counts={(0, 0): 1})
-    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
+    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
     assert d.created == {(0, 0): 1}
     assert d.local_served == {(0, 0): 1}
     assert d.total_created() == 1
@@ -81,7 +90,7 @@ def test_offload_skipped_when_distance_exceeds_switching_cost():
     policy = make_policy("lru", 1)
     _warm(states, policy, 1, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 1})
-    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
+    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
     assert d.created == {(0, 0): 1}
     assert d.offloaded == {}
     assert states[1].cache[0] == 1  # untouched
@@ -94,7 +103,7 @@ def test_nearest_neighbor_consumed_first_with_tiebreak():
     for v in (1, 2, 3):
         _warm(states, policy, v, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 2})
-    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
+    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
     # node 3 is nearest (d=2); then the tie between 1 and 2 at d=5 goes to 1
     assert d.offloaded == {(0, 3, 0): 1, (0, 1, 0): 1}
 
@@ -105,7 +114,7 @@ def test_capacity_pressure_evicts_via_policy():
     policy = make_policy("lru", 2)
     _warm(states, policy, 0, 1, 1, ctx)  # 332 MB cached checkout
     batch = RequestBatch(interval=2, counts={(0, 0): 2})  # needs 110 MB
-    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
+    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
     assert d.created == {(0, 0): 2}
     assert d.destroyed == {(0, 1): 1}
     assert states[0].cache[1] == 0
@@ -132,7 +141,7 @@ def test_fallback_prefers_remote_cache_beyond_radius():
     _warm(states, policy, 1, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 3})
     audit = []
-    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), audit=audit, check=True)
+    d = _checked(batch, states, ctx, policy, np.random.default_rng(0), audit=audit)
     assert d.created == {(0, 0): 2}
     assert d.offloaded == {(0, 1, 0): 1}
     assert d.fallback_creations == 0
@@ -219,6 +228,42 @@ def test_bound_check_raises_on_violation():
         competitive_check([rec], topo, ONE_TYPE, params)
 
 
+def test_bound_checks_trip_on_doctored_cost_at_every_alpha():
+    # a negative switching cost puts a warm hit's realized cost above its bound
+    topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
+    policy = make_policy("pcache", 1)
+    _warm(states, policy, 0, 0, 2, ctx)
+    ctx.p[0][0] = -1.0
+    bounds = BoundChecks(ctx, [0.001, 0.002])
+    batch = RequestBatch(interval=2, counts={(0, 0): 2})
+    distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=bounds)
+    assert bounds.live == {}
+    for alpha, exc in bounds.failures.items():
+        aq = alpha * 55.0
+        assert str(exc) == f"per-request cost bound exceeded: {AuditRecord(2, 0, 0, 'hit', 0, 0.0 + aq, aq - 1.0)}"
+    assert sorted(bounds.failures) == [0.001, 0.002]
+
+    # each alpha is judged on its own table: at 1e20 the doctored cost rounds away
+    _warm(states, policy, 0, 0, 1, ctx, now=2)
+    bounds = BoundChecks(ctx, [0.001, 0.002])
+    bounds.live[0.001] = [[1e20]]
+    batch = RequestBatch(interval=3, counts={(0, 0): 1})
+    distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=bounds)
+    assert list(bounds.live) == [0.001] and list(bounds.failures) == [0.002]
+
+
+def test_bound_checks_fail_ends_only_that_alpha():
+    topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
+    bounds = BoundChecks(ctx, [0.001, 0.002])
+    record = AuditRecord(1, 0, 0, "create", 0, 60.0, 55.11)
+    bounds.fail(0.002, record)
+    assert list(bounds.live) == [0.001]
+    assert str(bounds.failures[0.002]) == f"per-request cost bound exceeded: {record}"
+    batch = RequestBatch(interval=1, counts={(0, 0): 3})
+    distribute_interval(batch, states, ctx, make_policy("lru", 1), np.random.default_rng(0), check=bounds)
+    assert list(bounds.live) == [0.001] and list(bounds.failures) == [0.002]
+
+
 def _random_roundtrip(seed, policy_name):
     rng = np.random.default_rng(seed)
     v = int(rng.integers(1, 5))
@@ -242,7 +287,7 @@ def _random_roundtrip(seed, policy_name):
                 if c:
                     counts[(node, n)] = c
         batch = RequestBatch(interval=t, counts=counts)
-        d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(seed + t), check=True)
+        d = _checked(batch, states, ctx, policy, np.random.default_rng(seed + t))
         d.check_conservation(batch)
         for state in states:
             assert occupancy(state, DEFAULT_CATALOG) <= caps[state.node_id] + 1e-9

@@ -1,9 +1,12 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from edgesim.errors import ConfigError
+import edgesim.sim as sim
+from edgesim.errors import ConfigError, InvariantViolation
 from edgesim.model import CostParams, FunctionType, RequestBatch
+from edgesim.scheduler import BoundChecks
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 
 from conftest import desk_topology, make_topology
@@ -212,8 +215,11 @@ def test_sweep_reports_per_cell_errors():
     grid = SweepGrid(alphas=[0.005, 0.3], betas=[1.0], policies=["lru"], seeds=[3])
     records, errors = sweep(grid, base)
     assert len(records) == 1
-    assert len(errors) >= 1
-    assert all("alpha" in e and "error" in e for e in errors)
+    message = "ConfigError: alpha*q > p for type 0 at node 2 (33 > 27.5); caching would never pay off"
+    assert errors == [
+        {"alpha": 0.3, "beta": 1.0, "error": message, "policy": policy, "seed": 3}
+        for policy in ("lru", "nocache")
+    ]
 
 
 def test_derive_seed_stable_and_sensitive():
@@ -265,3 +271,103 @@ def test_sweep_over_batch_list_has_no_beta_axis():
     direct = run(replace(base, seed=derive_seed(3, "cell", None))).summary
     assert records[3]["total_cost"] == direct["total_cost"]
     assert records[3]["normalized_cost"] == direct["normalized_cost"]
+
+
+def _cell(base, seed, beta, alpha, policy):
+    params = replace(base.params, alpha=alpha)
+    return replace(base, policy=policy, params=params, beta=beta, seed=derive_seed(seed, "cell", beta))
+
+
+def test_sweep_checks_every_alpha_as_often_as_separate_runs(monkeypatch):
+    """One simulation per (seed, beta, policy) keeps the coverage of one run per
+    cell: validate_setup once per alpha per group, and the per-request bound at
+    every alpha for every request a separate run would check."""
+    validated = Counter()
+    evaluated = Counter()
+    validate_setup = sim.validate_setup
+    init = BoundChecks.__init__
+
+    def counting_validate(topology, catalog, params):
+        validated[params.alpha] += 1
+        return validate_setup(topology, catalog, params)
+
+    class CountingTable(list):
+        """An alpha * q table that counts one bound evaluation per row read."""
+
+        def __init__(self, rows, alpha):
+            super().__init__(rows)
+            self.alpha = alpha
+
+        def __getitem__(self, origin):
+            evaluated[self.alpha] += 1
+            return list.__getitem__(self, origin)
+
+    def counting_init(self, ctx, alphas):
+        init(self, ctx, alphas)
+        self.live = {alpha: CountingTable(table, alpha) for alpha, table in self.live.items()}
+
+    monkeypatch.setattr(sim, "validate_setup", counting_validate)
+    monkeypatch.setattr(BoundChecks, "__init__", counting_init)
+    alphas = [0.001, 0.005, 0.015]
+    base = _zipf_config(horizon=15, nodes=3, mean_rate=4.0)
+    grid = SweepGrid(alphas=alphas, betas=[0.5, 1.5], policies=["pcache", "lru", "fc"], seeds=[3])
+    records, errors = sweep(grid, base)
+    assert errors == [] and len(records) == 18
+    groups = 2 * (3 + 1)  # betas x (policies + the nocache baseline)
+    assert validated == {alpha: groups for alpha in alphas}
+    swept = dict(evaluated)
+
+    evaluated.clear()
+    served = 0
+    for beta in grid.betas:
+        for alpha in alphas:
+            for policy in ("nocache", "pcache", "lru", "fc"):
+                summary = run(_cell(base, 3, beta, alpha, policy), baseline_total=1.0).summary
+                served += summary["requests"] - summary["rejections"] - summary["fallback_creations"]
+    assert swept == dict(evaluated)
+    assert sum(swept.values()) == served > 0
+
+
+def test_sweep_bound_failure_ends_only_its_alpha(monkeypatch):
+    distribute_interval = sim.distribute_interval
+
+    def failing_at_interval_4(batch, states, ctx, policy, rng, audit=None, check=None):
+        if batch.interval == 4 and check is not None and 0.01 in check.live:
+            check.failures[0.01] = InvariantViolation("injected at interval 4")
+            del check.live[0.01]
+        return distribute_interval(batch, states, ctx, policy, rng, audit=audit, check=check)
+
+    base = _zipf_config(horizon=8)
+    grid = SweepGrid(alphas=[0.005, 0.01], betas=[1.0], policies=["pcache", "lru"], seeds=[3])
+    clean, _ = sweep(grid, base)
+    monkeypatch.setattr(sim, "distribute_interval", failing_at_interval_4)
+    records, errors = sweep(grid, base)
+    assert records == [r for r in clean if r["alpha"] == 0.005]
+    assert errors == [
+        {"alpha": 0.01, "beta": 1.0, "error": "InvariantViolation: injected at interval 4", "policy": policy, "seed": 3}
+        for policy in ("lru", "nocache", "pcache")
+    ]
+    with pytest.raises(InvariantViolation, match="injected at interval 4"):
+        run(replace(base, params=CostParams(alpha=0.01)))
+
+
+def test_sweep_failed_baseline_group_normalizes_per_policy(monkeypatch):
+    """When the checked nocache simulation fails, the policy cells still get a
+    normalized cost from a no-cache run of their own, as a lone run() does."""
+    check_states = sim._check_states
+
+    def failing_for_nocache(config, states, interval):
+        if config.policy == "nocache" and interval == 3:
+            raise InvariantViolation("injected")
+        return check_states(config, states, interval)
+
+    base = _zipf_config(horizon=8)
+    grid = SweepGrid(alphas=[0.005, 0.01], betas=[1.0], policies=["pcache"], seeds=[3])
+    clean, _ = sweep(grid, base)
+    monkeypatch.setattr(sim, "_check_states", failing_for_nocache)
+    records, errors = sweep(grid, base)
+    assert records == clean
+    assert [(e["alpha"], e["policy"], e["error"]) for e in errors] == [
+        (0.005, "nocache", "InvariantViolation: injected"),
+        (0.01, "nocache", "InvariantViolation: injected"),
+    ]
