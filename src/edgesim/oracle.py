@@ -98,6 +98,73 @@ def _estimate_ops(instance, lam, keep_cap):
     return est
 
 
+# (state, routing) pairs priced per numpy block. A block's temporaries take a
+# few hundred bytes per pair; larger blocks run faster but raise peak memory.
+_BLOCK_PAIRS = 1024
+
+
+def _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
+    """Cheapest feasible (state, routing) pair per pool, the element-wise max
+    of the two: pool -> (cost, state, routing index).
+
+    Pairs run state-major, in dp order. A pool enters the dict at its first
+    feasible pair and keeps the earliest pair of strictly smallest cost. Each
+    cost adds its terms in the order a per-pair loop does (the reference in
+    tests/test_properties.py), so the two agree to the bit.
+    """
+    A, size = m_all.shape
+    V, N = len(cap), len(u)
+    prev_states = list(dp)
+    states = np.array(prev_states, dtype=np.int64).T[:, :, None]  # (size, S, 1)
+    m_cols = m_all.T[:, None, :]  # (size, 1, A)
+    cost0 = np.fromiter(dp.values(), dtype=float, count=len(dp))
+    # A pool's mixed-radix key: coordinate i spans lo[i]..lo[i] + span[i] - 1.
+    # Within MAX_ENUM_OPS the product of the spans is at most 1e14, so keys fit
+    # in int64.
+    lo = np.maximum(states.min(axis=(1, 2)), m_all.min(axis=0))
+    span = np.maximum(states.max(axis=(1, 2)), m_all.max(axis=0)) - lo + 1
+    weights = np.cumprod(np.concatenate(([1], span[:-1])))
+    step = max(1, _BLOCK_PAIRS // A)
+    pool_best: dict[tuple, tuple] = {}
+    for first_state in range(0, states.shape[1], step):
+        block = states[:, first_state : first_state + step]
+        pool = np.maximum(block, m_cols)  # (size, b, A), flat index i = v * N + n
+        by_node = pool.reshape(V, N, *pool.shape[1:])
+        used = 0.0
+        for n in range(N):
+            used = used + u[n] * by_node[:, n]
+        feasible = ~(used > np.reshape(cap, (V, 1, 1))).any(axis=0)
+        diff = m_cols - block
+        cost = cost0[first_state : first_state + step, None] + comm
+        for i in range(size):
+            np.add(cost, p_flat[i] * diff[i], out=cost, where=diff[i] > 0)
+            cost += aq_flat[i] * pool[i]
+        flat = np.flatnonzero(feasible)
+        if not len(flat):
+            continue
+        pools = pool.reshape(size, -1)[:, flat]
+        costs = cost.ravel()[flat]
+        keys = weights @ (pools - lo[:, None])
+        # group equal pools, cheapest first; the stable sort keeps the
+        # earliest of equal costs first
+        order = np.lexsort((costs, keys))
+        sorted_keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+        # pools in the order of their first pair
+        best = order[starts][np.argsort(np.minimum.reduceat(order, starts))]
+        si, ai = np.divmod(flat[best], A)
+        for key, c, s, a in zip(
+            map(tuple, pools[:, best].T.tolist()),
+            costs[best].tolist(),
+            (si + first_state).tolist(),
+            ai.tolist(),
+        ):
+            held = pool_best.get(key)
+            if held is None or c < held[0]:
+                pool_best[key] = (c, prev_states[s], a)
+    return pool_best
+
+
 def solve_exact(instance: TinyInstance) -> OracleSolution:
     """Global minimum of the total-cost objective by exhaustive enumeration.
 
@@ -136,10 +203,11 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
 
     size = V * N  # flat index i = v * N + n
     p_flat = [p[v][n] for v in range(V) for n in range(N)]
-    q_flat = [q[v][n] for v in range(V) for n in range(N)]
+    aq_flat = [alpha * q[v][n] for v in range(V) for n in range(N)]
 
     def assignments_for(t):
-        """Every routing of interval t's requests: (m-vector, comm cost, routes)."""
+        """Every routing of interval t's requests: the (A, size) served-count
+        vectors m, their (A,) communication costs and their routes."""
         groups = []
         for v in range(V):
             for n in range(N):
@@ -150,12 +218,14 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
                         for comp in _compositions(c, V)
                     ]
                     groups.append((v, n, comps))
-        out = []
+        ms, comms, routes_all = [], [], []
         m = [0] * size
 
         def rec(i, comm, routes):
             if i == len(groups):
-                out.append((tuple(m), comm, tuple(routes)))
+                ms.append(tuple(m))
+                comms.append(comm)
+                routes_all.append(tuple(routes))
                 return
             v, n, comps = groups[i]
             for comp, ccost in comps:
@@ -166,36 +236,16 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
                     m[s * N + n] -= comp[s]
 
         rec(0, 0.0, [])
-        return out
+        return np.array(ms, dtype=np.int64), np.array(comms, dtype=float), routes_all
 
     zero = tuple([0] * size)
     dp = {zero: 0.0}
     parents: dict[tuple[int, tuple], tuple] = {}
+    routes_by_t = {}
 
     for t in range(1, T + 1):
-        assigns = assignments_for(t)
-        pool_best: dict[tuple, tuple] = {}
-        for state, cost0 in dp.items():
-            for aidx, (m, comm, _routes) in enumerate(assigns):
-                pool = tuple(s if s > x else x for s, x in zip(state, m))
-                feasible = True
-                for v in range(V):
-                    used = 0.0
-                    for n in range(N):
-                        used += u[n] * pool[v * N + n]
-                    if used > cap[v]:
-                        feasible = False
-                        break
-                if not feasible:
-                    continue
-                cost = cost0 + comm
-                for i in range(size):
-                    if m[i] > state[i]:
-                        cost += p_flat[i] * (m[i] - state[i])
-                    cost += alpha * q_flat[i] * pool[i]
-                best = pool_best.get(pool)
-                if best is None or cost < best[0]:
-                    pool_best[pool] = (cost, state, aidx)
+        m_all, comm, routes_by_t[t] = assignments_for(t)
+        pool_best = _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat)
         if not pool_best:
             raise InfeasibleInstance(f"no feasible routing for interval {t}")
         ndp: dict[tuple, float] = {}
@@ -210,14 +260,17 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
 
     final_state = min(dp, key=dp.get)
     best_cost = dp[final_state]
+    if any(b.total() for b in instance.batches):
+        # a routing's comm cost sums np.float64 entries of comm_cost, so the
+        # optimum of an instance with requests is an np.float64
+        best_cost = np.float64(best_cost)
 
     # Walk the parent chain back to reconstruct one optimal decision sequence.
     witness = []
     state = final_state
-    assigns_cache = {t: assignments_for(t) for t in range(1, T + 1)}
     for t in range(T, 0, -1):
         prev, aidx, pool = parents[(t, state)]
-        _m, _comm, routes = assigns_cache[t][aidx]
+        routes = routes_by_t[t][aidx]
         witness.append(
             {
                 "interval": t,

@@ -313,6 +313,8 @@ def sweep(grid: SweepGrid, base: SimConfig, jobs: int = 1):
     for beta in betas:  # inputs every cell shares fail the sweep, not each cell
         if beta is not None:
             _zipf_config(replace(base, beta=beta))
+    if "fc" in grid.policies:
+        make_policy("fc", len(base.catalog), ttl=base.ttl)
     params = [replace(base.params, alpha=alpha) for alpha in grid.alphas]
     points = [(seed, beta) for seed in grid.seeds for beta in betas]
 

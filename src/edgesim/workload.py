@@ -66,12 +66,15 @@ def generate_batch(
     interval: int,
     rng: np.random.Generator,
     rank_maps: list[np.ndarray] | None = None,
+    pop: np.ndarray | None = None,
 ) -> RequestBatch:
     """Draw one interval of requests: Poisson totals per node, split across
-    types by the (per-node permuted) Zipf popularity."""
+    types by the (per-node permuted) Zipf popularity `pop`, computed from cfg
+    when not given."""
     if rank_maps is None:
         rank_maps = node_rank_maps(cfg, topology.n_nodes)
-    pop = zipf_popularity(cfg.beta, cfg.n_types)
+    if pop is None:
+        pop = zipf_popularity(cfg.beta, cfg.n_types)
     totals = rng.poisson(cfg.mean_rate, size=topology.n_nodes)
     # one call draws every node's split, from the same stream as per-node calls
     splits = rng.multinomial(totals, pop)
@@ -90,10 +93,11 @@ class ZipfSource:
         self.cfg = cfg
         self.topology = topology
         self._rank_maps = node_rank_maps(cfg, topology.n_nodes, global_ranking)
+        self._pop = zipf_popularity(cfg.beta, cfg.n_types)
         self._rng = np.random.default_rng(cfg.seed)
 
     def batch(self, interval: int) -> RequestBatch:
-        return generate_batch(self.cfg, self.topology, interval, self._rng, self._rank_maps)
+        return generate_batch(self.cfg, self.topology, interval, self._rng, self._rank_maps, self._pop)
 
 
 class ListSource:

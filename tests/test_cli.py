@@ -304,18 +304,23 @@ def test_run_bad_number_exits_usage(case, nodes_csv, tmp_path, capsys):
 
 
 SHARED_SWEEP_INPUT_CASES = {
-    "mean_rate_nan": ("--mean-rate", "nan", "mean_rate"),
-    "beta_negative": ("--betas", "-1", "zipf beta"),
+    "mean_rate_nan": ({"--mean-rate": "nan"}, "mean_rate"),
+    "beta_negative": ({"--betas": "-1"}, "zipf beta"),
+    "fc_ttl_negative": ({"--policies": "pcache,fc", "--ttl": "-1"}, "fc ttl"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SHARED_SWEEP_INPUT_CASES))
 def test_sweep_shared_input_error_exits_usage(case, nodes_csv, tmp_path, capsys):
     # an input every cell shares is a usage error, not one failed cell per grid point
-    flag, value, message = SHARED_SWEEP_INPUT_CASES[case]
+    overrides, message = SHARED_SWEEP_INPUT_CASES[case]
     out = tmp_path / "sweep"
     flags = _sweep_flags(nodes_csv, out)
-    flags[flags.index(flag) + 1] = value
+    for flag, value in overrides.items():
+        if flag in flags:
+            flags[flags.index(flag) + 1] = value
+        else:
+            flags += [flag, value]
     assert main(flags) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

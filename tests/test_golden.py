@@ -1,20 +1,23 @@
-"""Golden bytes: run, audit and sweep outputs pinned by SHA-256.
+"""Golden bytes: run, audit, sweep and oracle outputs pinned by SHA-256.
 
-The hashes were computed before the run loop's refactors, so a refactor that
-changes any output byte (a cost summed in another order, a random draw moved)
-fails here. They depend on numpy's Generator streams; a numpy upgrade that
-changes those streams changes them too, and must say so when it re-pins.
+The hashes were computed before the refactors of the run loop and of the
+oracle's pricing, so a refactor that changes any output byte (a cost summed in
+another order, a random draw moved, another optimal witness) fails here. They
+depend on numpy's Generator streams; a numpy upgrade that changes those streams
+changes them too, and must say so when it re-pins.
 """
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 from edgesim import cli
-from edgesim.model import DEFAULT_CATALOG, CostParams
+from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, FunctionType, RequestBatch, Topology
+from edgesim.oracle import TinyInstance, instance_to_json, random_tiny_instance, solve_exact
 from edgesim.sim import SimConfig, run, summary_json
 
 from conftest import desk_topology
@@ -32,6 +35,17 @@ DESK_GOLDEN = {
 AUDIT_GOLDEN = "4b3f82b09420b86adbd176ba9578baea1fc7296d8110a48458454a68c05590e8"
 SWEEP_ERRORS_GOLDEN = "6f180fab4b1bd35280699ead9eac98e21d372826e63626cba50a3e9bd68caa05"
 SWEEP_GOLDEN = "ee8f365f1eae875f350383d7a813447150a999ca33774a996dd4150772ebf834"
+ORACLE_RANDOM_GOLDEN = "0caad0e691a09673e8f5c1960dc4a57c37fe7b4ad280bda3dd9c9c7a39424b02"
+ORACLE_CAP_GOLDEN = "f6ec424b7163658cbdffde2e2c30f68f972a165af0cdf25cfeadd2df1115b37d"
+ORACLE_CLI_GOLDEN = "779f403389522679eaffac31938016f2f0f0cd59a305171d92779b98fcba484a"
+
+# Demand [interval][node][type] of the size-capped oracle instances: about
+# 6.3e6 enumeration steps, inside the solver's 1e7 budget.
+CAP_DEMAND = (
+    ((2, 0), (2, 0), (1, 2)),
+    ((1, 0), (0, 1), (1, 0)),
+    ((1, 1), (1, 2), (0, 0)),
+)
 
 
 def _sha(*blobs: bytes) -> str:
@@ -130,6 +144,71 @@ def sweep_errors_digest(tmp_path):
     assert len(results.splitlines()) == 2 * 2 * 3
     assert len(errors.splitlines()) == 2 * 4
     return _sha(results, errors)
+
+
+def cap_instance(rng):
+    """A 3-node/2-type/3-interval instance of CAP_DEMAND: the rng permutes
+    nodes and types and draws every number, and every node fits one
+    interval's global demand."""
+    demand = np.array(CAP_DEMAND)
+    demand = demand[:, rng.permutation(demand.shape[1])][:, :, rng.permutation(demand.shape[2])]
+    horizon, n_nodes, n_types = demand.shape
+    mems = rng.uniform(50, 350, size=n_types)
+    catalog = tuple(FunctionType(n, float(round(mems[n], 1))) for n in range(n_types))
+    cpus = rng.uniform(0.5, 2.0, size=n_nodes)
+    peak = max(sum(int(demand[t, :, n].sum()) * catalog[n].mem_mb for n in range(n_types)) for t in range(horizon))
+    capacity = max(peak, max(mems)) * float(rng.uniform(1.0, 1.3))
+    nodes = [EdgeNode(v, float(round(capacity, 1)), float(round(cpus[v], 2))) for v in range(n_nodes)]
+    comm = np.zeros((n_nodes, n_nodes))
+    for i in range(n_nodes):
+        for j in range(i + 1, n_nodes):
+            comm[i, j] = comm[j, i] = float(round(rng.uniform(0.5, 150.0), 2))
+    alpha = float(rng.uniform(0.002, 0.02))
+    run_coeff = float(rng.uniform(0.1, 0.9)) / (alpha * max(n.cpu_ghz for n in nodes) ** 2)
+    batches = [
+        RequestBatch(t + 1, {(v, n): int(demand[t, v, n]) for v in range(n_nodes) for n in range(n_types) if demand[t, v, n]})
+        for t in range(horizon)
+    ]
+    return TinyInstance(
+        topology=Topology(nodes=nodes, comm_cost=comm),
+        catalog=catalog,
+        params=CostParams(alpha=alpha, run_coeff=run_coeff),
+        horizon=horizon,
+        batches=batches,
+    )
+
+
+def cap_instances():
+    rng = np.random.default_rng([7, 4])
+    return [cap_instance(rng) for _ in range(4)]
+
+
+def oracle_digest(instances):
+    """The optimum's repr (an np.float64 repr differs from a float's) and the
+    witness JSON of every instance."""
+    parts = []
+    for inst in instances:
+        sol = solve_exact(inst)
+        parts += [repr(sol.cost).encode(), json.dumps(sol.witness).encode()]
+    return _sha(*parts)
+
+
+def test_oracle_random_tiny_bytes():
+    instances = [random_tiny_instance(np.random.default_rng(k)) for k in range(200)]
+    assert oracle_digest(instances) == ORACLE_RANDOM_GOLDEN
+
+
+def test_oracle_size_cap_bytes():
+    assert oracle_digest(cap_instances()) == ORACLE_CAP_GOLDEN
+
+
+def test_oracle_cli_compare_bytes(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_json(cap_instances()[1])))
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert cli.main(["oracle", "--instance", str(path), "--compare", "pcache"]) == 0
+    assert _sha(stdout.getvalue().encode()) == ORACLE_CLI_GOLDEN
 
 
 @pytest.mark.parametrize("policy,check", sorted(DESK_GOLDEN))

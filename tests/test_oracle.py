@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgesim.errors import CompetitiveBoundError, InstanceTooLarge
+from edgesim.errors import CompetitiveBoundError, InfeasibleInstance, InstanceTooLarge
 from edgesim.model import CostParams, EdgeNode, FunctionType, RequestBatch, Topology
 from edgesim.oracle import (
     TinyInstance,
@@ -146,6 +146,19 @@ def test_enumeration_budget_refusal():
     ]
     inst = TinyInstance(topology=topo, catalog=catalog, params=params, horizon=3, batches=batches)
     with pytest.raises(InstanceTooLarge):
+        solve_exact(inst)
+
+
+def test_interval_over_every_capacity_is_infeasible():
+    # two 60 MB requests in interval 2 need 120 MB at the only node, of 100 MB
+    inst = TinyInstance(
+        topology=make_topology([100.0]),
+        catalog=(FunctionType(0, 60.0),),
+        params=CostParams(alpha=0.01),
+        horizon=2,
+        batches=[RequestBatch(interval=2, counts={(0, 0): 2})],
+    )
+    with pytest.raises(InfeasibleInstance, match="interval 2"):
         solve_exact(inst)
 
 
