@@ -9,7 +9,7 @@ import os
 import sys
 
 from .errors import ConfigError, InvariantViolation
-from .model import DEFAULT_CATALOG, CostParams, load_catalog, load_topology
+from .model import DEFAULT_CATALOG, CostParams, load_catalog, load_topology, open_input
 from .oracle import instance_from_json, solve_exact
 from .scheduler import write_audit_csv
 from .sim import SimConfig, SweepGrid, run, summary_json, sweep
@@ -220,10 +220,8 @@ def _write_figure_csvs(outdir, records, written):
 
 def cmd_oracle(args) -> int:
     try:
-        with open(args.instance) as fh:
+        with open_input(args.instance, "instance") as fh:
             obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read instance file {args.instance}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.instance}: invalid JSON: {exc}") from exc
     instance = instance_from_json(obj)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,6 +182,24 @@ class NodeState:
         self.active[ftype] += 1
         self.used_mb += mem_mb
 
+    def admit(self, ftype: int, mem_mb: float, capacity_mb: float, limit: int) -> int:
+        """Create up to `limit` active containers, one at a time while each
+        fits in `capacity_mb`; returns how many. At least one must fit.
+
+        `used_mb` takes one `+= mem_mb` per container, as `add_active` does,
+        so it is bit-identical to creating them one by one.
+        """
+        used = self.used_mb
+        k = 0
+        while k < limit and used + mem_mb <= capacity_mb:
+            used += mem_mb
+            k += 1
+        if not k:
+            raise ValueError(f"node {self.node_id}: no room for a container of type {ftype}")
+        self.used_mb = used
+        self.active[ftype] += k
+        return k
+
     def remove_cached(self, ftype: int, mem_mb: float, count: int = 1) -> None:
         """Destroy idle cached containers (eviction or end-of-interval sweep)."""
         if count > self.cache[ftype]:
@@ -217,6 +236,26 @@ class RequestBatch:
         return sum(self.counts.values())
 
 
+@contextmanager
+def open_input(path, what: str):
+    """Open the input file `path` (a `what` file) as UTF-8 text for reading.
+
+    A file that cannot be opened, is not UTF-8, or holds a CSV field over the
+    csv module's size limit raises ConfigError naming it.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{what} file {path} is not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ConfigError(f"{what} file {path}: malformed CSV: {exc}") from None
+
+
 def load_topology(path, comm_path=None, scale: float = 1.0) -> Topology:
     """Read nodes from a CSV with header id,capacity_mb,cpu_ghz,x,y.
 
@@ -224,11 +263,7 @@ def load_topology(path, comm_path=None, scale: float = 1.0) -> Topology:
     otherwise from scaled Euclidean distances between the node coordinates.
     """
     nodes = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot read topology file {path}: {exc}") from exc
-    with fh:
+    with open_input(path, "topology") as fh:
         reader = csv.DictReader(fh)
         required = {"id", "capacity_mb", "cpu_ghz"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -242,6 +277,8 @@ def load_topology(path, comm_path=None, scale: float = 1.0) -> Topology:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
             nodes.append(EdgeNode(id=node_id, capacity_mb=capacity, cpu_ghz=cpu, coord=coord))
+    if not nodes:
+        raise ConfigError(f"{path}: topology file lists no nodes")
     nodes.sort(key=lambda n: n.id)
     if comm_path is not None:
         comm = load_comm_matrix(comm_path, len(nodes))
@@ -265,11 +302,7 @@ def load_comm_matrix(path, n_nodes: int) -> np.ndarray:
 def load_catalog(path) -> tuple[FunctionType, ...]:
     """Read function types from a CSV with header id,mem_mb[,name]."""
     types = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot read catalog file {path}: {exc}") from exc
-    with fh:
+    with open_input(path, "catalog") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"id", "mem_mb"}.issubset(reader.fieldnames):
             raise ConfigError(f"{path}: catalog header must contain id,mem_mb[,name]")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompetitiveBoundError, InfeasibleInstance, InstanceTooLarge
+from .errors import CompetitiveBoundError, ConfigError, InfeasibleInstance, InstanceTooLarge
 from .model import (
     CostParams,
     EdgeNode,
@@ -45,9 +45,13 @@ class TinyInstance:
         if not 1 <= self.horizon <= MAX_INTERVALS:
             raise InstanceTooLarge(f"horizon must be in 1..{MAX_INTERVALS}, got {self.horizon}")
         validate_setup(self.topology, self.catalog, self.params)
+        seen = set()
         for b in self.batches:
             if not 1 <= b.interval <= self.horizon:
                 raise InstanceTooLarge(f"batch interval {b.interval} outside 1..{self.horizon}")
+            if b.interval in seen:
+                raise ConfigError(f"two batches for interval {b.interval}; merge them into one")
+            seen.add(b.interval)
             for v, n in b.counts:
                 if not 0 <= v < self.topology.n_nodes or not 0 <= n < len(self.catalog):
                     raise InstanceTooLarge(f"batch references unknown node/type ({v}, {n})")

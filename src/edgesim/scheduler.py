@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .costs import IntervalDecision
@@ -21,7 +22,14 @@ class AuditRecord:
 
 
 class RoutingContext:
-    """Precomputed per-(node, type) cost tables and neighbor orderings."""
+    """Precomputed per-(node, type) cost tables and offload candidate tables.
+
+    `offload[v][n]` lists the nodes a type-n request from origin v may be
+    offloaded to: every other node v2 whose communication cost d = d[v][v2]
+    does not exceed the origin's switching cost p[v][n], as (v2, d) pairs in
+    ascending (d, id) order. An origin's lists are prefixes of its one sorted
+    neighbour list.
+    """
 
     def __init__(self, topology: Topology, catalog, params: CostParams):
         self.topology = topology
@@ -40,11 +48,12 @@ class RoutingContext:
             [running_cost(node, f, params) for f in catalog] for node in topology.nodes
         ]
         self.aq = [[params.alpha * q for q in row] for row in self.q]
-        # Offload candidates per origin: ascending (distance, id), self excluded.
-        self.neighbor_order = [
-            sorted((v2 for v2 in range(self.n_nodes) if v2 != v), key=lambda v2: (self.d[v][v2], v2))
-            for v in range(self.n_nodes)
-        ]
+        self.offload = []
+        for v in range(self.n_nodes):
+            near = sorted((self.d[v][v2], v2) for v2 in range(self.n_nodes) if v2 != v)
+            dists = [d for d, _ in near]
+            pairs = [(v2, d) for d, v2 in near]
+            self.offload.append([pairs[: bisect_right(dists, p)] for p in self.p[v]])
         self._fallback_order: dict[tuple[int, int], list[int]] = {}
 
     def fallback_order(self, v: int, n: int) -> list[int]:
@@ -128,11 +137,12 @@ def distribute_interval(
     Each (origin, type) group is served from the origin's cache first, then
     from cached containers at nodes whose communication cost does not exceed
     the origin's switching cost (nearest first), then by creating containers
-    at the origin, evicting via the policy under capacity pressure. When the
-    origin cannot host even after emptying its cache, the request overflows to
-    the cheapest feasible node by (d + p); only if no node can host is it
-    counted as rejected. Each served request inside the analyzed channels is
-    audited at the context's alpha and bound-checked by `check`.
+    at the origin, as many at once as fit, evicting via the policy under
+    capacity pressure. When the origin cannot host even after emptying its
+    cache, the request overflows to the cheapest feasible node by (d + p);
+    only if no node can host is it counted as rejected. Each served request
+    inside the analyzed channels is audited at the context's alpha and
+    bound-checked by `check`.
     """
     t = batch.interval
     decision = IntervalDecision(interval=t)
@@ -141,6 +151,7 @@ def distribute_interval(
     created = decision.created
     destroyed = decision.destroyed
     aq_audit = ctx.aq
+    trace = audit is not None or check is not None
 
     # A request's realized cost is cost + alpha*q and its bound
     # max(alpha*q + p, alpha*q + d) = alpha*q + top, with top = max(p, d).
@@ -160,7 +171,6 @@ def distribute_interval(
         state_v = states[v]
         mem = ctx.mem[n]
         p_vn = ctx.p[v][n]
-        trace = audit is not None or check is not None
 
         # 1) serve from the origin's own cache
         hit = min(lam, state_v.cache[n])
@@ -176,34 +186,36 @@ def distribute_interval(
         remaining = lam - hit
 
         # 2) offload to cached containers at nodes with d <= p, nearest first
-        for v2 in ctx.neighbor_order[v]:
-            d = ctx.d[v][v2]
-            if d > p_vn:
-                break
+        for v2, d in ctx.offload[v][n]:
             state_2 = states[v2]
-            take = min(remaining, state_2.cache[n])
-            if take:
-                state_2.consume_cache(n, take)
-                policy.on_invocation(state_2, n, t, count=take)
-                key = (v, v2, n)
-                offloaded[key] = offloaded.get(key, 0) + take
-                remaining -= take
-                if trace:
-                    for _ in range(take):
-                        note(v, n, "offload", v2, d, p_vn)  # d <= p here
-                if remaining == 0:
-                    break
+            take = state_2.cache[n]
+            if not take:
+                continue
+            if take > remaining:
+                take = remaining
+            state_2.consume_cache(n, take)
+            policy.on_invocation(state_2, n, t, count=take)
+            key = (v, v2, n)
+            offloaded[key] = offloaded.get(key, 0) + take
+            remaining -= take
+            if trace:
+                for _ in range(take):
+                    note(v, n, "offload", v2, d, p_vn)  # d <= p here
+            if not remaining:
+                break
 
-        # 3) create at the origin; overflow to the cheapest feasible node
+        # 3) create at the origin, every container that fits at once;
+        # overflow to the cheapest feasible node
         while remaining:
             if _make_room(state_v, v, mem, ctx, policy, rng, t, destroyed):
-                state_v.add_active(n, mem)
-                policy.on_invocation(state_v, n, t)
-                created[(v, n)] = created.get((v, n), 0) + 1
-                local_served[(v, n)] = local_served.get((v, n), 0) + 1
-                remaining -= 1
+                k = state_v.admit(n, mem, ctx.capacity[v], remaining)
+                policy.on_invocation(state_v, n, t, count=k)
+                created[(v, n)] = created.get((v, n), 0) + k
+                local_served[(v, n)] = local_served.get((v, n), 0) + k
+                remaining -= k
                 if trace:
-                    note(v, n, "create", v, p_vn, p_vn)
+                    for _ in range(k):
+                        note(v, n, "create", v, p_vn, p_vn)
                 continue
             served = False
             for v2 in ctx.fallback_order(v, n):
@@ -265,5 +277,7 @@ def write_audit_csv(records: list[AuditRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["interval", "origin", "ftype", "action", "serving_node", "marginal_cost", "bound"])
-        for r in records:
-            writer.writerow([r.interval, r.origin, r.ftype, r.action, r.serving_node, repr(r.marginal_cost), repr(r.bound)])
+        writer.writerows(
+            (r.interval, r.origin, r.ftype, r.action, r.serving_node, repr(r.marginal_cost), repr(r.bound))
+            for r in records
+        )

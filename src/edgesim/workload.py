@@ -5,11 +5,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, MappingError, TraceParseError
-from .model import RequestBatch, Topology
+from .model import RequestBatch, Topology, open_input
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class ZipfConfig:
             raise ConfigError("mean_rate must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     interval: int
     node: int
     ftype: int
@@ -102,9 +102,10 @@ class ZipfSource:
 
 class ListSource:
     """Replays a fixed batch list (an ingested trace or a hand-built one);
-    returns None past the last interval."""
+    returns None past the last interval. Each interval has at most one batch."""
 
     def __init__(self, batches: list[RequestBatch], n_nodes: int, n_types: int):
+        self._by_interval = {}
         for b in batches:
             for v, n in b.counts:
                 if not (0 <= v < n_nodes and 0 <= n < n_types):
@@ -112,7 +113,9 @@ class ListSource:
                         f"batch for interval {b.interval} names node {v}, type {n}; "
                         f"outside 0..{n_nodes - 1} nodes, 0..{n_types - 1} types"
                     )
-        self._by_interval = {b.interval: b for b in batches}
+            if b.interval in self._by_interval:
+                raise ConfigError(f"two batches for interval {b.interval}; merge them into one")
+            self._by_interval[b.interval] = b
         self._last = max(self._by_interval) if self._by_interval else 0
 
     def batch(self, interval: int) -> RequestBatch | None:
@@ -122,33 +125,33 @@ class ListSource:
 
 
 def read_trace(path) -> list[TraceRecord]:
-    """Parse a trace CSV with header interval,node,ftype,count."""
+    """Parse a UTF-8 trace CSV with header interval,node,ftype,count.
+
+    Errors carry the physical line a row ends on, so a quoted field spanning
+    lines does not shift the numbers of later rows.
+    """
     records = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot read trace file {path}: {exc}") from exc
-    with fh:
+    with open_input(path, "trace") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             return records
         if [h.strip() for h in header] != ["interval", "node", "ftype", "count"]:
-            raise TraceParseError(1, f"expected header interval,node,ftype,count, got {header}")
-        for line_no, row in enumerate(reader, start=2):
+            raise TraceParseError(reader.line_num, f"expected header interval,node,ftype,count, got {header}")
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 4:
-                raise TraceParseError(line_no, f"expected 4 fields, got {len(row)}")
+                raise TraceParseError(reader.line_num, f"expected 4 fields, got {len(row)}")
             try:
-                interval, node, ftype, count = (int(x) for x in row)
+                rec = TraceRecord._make(map(int, row))
             except ValueError:
-                raise TraceParseError(line_no, f"non-integer field in {row}") from None
-            if interval < 1:
-                raise TraceParseError(line_no, f"interval must be >= 1, got {interval}")
-            if count < 0:
-                raise TraceParseError(line_no, f"count must be >= 0, got {count}")
-            records.append(TraceRecord(interval, node, ftype, count))
+                raise TraceParseError(reader.line_num, f"non-integer field in {row}") from None
+            if rec.interval < 1:
+                raise TraceParseError(reader.line_num, f"interval must be >= 1, got {rec.interval}")
+            if rec.count < 0:
+                raise TraceParseError(reader.line_num, f"count must be >= 0, got {rec.count}")
+            records.append(rec)
     return records
 
 

@@ -324,3 +324,33 @@ def test_sweep_shared_input_error_exits_usage(case, nodes_csv, tmp_path, capsys)
     assert main(flags) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+UNDECODABLE_CASES = {
+    "nodes": b"id,capacity_mb,cpu_ghz,x,y\n0,2500,1.0,0,0\n1,2500,1.0,5,0\xff\n",
+    "catalog": b"id,mem_mb,name\n0,55,web\xff\n",
+    "trace": b"interval,node,ftype,count\n1,0,0,1\n\xff,0,0,1\n",
+    "instance": b'{"name": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("reader", sorted(UNDECODABLE_CASES))
+def test_undecodable_input_exits_usage(reader, nodes_csv, tmp_path, capsys):
+    bad = tmp_path / f"{reader}.bad"
+    bad.write_bytes(UNDECODABLE_CASES[reader])
+    out = tmp_path / "out"
+    if reader == "instance":
+        flags = ["oracle", "--instance", str(bad)]
+    else:
+        flags = _run_flags(nodes_csv, out)
+        if reader == "nodes":
+            flags[flags.index(str(nodes_csv))] = str(bad)
+        elif reader == "catalog":
+            flags += ["--catalog", str(bad)]
+        else:
+            i = flags.index("--zipf-beta")
+            flags[i : i + 2] = ["--trace", str(bad)]
+    assert main(flags) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "not UTF-8" in err
+    assert not out.exists()

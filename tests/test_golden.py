@@ -1,21 +1,24 @@
 """Golden bytes: run, audit, sweep and oracle outputs pinned by SHA-256.
 
-The hashes were computed before the refactors of the run loop and of the
-oracle's pricing, so a refactor that changes any output byte (a cost summed in
-another order, a random draw moved, another optimal witness) fails here. They
-depend on numpy's Generator streams; a numpy upgrade that changes those streams
-changes them too, and must say so when it re-pins.
+The hashes were computed before the refactors of the run loop, of the
+oracle's pricing and of the routing tables, so a refactor that changes any
+output byte (a cost summed in another order, a random draw moved, another
+optimal witness) fails here. They depend on numpy's Generator streams; a
+numpy upgrade that changes those streams changes them too, and must say so
+when it re-pins.
 """
 
+import csv
 import hashlib
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
-from edgesim import cli
+from edgesim import cli, sim
 from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, FunctionType, RequestBatch, Topology
 from edgesim.oracle import TinyInstance, instance_to_json, random_tiny_instance, solve_exact
 from edgesim.sim import SimConfig, run, summary_json
@@ -31,6 +34,12 @@ DESK_GOLDEN = {
     ("fc", "full"): "49846e50679ba7657d6d7cca5d1347de22060b713c23fa831f5961c9ca3bb4f4",
     ("nocache", "off"): "3e59a3582c62ab23e1281614e7c023aa1d95d34ff5fb5287a5f9ce7a80222024",
     ("nocache", "full"): "3e59a3582c62ab23e1281614e7c023aa1d95d34ff5fb5287a5f9ce7a80222024",
+}
+PRESSURE_AUDIT_GOLDEN = {
+    "pcache": "893cc034ae0fd32a5af131c69e88ecce49f23ade327846b07fce392c6f536057",
+    "lru": "d988db50f38ef1bd8f856d7d6c715e248ee9f6d0597f461112d0e1949fcdfe96",
+    "fc": "6162474a39631eab7ca3a0a7597315c769415a6734196eb38effe9c9c9ddfbfe",
+    "nocache": "ce19848479cf03697a0a0643a5fbda9899c8d0b8cdbba93fb35a7c47b5b007d9",
 }
 AUDIT_GOLDEN = "4b3f82b09420b86adbd176ba9578baea1fc7296d8110a48458454a68c05590e8"
 SWEEP_ERRORS_GOLDEN = "6f180fab4b1bd35280699ead9eac98e21d372826e63626cba50a3e9bd68caa05"
@@ -85,28 +94,47 @@ def _write_nodes(path, n_nodes, capacity):
     path.write_text("\n".join(rows) + "\n")
 
 
-def audit_digest(tmp_path):
-    nodes = tmp_path / "nodes.csv"
-    _write_nodes(nodes, 6, 900)
-    rng = np.random.default_rng(22)
+def _write_trace(path, n_nodes, seed, rate, burst=None):
+    """Poisson counts per (interval, node, type) over 40 intervals; every 13th
+    interval draws at the `burst` rate when one is given."""
+    rng = np.random.default_rng(seed)
     rows = ["interval,node,ftype,count"]
     for t in range(1, 41):
-        for v in range(6):
+        lam = burst if burst is not None and t % 13 == 0 else rate
+        for v in range(n_nodes):
             for n in range(4):
-                c = int(rng.poisson(0.6))
+                c = int(rng.poisson(lam))
                 if c:
                     rows.append(f"{t},{v},{n},{c}")
+    path.write_text("\n".join(rows) + "\n")
+
+
+def trace_audit_run(tmp_path, policy, capacity, seed, rate, burst=None):
+    """`run --trace --check full --audit` on 6 nodes; returns the output directory."""
+    nodes = tmp_path / "nodes.csv"
+    _write_nodes(nodes, 6, capacity)
     trace = tmp_path / "trace.csv"
-    trace.write_text("\n".join(rows) + "\n")
-    out = tmp_path / "audit-out"
+    _write_trace(trace, 6, seed, rate, burst)
+    out = tmp_path / f"audit-out-{policy}"
     argv = [
-        "run", "--policy", "pcache", "--alpha", "0.005", "--nodes", str(nodes),
+        "run", "--policy", policy, "--alpha", "0.005", "--nodes", str(nodes),
         "--trace", str(trace), "--horizon", "40", "--seed", "3", "--check", "full",
         "--audit", "--output", str(out),
     ]
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
+    return out
+
+
+def audit_digest(out):
     return _sha(*((out / name).read_bytes() for name in ("ledger.csv", "audit.csv", "summary.json")))
+
+
+def pressure_run(tmp_path, policy):
+    # 600 MB holds 332 + 158 + 55 + 55 MB exactly, and the bursts overflow
+    # every node: local creations in batches, evictions, offloads, fallback
+    # creations and rejections
+    return trace_audit_run(tmp_path, policy, 600, seed=23, rate=0.8, burst=3)
 
 
 def sweep_digest(tmp_path):
@@ -217,7 +245,13 @@ def test_desk_run_bytes(policy, check, tmp_path):
 
 
 def test_trace_audit_run_bytes(tmp_path):
-    assert audit_digest(tmp_path) == AUDIT_GOLDEN
+    out = trace_audit_run(tmp_path, "pcache", 900, seed=22, rate=0.6)
+    assert audit_digest(out) == AUDIT_GOLDEN
+
+
+@pytest.mark.parametrize("policy", sorted(PRESSURE_AUDIT_GOLDEN))
+def test_pressure_audit_run_bytes(policy, tmp_path):
+    assert audit_digest(pressure_run(tmp_path, policy)) == PRESSURE_AUDIT_GOLDEN[policy]
 
 
 def test_sweep_results_bytes(tmp_path):
@@ -247,3 +281,42 @@ def test_golden_inputs_exercise_every_path(tmp_path):
     actions = {rec.action for rec in result.audit}
     assert {"hit", "offload", "create"} <= actions
     assert 0 < result.summary["cold_starts"] < result.summary["requests"]
+
+
+@pytest.mark.parametrize("policy", sorted(PRESSURE_AUDIT_GOLDEN))
+def test_pressure_inputs_exercise_every_path(policy, tmp_path, monkeypatch):
+    """The pinned pressure runs create several containers for one (origin,
+    type) group in one interval, create on a fallback node and reject; every
+    policy that caches also evicts under pressure and offloads one group to
+    two or more in-radius neighbours."""
+    contexts, evictions = [], []
+    distribute = sim.distribute_interval
+
+    def spy(batch, states, ctx, *args, **kwargs):
+        decision = distribute(batch, states, ctx, *args, **kwargs)
+        contexts.append(ctx)
+        # read now: the run adds the end-of-interval sweep to `destroyed` later
+        evictions.append(sum(decision.destroyed.values()))
+        return decision
+
+    monkeypatch.setattr(sim, "distribute_interval", spy)
+    out = pressure_run(tmp_path, policy)
+    ctx = contexts[0]
+    local_creations, in_radius = Counter(), {}
+    actions = Counter()
+    with open(out / "audit.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            t, v, n, v2 = (int(row[k]) for k in ("interval", "origin", "ftype", "serving_node"))
+            action = row["action"]
+            if action == "create":
+                action = "create" if v2 == v else "fallback"
+                local_creations[(t, v, n)] += v2 == v
+            elif action == "offload" and ctx.d[v][v2] <= ctx.p[v][n]:
+                in_radius.setdefault((t, v, n), set()).add(v2)
+            actions[action] += 1
+    assert max(local_creations.values()) >= 2
+    assert actions["fallback"] and actions["reject"]
+    # nocache keeps no idle container into an interval: nothing to offload to or evict
+    caching = policy != "nocache"
+    assert (max(map(len, in_radius.values()), default=0) >= 2) == caching
+    assert (sum(evictions) > 0) == caching

@@ -199,6 +199,23 @@ def test_load_topology_explicit_matrix(tmp_path):
     assert topo.comm_cost[0][1] == 7.0
 
 
+def test_load_topology_without_nodes(tmp_path):
+    path = tmp_path / "nodes.csv"
+    path.write_text("id,capacity_mb,cpu_ghz,x,y\n")
+    with pytest.raises(ConfigError, match="no nodes"):
+        load_topology(path)
+
+
+def test_admit_creates_containers_while_they_fit():
+    state = NodeState(0, 4)
+    state.add_active(2, 332.0)
+    # 332 + 2 * 134 = 600 exactly: the second container still fits
+    assert state.admit(1, 134.0, 600.0, 5) == 2
+    assert state.active == [0, 2, 1, 0] and state.used_mb == 600.0
+    with pytest.raises(ValueError):
+        state.admit(0, 55.0, 600.0, 1)
+
+
 def test_load_topology_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_topology(tmp_path / "absent.csv")

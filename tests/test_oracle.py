@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgesim.errors import CompetitiveBoundError, InfeasibleInstance, InstanceTooLarge
+from edgesim.errors import CompetitiveBoundError, ConfigError, InfeasibleInstance, InstanceTooLarge
 from edgesim.model import CostParams, EdgeNode, FunctionType, RequestBatch, Topology
 from edgesim.oracle import (
     TinyInstance,
@@ -132,6 +132,16 @@ def test_instance_caps_enforced():
     topo2 = make_topology([4000.0])
     with pytest.raises(InstanceTooLarge):
         TinyInstance(topology=topo2, catalog=catalog, params=params, horizon=5, batches=[])
+
+
+def test_instance_rejects_two_batches_for_one_interval():
+    # the solver sums them, the policy replay would keep one: a different workload
+    batches = [RequestBatch(2, {(0, 0): 1}), RequestBatch(2, {(0, 0): 1})]
+    with pytest.raises(ConfigError, match="interval 2"):
+        TinyInstance(
+            topology=make_topology([4000.0]), catalog=(FunctionType(0, 55.0),),
+            params=CostParams(alpha=0.01), horizon=2, batches=batches,
+        )
 
 
 def test_enumeration_budget_refusal():

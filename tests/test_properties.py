@@ -2,12 +2,17 @@
 
 `sweep` simulates each (seed, beta, policy) once and prices every alpha from
 that run's unweighted ledger; the first properties guard that shortcut: alpha
-reweights the ledger and never changes a trajectory. The oracle properties
-check its block pricing against a per-pair loop, its optimum against every
-policy, and its refusal of instances over the enumeration budget.
+reweights the ledger and never changes a trajectory. The routing properties
+hold conservation, capacity and occupancy under tight capacities, and check
+the table-driven `distribute_interval` against the per-request loop it
+replaced. The oracle properties check its block pricing against a per-pair
+loop, its optimum against every policy, and its refusal of instances over the
+enumeration budget. The reader fuzz feeds the CSV readers arbitrary bytes.
 """
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,11 +21,25 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edgesim import oracle
-from edgesim.errors import InstanceTooLarge
-from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, FunctionType, RequestBatch, Topology
+from edgesim.costs import IntervalDecision
+from edgesim.errors import ConfigError, InstanceTooLarge
+from edgesim.model import (
+    DEFAULT_CATALOG,
+    CostParams,
+    EdgeNode,
+    FunctionType,
+    NodeState,
+    RequestBatch,
+    Topology,
+    load_catalog,
+    load_topology,
+    occupancy,
+)
 from edgesim.oracle import MAX_ENUM_OPS, MAX_INTERVALS, TinyInstance, random_tiny_instance, solve_exact
-from edgesim.policies import POLICY_NAMES
-from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, sweep
+from edgesim.policies import POLICY_NAMES, make_policy
+from edgesim.scheduler import AuditRecord, BoundChecks, RoutingContext, distribute_interval, end_interval
+from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
+from edgesim.workload import read_trace
 
 # alpha * q <= p needs alpha <= 1 / cpu^2, so every alpha below is feasible
 CPUS = (1.0, 1.5, 2.0, 2.5)
@@ -30,13 +49,18 @@ UNWEIGHTED = ("switching", "communication", "running", "cold_starts", "requests"
 SETTINGS = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
+# Capacities the catalog fills exactly: 332, 332 + 55, 332 + 158, and
+# 332 + 158 + 55 + 55 MB, so containers fit with no room to spare.
+TIGHT_CAPACITIES = (332.0, 387.0, 490.0, 600.0)
+
+
 @st.composite
-def tiny_configs(draw):
-    n_nodes = draw(st.integers(1, 3))
+def tiny_configs(draw, max_nodes=3, capacities=(400.0, 700.0, 1500.0), max_count=3):
+    n_nodes = draw(st.integers(1, max_nodes))
     nodes = [
         EdgeNode(
             v,
-            draw(st.sampled_from((400.0, 700.0, 1500.0))),
+            draw(st.sampled_from(capacities)),
             draw(st.sampled_from(CPUS)),
             coord=(draw(st.floats(0, 60)), draw(st.floats(0, 60))),
         )
@@ -44,7 +68,7 @@ def tiny_configs(draw):
     ]
     comm = np.array([[abs(a.coord[0] - b.coord[0]) + abs(a.coord[1] - b.coord[1]) for b in nodes] for a in nodes])
     horizon = draw(st.integers(1, 8))
-    count = st.integers(0, 3)
+    count = st.integers(0, max_count)
     batches = [
         RequestBatch(t, {(v, n): c for v in range(n_nodes) for n in range(len(DEFAULT_CATALOG)) if (c := draw(count))})
         for t in range(1, horizon + 1)
@@ -92,6 +116,197 @@ def test_sweep_records_equal_direct_runs(config, alphas):
         )
         direct = dict(run(cell).summary, seed=5)
         assert rec == direct
+
+
+def pressure_configs():
+    """1-4 nodes of tight capacity, up to 6 requests per (node, type), any policy."""
+    configs = tiny_configs(max_nodes=4, capacities=TIGHT_CAPACITIES, max_count=6)
+    return st.builds(lambda config, policy: replace(config, policy=policy), configs, st.sampled_from(POLICY_NAMES))
+
+
+def _make_room_reference(state, node_id, mem_needed, ctx, policy, rng, now, destroyed):
+    capacity = ctx.capacity[node_id]
+    while state.used_mb + mem_needed > capacity:
+        if state.cache_total() == 0:
+            return False
+        victim = policy.select_victim(state, ctx.catalog, rng, now)
+        state.remove_cached(victim, ctx.mem[victim], 1)
+        key = (node_id, victim)
+        destroyed[key] = destroyed.get(key, 0) + 1
+    return True
+
+
+def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None, check=None):
+    """Reference for `scheduler.distribute_interval`: the loop it replaced,
+    which scans every other node by (distance, id) until one is beyond the
+    switching cost, and creates one container per pass."""
+    t = batch.interval
+    decision = IntervalDecision(interval=t)
+    local_served = decision.local_served
+    offloaded = decision.offloaded
+    created = decision.created
+    destroyed = decision.destroyed
+    aq_audit = ctx.aq
+    neighbor_order = [
+        sorted((v2 for v2 in range(ctx.n_nodes) if v2 != v), key=lambda v2: (ctx.d[v][v2], v2))
+        for v in range(ctx.n_nodes)
+    ]
+
+    def note(origin, n, action, serving, cost, top):
+        if audit is not None:
+            aq = aq_audit[origin][n]
+            audit.append(AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
+        if check is not None:
+            for alpha, aq_table in check.live.items():
+                aq = aq_table[origin][n]
+                if cost + aq > aq + top + 1e-9:
+                    check.fail(alpha, AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
+
+    for (v, n), lam in sorted(batch.counts.items()):
+        if lam == 0:
+            continue
+        state_v = states[v]
+        mem = ctx.mem[n]
+        p_vn = ctx.p[v][n]
+        trace = audit is not None or check is not None
+        hit = min(lam, state_v.cache[n])
+        if hit:
+            state_v.consume_cache(n, hit)
+            policy.on_invocation(state_v, n, t, count=hit)
+            local_served[(v, n)] = local_served.get((v, n), 0) + hit
+            if trace:
+                for _ in range(hit):
+                    note(v, n, "hit", v, 0.0, p_vn)
+        if hit == lam:
+            continue
+        remaining = lam - hit
+        for v2 in neighbor_order[v]:
+            d = ctx.d[v][v2]
+            if d > p_vn:
+                break
+            state_2 = states[v2]
+            take = min(remaining, state_2.cache[n])
+            if take:
+                state_2.consume_cache(n, take)
+                policy.on_invocation(state_2, n, t, count=take)
+                key = (v, v2, n)
+                offloaded[key] = offloaded.get(key, 0) + take
+                remaining -= take
+                if trace:
+                    for _ in range(take):
+                        note(v, n, "offload", v2, d, p_vn)
+                if remaining == 0:
+                    break
+        while remaining:
+            if _make_room_reference(state_v, v, mem, ctx, policy, rng, t, destroyed):
+                state_v.add_active(n, mem)
+                policy.on_invocation(state_v, n, t)
+                created[(v, n)] = created.get((v, n), 0) + 1
+                local_served[(v, n)] = local_served.get((v, n), 0) + 1
+                remaining -= 1
+                if trace:
+                    note(v, n, "create", v, p_vn, p_vn)
+                continue
+            served = False
+            for v2 in ctx.fallback_order(v, n):
+                state_2 = states[v2]
+                d = ctx.d[v][v2]
+                if state_2.cache[n] > 0:
+                    state_2.consume_cache(n, 1)
+                    policy.on_invocation(state_2, n, t)
+                    key = (v, v2, n)
+                    offloaded[key] = offloaded.get(key, 0) + 1
+                    remaining -= 1
+                    served = True
+                    if trace:
+                        note(v, n, "offload", v2, d, max(p_vn, d))
+                    break
+                if _make_room_reference(state_2, v2, mem, ctx, policy, rng, t, destroyed):
+                    state_2.add_active(n, mem)
+                    policy.on_invocation(state_2, n, t)
+                    created[(v2, n)] = created.get((v2, n), 0) + 1
+                    key = (v, v2, n)
+                    offloaded[key] = offloaded.get(key, 0) + 1
+                    decision.fallback_creations += 1
+                    remaining -= 1
+                    served = True
+                    if audit is not None:
+                        aq_vn = aq_audit[v][n]
+                        realized = d + ctx.p[v2][n] + aq_vn
+                        audit.append(AuditRecord(t, v, n, "create", v2, realized, max(aq_vn + p_vn, aq_vn + d)))
+                    break
+            if not served:
+                key = (v, n)
+                decision.rejected[key] = decision.rejected.get(key, 0) + remaining
+                if audit is not None:
+                    for _ in range(remaining):
+                        audit.append(AuditRecord(t, v, n, "reject", -1, 0.0, 0.0))
+                remaining = 0
+    return decision
+
+
+def _decision_items(decision):
+    # insertion order too: costs are summed in dict order
+    return [
+        list(getattr(decision, name).items())
+        for name in ("local_served", "offloaded", "created", "destroyed", "rejected")
+    ] + [decision.interval, decision.fallback_creations]
+
+
+def _node_states(states):
+    return [(s.node_id, s.active, s.cache, s.freq, s.last_used, s.used_mb) for s in states]
+
+
+@SETTINGS
+@given(config=pressure_configs())
+def test_table_routing_equals_one_request_at_a_time(config):
+    ctx = RoutingContext(config.topology, config.catalog, config.params)
+    n_types = len(config.catalog)
+    sides = []
+    for route in (distribute_interval, distribute_one_request_at_a_time):
+        states = [NodeState(v, n_types) for v in range(ctx.n_nodes)]
+        policy = make_policy(config.policy, n_types, ttl=config.ttl)
+        sides.append((route, states, policy, np.random.default_rng(config.seed), [], BoundChecks(ctx, [ctx.alpha])))
+    for batch in config.batches:
+        decisions = [route(batch, states, ctx, policy, rng, audit, check) for route, states, policy, rng, audit, check in sides]
+        (_, states, policy, rng, audit, check), (_, ref_states, ref_policy, ref_rng, ref_audit, ref_check) = sides
+        assert _decision_items(decisions[0]) == _decision_items(decisions[1])
+        assert _node_states(states) == _node_states(ref_states)
+        assert vars(policy) == vars(ref_policy)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert audit == ref_audit
+        assert list(map(str, check.failures.items())) == list(map(str, ref_check.failures.items()))
+        for _, states, policy, *_ in sides:
+            end_interval(states, policy, batch.interval, config.catalog)
+
+
+@SETTINGS
+@given(config=pressure_configs())
+def test_routing_conserves_requests_within_capacity(config):
+    ctx = RoutingContext(config.topology, config.catalog, config.params)
+    n_types = len(config.catalog)
+    states = [NodeState(v, n_types) for v in range(ctx.n_nodes)]
+    policy = make_policy(config.policy, n_types, ttl=config.ttl)
+    rng = np.random.default_rng(config.seed)
+    for batch in config.batches:
+        decision = distribute_interval(batch, states, ctx, policy, rng)
+        decision.check_conservation(batch)
+        for _ in range(2):  # after routing, and after the end-of-interval sweep
+            for state in states:
+                occ = occupancy(state, config.catalog)
+                assert occ <= ctx.capacity[state.node_id]
+                assert state.used_mb == occ  # the catalog's sizes are whole MB: sums are exact
+            end_interval(states, policy, batch.interval, config.catalog)
+
+
+@SETTINGS
+@given(config=pressure_configs())
+def test_same_config_same_outputs(config):
+    def outputs():
+        result = run(replace(config, audit=True))
+        return summary_json(result), result.ledger.rows, result.audit
+
+    assert outputs() == outputs()
 
 
 def best_pools_one_pair_at_a_time(dp, m_all, comm, u, cap, p_flat, aq_flat):
@@ -184,3 +399,43 @@ def test_oracle_refuses_instances_over_the_budget(counts, horizon):
     )
     with pytest.raises(InstanceTooLarge):
         solve_exact(instance)
+
+
+CSV_HEADERS = {
+    "trace": b"interval,node,ftype,count\n",
+    "topology": b"id,capacity_mb,cpu_ghz,x,y\n",
+    "catalog": b"id,mem_mb,name\n",
+}
+CSV_READERS = {"trace": read_trace, "topology": load_topology, "catalog": load_catalog}
+FIELDS = st.one_of(
+    st.integers(-3, 2000).map(str),
+    st.sampled_from(("", "nan", "inf", "-1", "0.5", "1e999", "1e200", " 3", '"', '"1\n2"', "9" * 5000)),
+    st.text(max_size=4),
+)
+ROWS = st.lists(st.lists(FIELDS, max_size=6).map(",".join), max_size=6).map("\n".join)
+
+
+@st.composite
+def csv_inputs(draw):
+    """Arbitrary bytes or text, or a reader's header and rows of tricky fields."""
+    reader = draw(st.sampled_from(sorted(CSV_READERS)))
+    data = draw(st.one_of(
+        st.binary(),
+        st.text().map(str.encode),
+        st.builds(lambda rows, tail: CSV_HEADERS[reader] + rows.encode() + tail, ROWS,
+                  st.sampled_from((b"", b"\n", b"\xff\n", b"\x00", b"x" * 131073))),
+    ))
+    return reader, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csv_inputs())
+def test_csv_readers_parse_or_raise_config_error(case):
+    reader, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{reader}.csv"
+        path.write_bytes(data)
+        try:
+            CSV_READERS[reader](path)
+        except ConfigError:
+            pass

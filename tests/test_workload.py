@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgesim.errors import ConfigError, MappingError, TraceParseError
+from edgesim.model import RequestBatch
 from edgesim.workload import (
     ListSource,
     ZipfConfig,
@@ -118,6 +119,15 @@ def test_ingest_malformed_row_reports_line(tmp_path):
     assert err.value.line_no == 3
 
 
+def test_trace_error_reports_physical_line(tmp_path):
+    # the first row's quoted count spans lines 2-3, so the bad row is line 4
+    path = tmp_path / "trace.csv"
+    path.write_text('interval,node,ftype,count\n1,0,0,"3\n"\n1,0,oops,1\n')
+    with pytest.raises(TraceParseError) as err:
+        read_trace(path)
+    assert err.value.line_no == 4
+
+
 def test_ingest_unknown_node_is_mapping_error(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("interval,node,ftype,count\n1,5,0,3\n")
@@ -154,3 +164,9 @@ def test_trace_source_exhaustion(tmp_path):
     assert source.batch(2).counts == {}
     assert source.batch(3).counts == {(0, 0): 1}
     assert source.batch(4) is None
+
+
+def test_list_source_rejects_two_batches_for_one_interval():
+    batches = [RequestBatch(1, {(0, 0): 1}), RequestBatch(2, {}), RequestBatch(1, {(0, 0): 2})]
+    with pytest.raises(ConfigError, match="interval 1"):
+        ListSource(batches, n_nodes=1, n_types=1)
