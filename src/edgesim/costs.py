@@ -75,19 +75,28 @@ def interval_comm_cost(decision: IntervalDecision, topology: Topology) -> float:
 
 
 def interval_running_cost(states, ctx) -> float:
-    """One interval of q for every alive container, serving or cached.
+    """Close service for the interval and price it: every active container
+    idles into its node's cache, and the return is one interval of q for
+    every container alive, all of which are now cached.
 
+    One walk per node, node-major and type-minor, adding `q * count` terms.
     Reads q per (node, type) from the run's RoutingContext `ctx`. Returned
     unweighted; the ledger applies alpha.
     """
     total = 0.0
+    q = ctx.q
     for state in states:
-        q_v = ctx.q[state.node_id]
+        q_v = q[state.node_id]
         active = state.active
-        for n, cached in enumerate(state.cache):
-            alive = active[n] + cached
+        cache = state.cache
+        for n, alive in enumerate(active):
             if alive:
+                alive += cache[n]
+                cache[n] = alive
+                active[n] = 0
                 total += q_v[n] * alive
+            elif cache[n]:
+                total += q_v[n] * cache[n]
     return total
 
 

@@ -6,10 +6,11 @@ class ConfigError(ValueError):
 
 
 class TraceParseError(ConfigError):
-    """Malformed trace row; carries the 1-based line number."""
+    """Malformed trace row; carries the trace file and the 1-based line number."""
 
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path, line_no, message):
+        super().__init__(f"{path}: line {line_no}: {message}")
+        self.path = path
         self.line_no = line_no
 
 

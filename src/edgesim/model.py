@@ -207,13 +207,6 @@ class NodeState:
         self.cache[ftype] -= count
         self.used_mb -= mem_mb * count
 
-    def flush_active_to_cache(self) -> None:
-        """Service completes within the interval: every active container idles."""
-        for n in range(self.n_types):
-            if self.active[n]:
-                self.cache[n] += self.active[n]
-                self.active[n] = 0
-
     def cache_total(self) -> int:
         return sum(self.cache)
 

@@ -422,7 +422,22 @@ def random_tiny_instance(rng: np.random.Generator) -> TinyInstance:
 
 
 def instance_from_json(obj: dict) -> TinyInstance:
-    """Build an instance from the CLI's JSON schema."""
+    """Build an instance from the CLI's JSON schema.
+
+    JSON of any other shape (a missing key, a value of the wrong type or
+    dimension) is a ConfigError, like every other malformed input.
+    """
+    try:
+        return _instance_from_json(obj)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"malformed instance JSON: missing key {exc}") from None
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise ConfigError(f"malformed instance JSON: {exc}") from None
+
+
+def _instance_from_json(obj: dict) -> TinyInstance:
     nodes = [
         EdgeNode(
             id=int(row["id"]),
@@ -432,6 +447,8 @@ def instance_from_json(obj: dict) -> TinyInstance:
         )
         for row in obj["nodes"]
     ]
+    if not nodes:
+        raise ConfigError("malformed instance JSON: no nodes")
     nodes.sort(key=lambda n: n.id)
     if "comm_cost" in obj:
         comm = np.asarray(obj["comm_cost"], dtype=float)

@@ -90,8 +90,9 @@ class EvictionPolicy:
 
     on_invocation keeps the per-type statistics (shared bookkeeping for every
     policy), select_victim picks a cached type to destroy under capacity
-    pressure, end_of_interval returns (type, count) pairs to destroy after
-    service completes.
+    pressure, end_of_interval is called once per interval, after service
+    completes, and returns (node, type, count) triples to destroy, node-major
+    and type-minor, each count positive.
     """
 
     name = "?"
@@ -118,7 +119,7 @@ class EvictionPolicy:
     def select_victim(self, state: NodeState, catalog, rng, now: int) -> int:
         raise NotImplementedError
 
-    def end_of_interval(self, state: NodeState, now: int) -> list[tuple[int, int]]:
+    def end_of_interval(self, states: list[NodeState], now: int) -> list[tuple[int, int, int]]:
         return []
 
 
@@ -185,21 +186,22 @@ class FixedCaching(EvictionPolicy):
             raise ContractError(f"node {state.node_id}: no cached containers to evict")
         return best[1]
 
-    def end_of_interval(self, state, now):
-        entries = self._node_entries(state)
-        self._sync_consumed(state, entries)
-        for n in range(self.n_types):
-            while len(entries[n]) < state.cache[n]:
-                entries[n].append(now)  # containers cached after serving this interval
+    def end_of_interval(self, states, now):
         destroy = []
-        for n in range(self.n_types):
-            dq = entries[n]
-            count = 0
-            while dq and now - dq[0] >= self.ttl:
-                dq.popleft()
-                count += 1
-            if count:
-                destroy.append((n, count))
+        for state in states:
+            entries = self._node_entries(state)
+            self._sync_consumed(state, entries)
+            for n in range(self.n_types):
+                while len(entries[n]) < state.cache[n]:
+                    entries[n].append(now)  # containers cached after serving this interval
+            for n in range(self.n_types):
+                dq = entries[n]
+                count = 0
+                while dq and now - dq[0] >= self.ttl:
+                    dq.popleft()
+                    count += 1
+                if count:
+                    destroy.append((state.node_id, n, count))
         return destroy
 
 
@@ -211,8 +213,8 @@ class NoCache(EvictionPolicy):
     def select_victim(self, state, catalog, rng, now):
         return lru_select_victim(state, catalog, self._stats(state)[1])
 
-    def end_of_interval(self, state, now):
-        return [(n, state.cache[n]) for n in range(self.n_types) if state.cache[n]]
+    def end_of_interval(self, states, now):
+        return [(state.node_id, n, count) for state in states for n, count in enumerate(state.cache) if count]
 
 
 def make_policy(name: str, n_types: int, ttl: int = 10, global_stats: bool = False) -> EvictionPolicy:

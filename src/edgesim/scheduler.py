@@ -259,17 +259,15 @@ def distribute_interval(
 
 
 def end_interval(states: list[NodeState], policy, now: int, catalog) -> list[tuple[int, int, int]]:
-    """Finish the interval: active containers idle into the cache, then the
-    policy's sweep runs (TTL expiry for fc, full flush for nocache)."""
-    destructions = []
-    for state in states:
-        state.flush_active_to_cache()
-        for ftype, count in policy.end_of_interval(state, now):
-            if not 0 <= ftype < len(catalog):
-                raise ContractError(f"policy returned unknown type {ftype}")
-            if count:
-                state.remove_cached(ftype, catalog[ftype].mem_mb, count)
-                destructions.append((state.node_id, ftype, count))
+    """Run the policy's end-of-interval sweep (TTL expiry for fc, full flush
+    for nocache) over every node, once the active containers have idled into
+    the cache, and destroy what it returns: (node, type, count) triples,
+    node-major and type-minor."""
+    destructions = policy.end_of_interval(states, now)
+    for v, ftype, count in destructions:
+        if not 0 <= ftype < len(catalog):
+            raise ContractError(f"policy returned unknown type {ftype}")
+        states[v].remove_cached(ftype, catalog[ftype].mem_mb, count)
     return destructions
 
 

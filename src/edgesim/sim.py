@@ -121,105 +121,153 @@ def _check_states(config: SimConfig, states, interval: int) -> None:
                 )
 
 
-@dataclass
-class _Trajectory:
-    """One simulated request stream and what it cost, before alpha weights it."""
+class _Lane:
+    """One policy's trajectory through a request stream it shares with other lanes.
 
-    ledger: CostLedger
-    audit: list | None
-    failures: dict  # alpha -> the exception that ends that alpha's run
-    rejections: int = 0
-    fallback_creations: int = 0
-    intervals: int = 0
-    truncated: bool = False
-
-
-def _simulate(config: SimConfig, params: list[CostParams]) -> _Trajectory:
-    """Simulate config's request stream once, checked at every alpha of `params`.
-
-    Routing, eviction and every random draw ignore alpha, so this is the
-    trajectory each alpha's own run follows. `validate_setup` and the
-    per-request bound depend on alpha and run per alpha; a failure there ends
-    that alpha only. Any other exception ends every alpha still running.
+    A lane owns everything a lone run of its config would: node states,
+    policy, policy rng, ledger, bound checks at every alpha it is priced at,
+    check level, audit list and failures (alpha -> the exception that ends
+    that alpha's run). Alpha never changes what a lane does; it only weights
+    the ledger later.
     """
-    failures = {}
-    for p in params:
-        try:
-            validate_setup(config.topology, config.catalog, p)
-        except ConfigError as exc:
-            failures[p.alpha] = exc
-    alphas = [p.alpha for p in params if p.alpha not in failures]
-    traj = _Trajectory(CostLedger(config.params.alpha), [] if config.audit else None, failures)
-    if not alphas:
-        return traj
-    ctx = RoutingContext(config.topology, config.catalog, config.params)
-    bounds = BoundChecks(ctx, alphas)
-    try:
+
+    def __init__(self, config: SimConfig, params: list[CostParams]):
+        self.config = config
+        self.ledger = CostLedger(config.params.alpha)
+        self.audit = [] if config.audit else None
+        self.failures = {}
+        for p in params:
+            try:
+                validate_setup(config.topology, config.catalog, p)
+            except ConfigError as exc:
+                self.failures[p.alpha] = exc
+        self.alphas = [p.alpha for p in params if p.alpha not in self.failures]
+        self.check_every = {"off": 0, "sample": 10, "full": 1}[config.check]
+        self.rejections = 0
+        self.fallback_creations = 0
+        self.intervals = 0
+        self.truncated = False
+
+    def start(self, ctx: RoutingContext) -> None:
+        config = self.config
         n_types = len(config.catalog)
-        states = [NodeState(v, n_types) for v in range(config.topology.n_nodes)]
-        policy = make_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
-        source = _workload_source(config)
-        rng = np.random.default_rng(derive_seed(config.seed, "policy", config.policy))
-        ledger = traj.ledger
-        audit = traj.audit
-        for t in range(1, config.horizon + 1):
-            batch = source.batch(t)
-            if batch is None:
-                traj.truncated = True
-                break
-            if batch.interval != t:
-                raise InvariantViolation(f"workload produced interval {batch.interval} for clock {t}")
-            check_now = config.check == "full" or (config.check == "sample" and t % 10 == 0)
-            checked = bounds if check_now else None
-            decision = distribute_interval(batch, states, ctx, policy, rng, audit=audit, check=checked)
-            if not bounds.live:
-                break
+        self.ctx = ctx
+        self.bounds = BoundChecks(ctx, self.alphas)
+        self.states = [NodeState(v, n_types) for v in range(config.topology.n_nodes)]
+        self.policy = make_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
+        self.rng = np.random.default_rng(derive_seed(config.seed, "policy", config.policy))
+
+    def end(self, exc: Exception) -> None:
+        """End every alpha still running with `exc`."""
+        for alpha in self.bounds.live:
+            self.failures[alpha] = exc
+
+    def step(self, batch: RequestBatch) -> bool:
+        """Simulate one interval; False once the lane has ended.
+
+        Route, price switching and communication, check, idle the active
+        containers while pricing the running cost, run the policy's sweep,
+        check again, then append the ledger row.
+        """
+        t = batch.interval
+        ctx = self.ctx
+        states = self.states
+        policy = self.policy
+        try:
+            check_now = self.check_every and not t % self.check_every
+            checked = self.bounds if check_now else None
+            decision = distribute_interval(batch, states, ctx, policy, self.rng, audit=self.audit, check=checked)
+            if not self.bounds.live:
+                return False
             switching = interval_switching_cost(decision, ctx)
-            communication = interval_comm_cost(decision, config.topology)
-            running = interval_running_cost(states, ctx)
+            communication = interval_comm_cost(decision, ctx.topology)
             if check_now:
                 decision.check_conservation(batch)
-                _check_states(config, states, t)
-            for v, n, count in end_interval(states, policy, t, config.catalog):
-                key = (v, n)
-                decision.destroyed[key] = decision.destroyed.get(key, 0) + count
+                _check_states(self.config, states, t)
+            running = interval_running_cost(states, ctx)
+            destroyed = decision.destroyed
+            for v, n, count in end_interval(states, policy, t, ctx.catalog):
+                destroyed[(v, n)] = destroyed.get((v, n), 0) + count
             if check_now:
-                _check_states(config, states, t)
-            ledger.append_interval(
+                _check_states(self.config, states, t)
+            self.ledger.append_interval(
                 t, switching, communication, running,
                 cold_starts=decision.total_created(), requests=batch.total(),
             )
-            traj.rejections += decision.total_rejected()
-            traj.fallback_creations += decision.fallback_creations
-            traj.intervals = t
-    except Exception as exc:  # ends every alpha that has not failed already
-        for alpha in bounds.live:
-            failures[alpha] = exc
-    failures.update(bounds.failures)
-    return traj
+            self.rejections += decision.total_rejected()
+            self.fallback_creations += decision.fallback_creations
+            self.intervals = t
+            return True
+        except Exception as exc:  # ends this lane's alphas that have not failed already
+            self.end(exc)
+            return False
 
 
-def _run_alphas(config: SimConfig, params: list[CostParams], baselines: dict) -> tuple[_Trajectory, dict]:
-    """Simulate once and summarize the run at every alpha of `params`.
+def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]:
+    """Simulate one request stream under every config in lockstep, each lane
+    checked at every alpha of `params`.
 
-    Returns the trajectory and a summary per alpha that did not fail (the
-    failures are in the trajectory). The normalized cost divides by the
-    no-cache total in `baselines` (alpha -> total) on the identical workload
-    and seed; alphas missing there get it from one no-cache run of their own.
+    The configs differ only in policy, check level and audit; they share the
+    workload, topology, catalog and cost parameters, so one batch per
+    interval feeds every lane and only one is held at a time. Routing,
+    eviction and every random draw ignore alpha, so a lane is the trajectory
+    each alpha's own run of its config follows. `validate_setup` and the
+    per-request bound depend on alpha and run per alpha and lane; a failure
+    there ends that alpha of that lane only. Any other exception in a lane
+    ends that lane; one in the shared stream ends every lane still running.
     """
-    traj = _simulate(config, params)
-    if config.policy != "nocache":
-        missing = [p for p in params if p.alpha not in traj.failures and p.alpha not in baselines]
-        if missing:
-            base_cfg = replace(config, policy="nocache", audit=False, check="off")
-            base_traj, base_summaries = _run_alphas(base_cfg, missing, {})
-            traj.failures.update(base_traj.failures)
-            baselines = {**baselines, **{a: s["total_cost"] for a, s in base_summaries.items()}}
-    requests = traj.ledger.total_requests()
-    cold_starts = traj.ledger.total_cold_starts()
+    lanes = [_Lane(config, params) for config in configs]
+    running = [lane for lane in lanes if lane.alphas]
+    if not running:
+        return lanes
+    config = configs[0]
+    ctx = RoutingContext(config.topology, config.catalog, config.params)
+    started = []
+    for lane in running:
+        try:
+            lane.start(ctx)
+            started.append(lane)
+        except Exception as exc:
+            lane.end(exc)
+    running = started
+    try:
+        source = _workload_source(config)
+        for t in range(1, config.horizon + 1):
+            if not running:
+                break
+            batch = source.batch(t)
+            if batch is None:
+                for lane in running:
+                    lane.truncated = True
+                break
+            if batch.interval != t:
+                raise InvariantViolation(f"workload produced interval {batch.interval} for clock {t}")
+            running = [lane for lane in running if lane.step(batch)]
+    except Exception as exc:
+        for lane in running:
+            lane.end(exc)
+    for lane in lanes:
+        if lane.alphas:
+            lane.failures.update(lane.bounds.failures)
+    return lanes
+
+
+def _totals(lane: _Lane, params: list[CostParams]) -> dict:
+    """alpha -> the lane's total cost, for every alpha of `params` it did not fail at."""
+    return {p.alpha: lane.ledger.total_cost(p.alpha) for p in params if p.alpha not in lane.failures}
+
+
+def _summaries(lane: _Lane, params: list[CostParams], baselines: dict) -> dict:
+    """alpha -> summary, for every alpha of `params` the lane did not fail at.
+
+    The normalized cost divides by the no-cache total in `baselines`
+    (alpha -> total) on the identical workload and seed.
+    """
+    config = lane.config
+    requests = lane.ledger.total_requests()
+    cold_starts = lane.ledger.total_cold_starts()
     summaries = {}
-    for alpha in (p.alpha for p in params if p.alpha not in traj.failures):
-        total = traj.ledger.total_cost(alpha)
+    for alpha, total in _totals(lane, params).items():
         if config.policy == "nocache":
             normalized = 1.0 if total > 0 else None
         else:
@@ -232,28 +280,59 @@ def _run_alphas(config: SimConfig, params: list[CostParams], baselines: dict) ->
             "total_cost": total,
             "normalized_cost": normalized,
             "cold_start_frequency": (cold_starts / requests) if requests else None,
-            "rejections": traj.rejections,
-            "fallback_creations": traj.fallback_creations,
-            "intervals": traj.intervals,
+            "rejections": lane.rejections,
+            "fallback_creations": lane.fallback_creations,
+            "intervals": lane.intervals,
             "requests": requests,
             "cold_starts": cold_starts,
-            "truncated": traj.truncated,
+            "truncated": lane.truncated,
         }
-    return traj, summaries
+    return summaries
+
+
+def _run_lanes(configs: list[SimConfig], params: list[CostParams], baselines: dict | None = None) -> list:
+    """Simulate `configs` on one request stream; (lane, summaries) per config.
+
+    Unless `baselines` (alpha -> no-cache total) is given, configs[0] is the
+    no-cache lane that normalizes the others, and an alpha it failed at fails
+    them too. A checked no-cache lane that failed at an alpha another lane
+    still needs is replaced there by one unchecked no-cache run, the baseline
+    a lone `run()` normalizes by.
+    """
+    lanes = _simulate(configs, params)
+    if baselines is None:
+        base, others = lanes[0], lanes[1:]
+        baselines = _totals(base, params)
+        failed = base.failures
+        missing = [p for p in params if p.alpha in failed and any(p.alpha not in lane.failures for lane in others)]
+        if missing and base.config.check != "off":
+            [spare] = _simulate([replace(base.config, check="off")], missing)
+            baselines.update(_totals(spare, missing))
+            failed = spare.failures
+        for lane in others:
+            for alpha, exc in failed.items():
+                lane.failures.setdefault(alpha, exc)
+    return [(lane, _summaries(lane, params, baselines)) for lane in lanes]
 
 
 def run(config: SimConfig, baseline_total: float | None = None) -> RunResult:
     """Execute one simulation; deterministic for a fixed config.
 
     The summary's normalized cost divides by the no-cache policy on the
-    identical workload and seed (computed here unless supplied).
+    identical workload and seed: `baseline_total` when supplied, otherwise a
+    no-cache lane simulated beside this one from the same request stream.
     """
     alpha = config.params.alpha
-    baselines = {} if baseline_total is None else {alpha: baseline_total}
-    traj, summaries = _run_alphas(config, [config.params], baselines)
-    if alpha in traj.failures:
-        raise traj.failures[alpha]
-    return RunResult(ledger=traj.ledger, summary=summaries[alpha], audit=traj.audit)
+    configs = [config]
+    baselines = None
+    if baseline_total is not None:
+        baselines = {alpha: baseline_total}
+    elif config.policy != "nocache":
+        configs.insert(0, replace(config, policy="nocache", audit=False, check="off"))
+    lane, summaries = _run_lanes(configs, [config.params], baselines)[-1]
+    if alpha in lane.failures:
+        raise lane.failures[alpha]
+    return RunResult(ledger=lane.ledger, summary=summaries[alpha], audit=lane.audit)
 
 
 def summary_json(result: RunResult) -> str:
@@ -275,36 +354,33 @@ class SweepGrid:
                 raise ConfigError(f"unknown policy {p!r} in grid; valid policies: {', '.join(POLICY_NAMES)}")
 
 
-def _run_group(args):
-    """One (seed, beta, policy) group: one simulation, one record or error per alpha."""
-    config, params, baselines, seed = args
-    traj, summaries = _run_alphas(config, params, baselines)
+def _run_point(args):
+    """One (seed, beta) point: the no-cache lane and every policy lane on one
+    request stream; one record or error per reported lane per alpha."""
+    configs, params, seed, report_nocache = args
     records, errors = [], []
-    for p in params:
-        if p.alpha in summaries:
-            records.append(dict(summaries[p.alpha], seed=seed))  # report the master seed
-        else:
-            exc = traj.failures[p.alpha]
-            errors.append({
-                "seed": seed, "beta": config.beta, "alpha": p.alpha, "policy": config.policy,
-                "error": f"{type(exc).__name__}: {exc}",
-            })
+    for lane, summaries in _run_lanes(configs, params):
+        config = lane.config
+        for p in params:
+            if p.alpha in summaries:
+                if config.policy != "nocache" or report_nocache:
+                    records.append(dict(summaries[p.alpha], seed=seed))  # report the master seed
+            else:
+                exc = lane.failures[p.alpha]
+                errors.append({
+                    "seed": seed, "beta": config.beta, "alpha": p.alpha, "policy": config.policy,
+                    "error": f"{type(exc).__name__}: {exc}",
+                })
     return records, errors
-
-
-def _run_groups(groups, jobs: int) -> list:
-    """(records, errors) per group, in group order, serially or in a process pool."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_group, groups))
-    return [_run_group(group) for group in groups]
 
 
 def sweep(grid: SweepGrid, base: SimConfig, jobs: int = 1):
     """Cartesian product of runs; returns (records, errors) keyed by grid point.
 
-    Each (seed, beta, policy) is simulated once and priced at every alpha,
-    because alpha never changes a trajectory. Each cell is reproducible in
+    Each (seed, beta) point generates its request stream once and simulates
+    the no-cache baseline and every policy on it in lockstep, each once,
+    priced at every alpha, because alpha never changes a trajectory. `jobs > 1`
+    maps the points over a process pool. Each cell is reproducible in
     isolation and independent of grid-axis order; records come back sorted by
     (seed, beta, alpha, policy). A replay base (`batches` set) has no beta
     axis: its records carry beta None.
@@ -316,29 +392,23 @@ def sweep(grid: SweepGrid, base: SimConfig, jobs: int = 1):
     if "fc" in grid.policies:
         make_policy("fc", len(base.catalog), ttl=base.ttl)
     params = [replace(base.params, alpha=alpha) for alpha in grid.alphas]
-    points = [(seed, beta) for seed in grid.seeds for beta in betas]
+    policies = ["nocache"] + [policy for policy in grid.policies if policy != "nocache"]
 
-    def group(seed, beta, policy, baselines):
-        # Groups sharing (seed, beta) see the identical workload stream, so
+    def point(seed, beta):
+        # Lanes sharing (seed, beta) see the identical workload stream, so
         # policies and alphas are compared on the same request realization.
-        config = replace(base, policy=policy, beta=beta, seed=derive_seed(seed, "cell", beta), audit=False)
-        return config, params, baselines, seed
+        cell_seed = derive_seed(seed, "cell", beta)
+        configs = [replace(base, policy=policy, beta=beta, seed=cell_seed, audit=False) for policy in policies]
+        return configs, params, seed, "nocache" in grid.policies
 
+    points = [point(seed, beta) for seed in grid.seeds for beta in betas]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_run_point, points))
+    else:
+        results = [_run_point(pt) for pt in points]
     records, errors = [], []
-    baselines = {}
-    for pt, (recs, errs) in zip(points, _run_groups([group(*pt, "nocache", {}) for pt in points], jobs)):
-        baselines[pt] = {rec["alpha"]: rec for rec in recs}
-        errors.extend(errs)
-        if "nocache" in grid.policies:
-            records.extend(baselines[pt].values())
-
-    policy_groups = [
-        group(*pt, policy, {alpha: rec["total_cost"] for alpha, rec in baselines[pt].items()})
-        for pt in points
-        for policy in grid.policies
-        if policy != "nocache"
-    ]
-    for recs, errs in _run_groups(policy_groups, jobs):
+    for recs, errs in results:
         records.extend(recs)
         errors.extend(errs)
 

@@ -127,8 +127,8 @@ class ListSource:
 def read_trace(path) -> list[TraceRecord]:
     """Parse a UTF-8 trace CSV with header interval,node,ftype,count.
 
-    Errors carry the physical line a row ends on, so a quoted field spanning
-    lines does not shift the numbers of later rows.
+    Errors name the file and the physical line a row ends on, so a quoted
+    field spanning lines does not shift the numbers of later rows.
     """
     records = []
     with open_input(path, "trace") as fh:
@@ -137,20 +137,20 @@ def read_trace(path) -> list[TraceRecord]:
         if header is None:
             return records
         if [h.strip() for h in header] != ["interval", "node", "ftype", "count"]:
-            raise TraceParseError(reader.line_num, f"expected header interval,node,ftype,count, got {header}")
+            raise TraceParseError(path, reader.line_num, f"expected header interval,node,ftype,count, got {header}")
         for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 4:
-                raise TraceParseError(reader.line_num, f"expected 4 fields, got {len(row)}")
+                raise TraceParseError(path, reader.line_num, f"expected 4 fields, got {len(row)}")
             try:
                 rec = TraceRecord._make(map(int, row))
             except ValueError:
-                raise TraceParseError(reader.line_num, f"non-integer field in {row}") from None
+                raise TraceParseError(path, reader.line_num, f"non-integer field in {row}") from None
             if rec.interval < 1:
-                raise TraceParseError(reader.line_num, f"interval must be >= 1, got {rec.interval}")
+                raise TraceParseError(path, reader.line_num, f"interval must be >= 1, got {rec.interval}")
             if rec.count < 0:
-                raise TraceParseError(reader.line_num, f"count must be >= 0, got {rec.count}")
+                raise TraceParseError(path, reader.line_num, f"count must be >= 0, got {rec.count}")
             records.append(rec)
     return records
 

@@ -237,6 +237,44 @@ def test_oracle_oversize_instance_refused(tmp_path, capsys):
     assert "1..3" in capsys.readouterr().err
 
 
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+MALFORMED_INSTANCE_CASES = {
+    "nodes_int": ({"nodes": 5}, "malformed instance JSON"),
+    "nodes_empty": ({"nodes": []}, "no nodes"),
+    "no_alpha": (_without(_instance_obj(), "alpha"), "missing key 'alpha'"),
+    "no_types": (_without(_instance_obj(), "types"), "missing key 'types'"),
+    "top_level_list": ([1, 2], "malformed instance JSON"),
+    "node_not_object": ({**_instance_obj(), "nodes": [5]}, "malformed instance JSON"),
+    "short_request": ({**_instance_obj(), "requests": [[1, 0, 0]]}, "malformed instance JSON"),
+    "horizon_text": ({**_instance_obj(), "horizon": "x"}, "malformed instance JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INSTANCE_CASES))
+def test_oracle_malformed_instance_exits_usage(case, tmp_path, capsys):
+    obj, message = MALFORMED_INSTANCE_CASES[case]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    assert main(["oracle", "--instance", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_trace_error_names_file(nodes_csv, tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("interval,node,ftype,count\n1,0,x,1\n")
+    out = tmp_path / "out"
+    flags = _run_flags(nodes_csv, out)
+    i = flags.index("--zipf-beta")
+    flags[i : i + 2] = ["--trace", str(trace)]
+    assert main(flags) == 2
+    err = capsys.readouterr().err
+    assert f"{trace}: line 2: non-integer field" in err
+    assert not out.exists()
+
+
 def test_console_entry_point(nodes_csv, tmp_path):
     out = tmp_path / "out"
     # the child imports the same edgesim as this process, installed or not

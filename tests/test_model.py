@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgesim.costs import interval_running_cost
 from edgesim.errors import ConfigError
 from edgesim.model import (
     DEFAULT_CATALOG,
@@ -17,6 +18,7 @@ from edgesim.model import (
     switching_cost,
     validate_setup,
 )
+from edgesim.scheduler import RoutingContext
 
 from conftest import make_topology
 
@@ -163,8 +165,9 @@ def test_node_state_transitions_track_occupancy():
     state.add_active(WEB.id, WEB.mem_mb)
     state.add_active(CHECKOUT.id, CHECKOUT.mem_mb)
     assert state.used_mb == occupancy(state, DEFAULT_CATALOG)
-    state.flush_active_to_cache()
-    assert state.active == [0, 0, 0, 0]
+    ctx = RoutingContext(make_topology([4000.0]), DEFAULT_CATALOG, CostParams(alpha=0.01))
+    interval_running_cost([state], ctx)  # service completes: the actives idle
+    assert state.active == [0, 0, 0, 0] and state.cache[WEB.id] == state.cache[CHECKOUT.id] == 1
     assert state.used_mb == occupancy(state, DEFAULT_CATALOG)
     state.consume_cache(WEB.id, 1)
     assert state.active[WEB.id] == 1

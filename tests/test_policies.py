@@ -169,16 +169,16 @@ def test_fc_fresh_container_survives():
     state = _state()
     state.cache[WEB.id] = 1
     state.freq[WEB.id] = 1
-    assert fc.end_of_interval(state, now=5) == []  # entered at 5, age 0
+    assert fc.end_of_interval([state], now=5) == []  # entered at 5, age 0
 
 
 def test_fc_destroys_at_exact_ttl():
     fc = FixedCaching(n_types=4, ttl=10)
     state = _state(cache={WEB.id: 1}, freq={WEB.id: 1})
-    assert fc.end_of_interval(state, now=1) == []
+    assert fc.end_of_interval([state], now=1) == []
     for now in range(2, 11):
-        assert fc.end_of_interval(state, now=now) == []
-    assert fc.end_of_interval(state, now=11) == [(WEB.id, 1)]
+        assert fc.end_of_interval([state], now=now) == []
+    assert fc.end_of_interval([state], now=11) == [(0, WEB.id, 1)]
 
 
 def test_fc_mixed_ages():
@@ -186,22 +186,22 @@ def test_fc_mixed_ages():
     fc = FixedCaching(n_types=4, ttl=10)
     state = _state(freq={WEB.id: 3})
     state.cache[WEB.id] = 1
-    fc.end_of_interval(state, now=1)  # entered at 1
+    fc.end_of_interval([state], now=1)  # entered at 1
     state.cache[WEB.id] = 2
-    fc.end_of_interval(state, now=3)  # second entered at 3
+    fc.end_of_interval([state], now=3)  # second entered at 3
     state.cache[WEB.id] = 3
-    fc.end_of_interval(state, now=10)  # third entered at 10
-    destroy = fc.end_of_interval(state, now=13)  # ages 12, 10, 3
-    assert destroy == [(WEB.id, 2)]
+    fc.end_of_interval([state], now=10)  # third entered at 10
+    destroy = fc.end_of_interval([state], now=13)  # ages 12, 10, 3
+    assert destroy == [(0, WEB.id, 2)]
 
 
 def test_fc_victim_is_oldest_entry():
     fc = FixedCaching(n_types=4, ttl=100)
     state = _state(freq={WEB.id: 1, CHECKOUT.id: 1})
     state.cache[CHECKOUT.id] = 1
-    fc.end_of_interval(state, now=1)
+    fc.end_of_interval([state], now=1)
     state.cache[WEB.id] = 1
-    fc.end_of_interval(state, now=4)
+    fc.end_of_interval([state], now=4)
     rng = np.random.default_rng(0)
     assert fc.select_victim(state, DEFAULT_CATALOG, rng, now=5) == CHECKOUT.id
 
@@ -209,7 +209,7 @@ def test_fc_victim_is_oldest_entry():
 def test_fc_ttl_zero_flushes_everything():
     fc = FixedCaching(n_types=4, ttl=0)
     state = _state(cache={WEB.id: 2, IMGREC.id: 1}, freq={WEB.id: 2, IMGREC.id: 1})
-    assert fc.end_of_interval(state, now=3) == [(WEB.id, 2), (IMGREC.id, 1)]
+    assert fc.end_of_interval([state], now=3) == [(0, WEB.id, 2), (0, IMGREC.id, 1)]
 
 
 def test_fc_negative_ttl_rejected():
@@ -220,7 +220,7 @@ def test_fc_negative_ttl_rejected():
 def test_nocache_flushes_cache():
     policy = NoCache(n_types=4)
     state = _state(cache={WEB.id: 2, CHECKOUT.id: 1}, freq={WEB.id: 2, CHECKOUT.id: 1})
-    assert policy.end_of_interval(state, now=1) == [(WEB.id, 2), (CHECKOUT.id, 1)]
+    assert policy.end_of_interval([state], now=1) == [(0, WEB.id, 2), (0, CHECKOUT.id, 1)]
 
 
 def test_on_invocation_statistics():

@@ -5,14 +5,18 @@ that run's unweighted ledger; the first properties guard that shortcut: alpha
 reweights the ledger and never changes a trajectory. The routing properties
 hold conservation, capacity and occupancy under tight capacities, and check
 the table-driven `distribute_interval` against the per-request loop it
-replaced. The oracle properties check its block pricing against a per-pair
+replaced. The lane property checks lanes run in lockstep on one request
+stream against lone runs of the per-trajectory loop they replaced. The
+oracle properties check its block pricing against a per-pair
 loop, its optimum against every policy, and its refusal of instances over the
 enumeration budget. The reader fuzz feeds the CSV readers arbitrary bytes.
 """
 
+import copy
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,8 +24,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from edgesim import oracle
-from edgesim.costs import IntervalDecision
+from edgesim import oracle, sim
+from edgesim.costs import (
+    CostLedger,
+    IntervalDecision,
+    interval_comm_cost,
+    interval_running_cost,
+    interval_switching_cost,
+)
 from edgesim.errors import ConfigError, InstanceTooLarge
 from edgesim.model import (
     DEFAULT_CATALOG,
@@ -34,6 +44,7 @@ from edgesim.model import (
     load_catalog,
     load_topology,
     occupancy,
+    validate_setup,
 )
 from edgesim.oracle import MAX_ENUM_OPS, MAX_INTERVALS, TinyInstance, random_tiny_instance, solve_exact
 from edgesim.policies import POLICY_NAMES, make_policy
@@ -55,7 +66,7 @@ TIGHT_CAPACITIES = (332.0, 387.0, 490.0, 600.0)
 
 
 @st.composite
-def tiny_configs(draw, max_nodes=3, capacities=(400.0, 700.0, 1500.0), max_count=3):
+def tiny_configs(draw, max_nodes=3, capacities=(400.0, 700.0, 1500.0), max_count=3, max_horizon=8):
     n_nodes = draw(st.integers(1, max_nodes))
     nodes = [
         EdgeNode(
@@ -67,7 +78,7 @@ def tiny_configs(draw, max_nodes=3, capacities=(400.0, 700.0, 1500.0), max_count
         for v in range(n_nodes)
     ]
     comm = np.array([[abs(a.coord[0] - b.coord[0]) + abs(a.coord[1] - b.coord[1]) for b in nodes] for a in nodes])
-    horizon = draw(st.integers(1, 8))
+    horizon = draw(st.integers(1, max_horizon))
     count = st.integers(0, max_count)
     batches = [
         RequestBatch(t, {(v, n): c for v in range(n_nodes) for n in range(len(DEFAULT_CATALOG)) if (c := draw(count))})
@@ -277,6 +288,7 @@ def test_table_routing_equals_one_request_at_a_time(config):
         assert audit == ref_audit
         assert list(map(str, check.failures.items())) == list(map(str, ref_check.failures.items()))
         for _, states, policy, *_ in sides:
+            interval_running_cost(states, ctx)
             end_interval(states, policy, batch.interval, config.catalog)
 
 
@@ -296,6 +308,7 @@ def test_routing_conserves_requests_within_capacity(config):
                 occ = occupancy(state, config.catalog)
                 assert occ <= ctx.capacity[state.node_id]
                 assert state.used_mb == occ  # the catalog's sizes are whole MB: sums are exact
+            interval_running_cost(states, ctx)
             end_interval(states, policy, batch.interval, config.catalog)
 
 
@@ -307,6 +320,180 @@ def test_same_config_same_outputs(config):
         return summary_json(result), result.ledger.rows, result.audit
 
     assert outputs() == outputs()
+
+
+CHECK_LEVELS = ("off", "sample", "full")
+
+
+def running_cost_before_flush(states, ctx):
+    """The running cost as priced before the fused walk: q over active + cached."""
+    total = 0.0
+    for state in states:
+        q_v = ctx.q[state.node_id]
+        for n, cached in enumerate(state.cache):
+            alive = state.active[n] + cached
+            if alive:
+                total += q_v[n] * alive
+    return total
+
+
+def idle(state):
+    """The flush the walk replaced: every active container idles into the cache."""
+    for n, count in enumerate(state.active):
+        state.cache[n] += count
+        state.active[n] = 0
+
+
+def simulate_alone(config, params, check_states):
+    """Reference for `sim._simulate`'s lanes: the loop that simulated one
+    trajectory from a source of its own, priced the running cost before the
+    flush and called the policy's end-of-interval hook once per node."""
+    failures = {}
+    for p in params:
+        try:
+            validate_setup(config.topology, config.catalog, p)
+        except ConfigError as exc:
+            failures[p.alpha] = exc
+    alphas = [p.alpha for p in params if p.alpha not in failures]
+    out = SimpleNamespace(
+        ledger=CostLedger(config.params.alpha), audit=[] if config.audit else None, failures=failures,
+        rejections=0, fallback_creations=0, intervals=0, truncated=False, states=None, policy=None, rng=None,
+    )
+    if not alphas:
+        return out
+    ctx = RoutingContext(config.topology, config.catalog, config.params)
+    bounds = BoundChecks(ctx, alphas)
+    try:
+        n_types = len(config.catalog)
+        out.states = states = [NodeState(v, n_types) for v in range(config.topology.n_nodes)]
+        out.policy = policy = make_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
+        source = sim._workload_source(config)
+        out.rng = rng = np.random.default_rng(derive_seed(config.seed, "policy", config.policy))
+        for t in range(1, config.horizon + 1):
+            batch = source.batch(t)
+            if batch is None:
+                out.truncated = True
+                break
+            check_now = config.check == "full" or (config.check == "sample" and t % 10 == 0)
+            decision = distribute_interval(batch, states, ctx, policy, rng, audit=out.audit, check=bounds if check_now else None)
+            if not bounds.live:
+                break
+            switching = interval_switching_cost(decision, ctx)
+            communication = interval_comm_cost(decision, config.topology)
+            running = running_cost_before_flush(states, ctx)
+            if check_now:
+                decision.check_conservation(batch)
+                check_states(config, states, t)
+            for state in states:
+                idle(state)
+                for v, n, count in policy.end_of_interval([state], t):
+                    assert v == state.node_id
+                    state.remove_cached(n, config.catalog[n].mem_mb, count)
+            if check_now:
+                check_states(config, states, t)
+            out.ledger.append_interval(
+                t, switching, communication, running, cold_starts=decision.total_created(), requests=batch.total()
+            )
+            out.rejections += decision.total_rejected()
+            out.fallback_creations += decision.fallback_creations
+            out.intervals = t
+    except Exception as exc:
+        for alpha in bounds.live:
+            failures[alpha] = exc
+    failures.update(bounds.failures)
+    return out
+
+
+def _trajectory(lane):
+    """Everything a lane or a reference run ends with, comparable with ==."""
+    return (
+        lane.ledger.rows,
+        lane.audit,
+        {alpha: f"{type(exc).__name__}: {exc}" for alpha, exc in lane.failures.items()},
+        (lane.rejections, lane.fallback_creations, lane.intervals, lane.truncated),
+        _node_states(lane.states) if lane.states else None,
+        vars(lane.policy) if lane.policy else None,
+        lane.rng.bit_generator.state if lane.rng else None,
+    )
+
+
+def _reference_summary(traj, config, alpha, baseline):
+    requests = traj.ledger.total_requests()
+    cold_starts = traj.ledger.total_cold_starts()
+    total = traj.ledger.total_cost(alpha)
+    if config.policy == "nocache":
+        normalized = 1.0 if total > 0 else None
+    else:
+        normalized = total / baseline if baseline > 0 else None
+    return {
+        "policy": config.policy, "alpha": alpha, "beta": config.beta, "seed": config.seed,
+        "total_cost": total, "normalized_cost": normalized,
+        "cold_start_frequency": (cold_starts / requests) if requests else None,
+        "rejections": traj.rejections, "fallback_creations": traj.fallback_creations,
+        "intervals": traj.intervals, "requests": requests, "cold_starts": cold_starts,
+        "truncated": traj.truncated,
+    }
+
+
+@st.composite
+def lane_configs(draw):
+    """Pressure configs replayed or drawn from a Zipf source, long enough for
+    `sample` to check some intervals."""
+    config = draw(tiny_configs(max_nodes=4, capacities=TIGHT_CAPACITIES, max_count=6, max_horizon=14))
+    if draw(st.booleans()):
+        config = replace(config, batches=None, beta=draw(st.sampled_from((0.5, 1.0, 1.8))),
+                         mean_rate=draw(st.sampled_from((0.0, 1.0, 3.0))), horizon=draw(st.integers(1, 25)))
+    return config
+
+
+@SETTINGS
+@given(
+    config=lane_configs(),
+    alphas=st.lists(ALPHAS, min_size=2, max_size=2, unique=True),
+    infeasible=st.sampled_from(((), (0.3,))),
+)
+def test_lockstep_lanes_equal_lone_runs(config, alphas, infeasible):
+    # every policy at every check level on one stream, audited where checked
+    # in full; 0.3 fails validate_setup wherever a node's cpu is 2 or more
+    params = [CostParams(alpha=a) for a in [*alphas, *infeasible]]
+    configs = [
+        replace(config, policy=policy, check=check, audit=check == "full")
+        for policy in POLICY_NAMES
+        for check in CHECK_LEVELS
+    ]
+    seen = {"lanes": [], "alone": []}
+    check_states = sim._check_states
+
+    def recording(log):
+        def check(cfg, states, interval):
+            log.append((cfg.policy, cfg.check, interval, copy.deepcopy(_node_states(states))))
+            return check_states(cfg, states, interval)
+        return check
+
+    with mock.patch.object(sim, "_check_states", recording(seen["lanes"])):
+        lanes = sim._simulate(configs, params)
+    alone = [simulate_alone(cfg, params, recording(seen["alone"])) for cfg in configs]
+    for lane, ref in zip(lanes, alone):
+        assert _trajectory(lane) == _trajectory(ref)
+    # each lane's checks saw the states its lone run's checks saw, in order
+    for cfg in configs:
+        key = (cfg.policy, cfg.check)
+        assert [c for c in seen["lanes"] if c[:2] == key] == [c for c in seen["alone"] if c[:2] == key]
+
+    # run() normalizes by a no-cache lane that equals a lone no-cache run
+    for cfg, ref_lane in zip(configs, alone):
+        base = replace(cfg, policy="nocache", audit=False, check="off")
+        for p in params:
+            if p.alpha in ref_lane.failures:
+                continue
+            ref_base = simulate_alone(replace(base, params=p), [p], check_states)
+            baseline = ref_base.ledger.total_cost(p.alpha)
+            result = run(replace(cfg, params=p))
+            ref = simulate_alone(replace(cfg, params=p), [p], check_states)
+            assert result.summary == _reference_summary(ref, cfg, p.alpha, baseline)
+            nocache_total = run(replace(base, params=p)).summary["total_cost"]
+            expected = result.summary["total_cost"] / nocache_total if nocache_total > 0 else None
+            assert result.summary["normalized_cost"] == expected
 
 
 def best_pools_one_pair_at_a_time(dp, m_all, comm, u, cap, p_flat, aq_flat):

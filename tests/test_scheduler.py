@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgesim.costs import IntervalDecision
+from edgesim.costs import interval_running_cost
 from edgesim.errors import InvariantViolation
 from edgesim.model import (
     DEFAULT_CATALOG,
@@ -43,12 +43,19 @@ def _checked(batch, states, ctx, policy, rng, audit=None):
     return decision
 
 
+def _close(states, policy, now, ctx):
+    """End an interval as a run does: the actives idle while the running cost
+    is priced, then the policy's sweep runs."""
+    interval_running_cost(states, ctx)
+    return end_interval(states, policy, now, ctx.catalog)
+
+
 def _warm(states, policy, v, n, count, ctx, now=1):
     """Put `count` warm containers of type n in node v's cache."""
     for _ in range(count):
         states[v].add_active(n, ctx.mem[n])
         policy.on_invocation(states[v], n, now)
-    states[v].flush_active_to_cache()
+    interval_running_cost([states[v]], ctx)  # the containers idle
 
 
 def test_local_cache_serves_everything():
@@ -191,7 +198,7 @@ def test_end_interval_actives_idle_into_cache():
     policy = make_policy("pcache", 1)
     batch = RequestBatch(interval=1, counts={(0, 0): 3})
     distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
-    destroyed = end_interval(states, policy, 1, ONE_TYPE)
+    destroyed = _close(states, policy, 1, ctx)
     assert destroyed == []
     assert states[0].cache[0] == 3 and states[0].active[0] == 0
 
@@ -201,7 +208,7 @@ def test_end_interval_nocache_destroys_everything():
     policy = make_policy("nocache", 1)
     batch = RequestBatch(interval=1, counts={(0, 0): 3})
     distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
-    destroyed = end_interval(states, policy, 1, ONE_TYPE)
+    destroyed = _close(states, policy, 1, ctx)
     assert destroyed == [(0, 0, 3)]
     assert states[0].cache[0] == 0 and states[0].used_mb == 0
 
@@ -211,9 +218,9 @@ def test_end_interval_fc_ttl_sweep():
     policy = make_policy("fc", 1, ttl=2)
     batch = RequestBatch(interval=1, counts={(0, 0): 1})
     distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
-    assert end_interval(states, policy, 1, ONE_TYPE) == []
-    assert end_interval(states, policy, 2, ONE_TYPE) == []
-    assert end_interval(states, policy, 3, ONE_TYPE) == [(0, 0, 1)]
+    assert _close(states, policy, 1, ctx) == []
+    assert _close(states, policy, 2, ctx) == []
+    assert _close(states, policy, 3, ctx) == [(0, 0, 1)]
 
 
 def test_bound_check_raises_on_violation():
@@ -292,7 +299,7 @@ def _random_roundtrip(seed, policy_name):
         for state in states:
             assert occupancy(state, DEFAULT_CATALOG) <= caps[state.node_id] + 1e-9
             assert occupancy(state, DEFAULT_CATALOG) == pytest.approx(state.used_mb)
-        end_interval(states, policy, t, DEFAULT_CATALOG)
+        _close(states, policy, t, ctx)
         decisions.append(d)
     return decisions
 
