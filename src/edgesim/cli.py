@@ -67,11 +67,12 @@ def build_parser():
     return parser
 
 
-def _parse_floats(text, flag):
+def _parse_list(text, flag, kind=float):
     try:
-        values = [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ConfigError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+        what = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{flag}: expected comma-separated {what}, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag}: empty list")
     return values
@@ -113,6 +114,13 @@ def _base_config(args, topology, catalog, alpha, policy, beta):
     )
 
 
+def _make_output_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--output {path}: cannot create the output directory: {exc.strerror}") from None
+
+
 def _cleanup(paths):
     for path in paths:
         try:
@@ -127,7 +135,7 @@ def cmd_run(args) -> int:
     topology, catalog = _load_inputs(args)
     config = _base_config(args, topology, catalog, args.alpha, args.policy, args.zipf_beta)
     result = run(config)
-    os.makedirs(args.output, exist_ok=True)
+    _make_output_dir(args.output)
     written = []
     try:
         ledger_path = os.path.join(args.output, "ledger.csv")
@@ -151,20 +159,18 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if (args.betas is None) == (args.trace is None):
         raise ConfigError("exactly one of --betas or --trace is required")
-    alphas = _parse_floats(args.alphas, "--alphas")
-    betas = _parse_floats(args.betas, "--betas") if args.betas else [None]
+    alphas = _parse_list(args.alphas, "--alphas")
+    betas = _parse_list(args.betas, "--betas") if args.betas else [None]
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise ConfigError("--policies: empty list")
-    seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else [args.seed]
-    )
+    seeds = _parse_list(args.seeds, "--seeds", int) if args.seeds else [args.seed]
     grid = SweepGrid(alphas=alphas, betas=betas, policies=policies, seeds=seeds)
     topology, catalog = _load_inputs(args)
     base = _base_config(args, topology, catalog, alphas[0], policies[0], betas[0])
     records, errors = sweep(grid, base, jobs=args.jobs)
 
-    os.makedirs(args.output, exist_ok=True)
+    _make_output_dir(args.output)
     written = []
     try:
         results_path = os.path.join(args.output, "results.jsonl")

@@ -225,6 +225,15 @@ class RequestBatch:
             if type(c) is not int:
                 self.counts[(v, n)] = int(c)
 
+    @classmethod
+    def _trusted(cls, interval: int, counts: dict[tuple[int, int], int]) -> RequestBatch:
+        """A batch whose counts are already non-negative ints, built without
+        re-checking each one."""
+        batch = cls.__new__(cls)
+        batch.interval = interval
+        batch.counts = counts
+        return batch
+
     def total(self) -> int:
         return sum(self.counts.values())
 

@@ -258,6 +258,65 @@ def distribute_interval(
     return decision
 
 
+def admit_interval(
+    batch: RequestBatch, states: list[NodeState], ctx: RoutingContext, policy
+) -> tuple[IntervalDecision, float]:
+    """Route and close one unchecked, unaudited interval of a no-cache lane;
+    returns the decision and the interval's running cost.
+
+    A no-cache lane destroys every container at the end of each interval, so
+    every cache is empty when one starts: there is nothing to hit, offload
+    to or evict, and `distribute_interval` would only create. Each (origin,
+    type) group creates every container that fits at the origin, then one at
+    a time at the first node in `ctx.fallback_order` with room, and rejects
+    the rest. The close prices q per container, node-major and type-minor,
+    and destroys the containers with one `used_mb -=` per (node, type), as
+    `interval_running_cost` and `end_interval` would.
+    """
+    t = batch.interval
+    decision = IntervalDecision(interval=t)
+    local_served = decision.local_served
+    offloaded = decision.offloaded
+    created = decision.created
+    capacity = ctx.capacity
+    mems = ctx.mem
+    for key, lam in sorted(batch.counts.items()):
+        if not lam:
+            continue
+        v, n = key
+        state_v = states[v]
+        mem = mems[n]
+        if state_v.used_mb + mem <= capacity[v]:
+            k = state_v.admit(n, mem, capacity[v], lam)
+            policy.on_invocation(state_v, n, t, k)
+            created[key] = created.get(key, 0) + k
+            local_served[key] = k
+            lam -= k
+        while lam:
+            for v2 in ctx.fallback_order(v, n):
+                state_2 = states[v2]
+                if state_2.used_mb + mem <= capacity[v2]:
+                    state_2.add_active(n, mem)
+                    policy.on_invocation(state_2, n, t)
+                    created[(v2, n)] = created.get((v2, n), 0) + 1
+                    route = (v, v2, n)
+                    offloaded[route] = offloaded.get(route, 0) + 1
+                    decision.fallback_creations += 1
+                    lam -= 1
+                    break
+            else:
+                decision.rejected[key] = lam
+                lam = 0
+    running = 0.0
+    q = ctx.q
+    for (v, n), count in sorted(created.items()):
+        running += q[v][n] * count
+        state = states[v]
+        state.active[n] = 0
+        state.used_mb -= mems[n] * count
+    return decision, running
+
+
 def end_interval(states: list[NodeState], policy, now: int, catalog) -> list[tuple[int, int, int]]:
     """Run the policy's end-of-interval sweep (TTL expiry for fc, full flush
     for nocache) over every node, once the active containers have idled into

@@ -83,7 +83,7 @@ def generate_batch(
         (v, int(rank_maps[v][rank])): c
         for v, rank, c in zip(nodes.tolist(), ranks.tolist(), splits[nodes, ranks].tolist())
     }
-    return RequestBatch(interval=interval, counts=counts)
+    return RequestBatch._trusted(interval, counts)  # .tolist() counts of nonzero cells: ints >= 1
 
 
 class ZipfSource:

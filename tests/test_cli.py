@@ -345,6 +345,7 @@ SHARED_SWEEP_INPUT_CASES = {
     "mean_rate_nan": ({"--mean-rate": "nan"}, "mean_rate"),
     "beta_negative": ({"--betas": "-1"}, "zipf beta"),
     "fc_ttl_negative": ({"--policies": "pcache,fc", "--ttl": "-1"}, "fc ttl"),
+    "seeds_text": ({"--seeds": "1,a"}, "--seeds: expected comma-separated integers"),
 }
 
 
@@ -362,6 +363,17 @@ def test_sweep_shared_input_error_exits_usage(case, nodes_csv, tmp_path, capsys)
     assert main(flags) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_naming_a_file_exits_usage(command, nodes_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    flags = (_run_flags if command == "run" else _sweep_flags)(nodes_csv, out)
+    assert main(flags) == 2
+    assert f"--output {out}" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+    assert sorted(tmp_path.iterdir()) == sorted([nodes_csv, out])
 
 
 UNDECODABLE_CASES = {
