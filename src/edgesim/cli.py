@@ -114,6 +114,17 @@ def _base_config(args, topology, catalog, alpha, policy, beta):
     )
 
 
+def _check_output(path):
+    """Refuse, before anything is simulated, an output path that cannot become
+    a directory: it exists and is not one, or its nearest existing ancestor is
+    not one. Creates nothing."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe) and os.path.dirname(probe) != probe:
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"--output {path}: {probe} is not a directory")
+
+
 def _make_output_dir(path):
     try:
         os.makedirs(path, exist_ok=True)
@@ -132,6 +143,7 @@ def _cleanup(paths):
 def cmd_run(args) -> int:
     if (args.zipf_beta is None) == (args.trace is None):
         raise ConfigError("exactly one of --zipf-beta or --trace is required")
+    _check_output(args.output)
     topology, catalog = _load_inputs(args)
     config = _base_config(args, topology, catalog, args.alpha, args.policy, args.zipf_beta)
     result = run(config)
@@ -159,6 +171,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if (args.betas is None) == (args.trace is None):
         raise ConfigError("exactly one of --betas or --trace is required")
+    _check_output(args.output)
     alphas = _parse_list(args.alphas, "--alphas")
     betas = _parse_list(args.betas, "--betas") if args.betas else [None]
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]

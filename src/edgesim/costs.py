@@ -16,8 +16,9 @@ class IntervalDecision:
     local_served counts requests served at their origin (warm hits and local
     creations); offloaded counts requests served elsewhere, keyed
     (origin, server, type). created counts true instantiations at the node
-    where they happened, destroyed the containers removed (pressure evictions
-    plus end-of-interval sweeps), rejected the requests no node could host.
+    where they happened, destroyed the containers evicted under capacity
+    pressure (not the end-of-interval sweep's), rejected the requests no node
+    could host.
     """
 
     interval: int

@@ -116,7 +116,7 @@ class EvictionPolicy:
             return self.freq, self.last_used
         return state.freq, state.last_used
 
-    def select_victim(self, state: NodeState, catalog, rng, now: int) -> int:
+    def select_victim(self, state: NodeState, catalog, rng) -> int:
         raise NotImplementedError
 
     def end_of_interval(self, states: list[NodeState], now: int) -> list[tuple[int, int, int]]:
@@ -126,7 +126,7 @@ class EvictionPolicy:
 class PCache(EvictionPolicy):
     name = "pcache"
 
-    def select_victim(self, state, catalog, rng, now):
+    def select_victim(self, state, catalog, rng):
         freq, last_used = self._stats(state)
         return pcache_select_victim(state, catalog, rng, freq, last_used)
 
@@ -134,7 +134,7 @@ class PCache(EvictionPolicy):
 class LRU(EvictionPolicy):
     name = "lru"
 
-    def select_victim(self, state, catalog, rng, now):
+    def select_victim(self, state, catalog, rng):
         _, last_used = self._stats(state)
         return lru_select_victim(state, catalog, last_used)
 
@@ -163,39 +163,34 @@ class FixedCaching(EvictionPolicy):
             self._entries[state.node_id] = entries
         return entries
 
-    def _sync_consumed(self, state: NodeState, entries: list[deque]) -> None:
-        # Cache counts only shrink mid-interval; drop the oldest entries that
-        # were consumed by hits or destroyed by evictions since the last sync.
-        for n in range(self.n_types):
-            dq = entries[n]
-            while len(dq) > state.cache[n]:
-                dq.popleft()
-
-    def select_victim(self, state, catalog, rng, now):
-        entries = self._node_entries(state)
-        self._sync_consumed(state, entries)
+    def select_victim(self, state, catalog, rng):
+        # Caches only shrink mid-interval, so each log still holds an entry
+        # per container cached at the interval start: retire the oldest
+        # entries, consumed by hits or destroyed by evictions, then compare.
         best = None
-        for n in range(self.n_types):
-            if state.cache[n] < 1:
-                continue
-            entered = entries[n][0] if entries[n] else now
-            key = (entered, n)
-            if best is None or key < best:
-                best = key
+        for n, dq in enumerate(self._node_entries(state)):
+            cached = state.cache[n]
+            while len(dq) > cached:
+                dq.popleft()
+            if cached and (best is None or dq[0] < best[0]):
+                best = (dq[0], n)
         if best is None:
             raise ContractError(f"node {state.node_id}: no cached containers to evict")
         return best[1]
 
     def end_of_interval(self, states, now):
+        # One pass per log: retire consumed entries, log the containers cached
+        # after serving this interval, expire those idle for the ttl. The caches
+        # already hold this interval's served containers again, so a hit does
+        # not renew its container's entry.
         destroy = []
         for state in states:
-            entries = self._node_entries(state)
-            self._sync_consumed(state, entries)
-            for n in range(self.n_types):
-                while len(entries[n]) < state.cache[n]:
-                    entries[n].append(now)  # containers cached after serving this interval
-            for n in range(self.n_types):
-                dq = entries[n]
+            for n, dq in enumerate(self._node_entries(state)):
+                cached = state.cache[n]
+                while len(dq) > cached:
+                    dq.popleft()
+                if len(dq) < cached:
+                    dq.extend([now] * (cached - len(dq)))
                 count = 0
                 while dq and now - dq[0] >= self.ttl:
                     dq.popleft()
@@ -206,12 +201,13 @@ class FixedCaching(EvictionPolicy):
 
 
 class NoCache(EvictionPolicy):
-    """Destroys every container as soon as service completes (the baseline)."""
+    """Destroys every container as soon as service completes (the baseline).
+
+    Its caches are empty whenever requests are routed, so it is never asked
+    for a victim.
+    """
 
     name = "nocache"
-
-    def select_victim(self, state, catalog, rng, now):
-        return lru_select_victim(state, catalog, self._stats(state)[1])
 
     def end_of_interval(self, states, now):
         return [(state.node_id, n, count) for state in states for n, count in enumerate(state.cache) if count]

@@ -110,15 +110,15 @@ class BoundChecks:
         self.live = {a: table for a, table in self.live.items() if a != alpha}
 
 
-def _make_room(state, node_id, mem_needed, ctx, policy, rng, now, destroyed):
+def _make_room(state, mem_needed, ctx, policy, rng, destroyed):
     """Evict cached containers via the policy until one more container fits."""
-    capacity = ctx.capacity[node_id]
+    capacity = ctx.capacity[state.node_id]
     while state.used_mb + mem_needed > capacity:
         if state.cache_total() == 0:
             return False
-        victim = policy.select_victim(state, ctx.catalog, rng, now)
+        victim = policy.select_victim(state, ctx.catalog, rng)
         state.remove_cached(victim, ctx.mem[victim], 1)
-        key = (node_id, victim)
+        key = (state.node_id, victim)
         destroyed[key] = destroyed.get(key, 0) + 1
     return True
 
@@ -207,7 +207,7 @@ def distribute_interval(
         # 3) create at the origin, every container that fits at once;
         # overflow to the cheapest feasible node
         while remaining:
-            if _make_room(state_v, v, mem, ctx, policy, rng, t, destroyed):
+            if _make_room(state_v, mem, ctx, policy, rng, destroyed):
                 k = state_v.admit(n, mem, ctx.capacity[v], remaining)
                 policy.on_invocation(state_v, n, t, count=k)
                 created[(v, n)] = created.get((v, n), 0) + k
@@ -233,7 +233,7 @@ def distribute_interval(
                     if trace:
                         note(v, n, "offload", v2, d, max(p_vn, d))
                     break
-                if _make_room(state_2, v2, mem, ctx, policy, rng, t, destroyed):
+                if _make_room(state_2, mem, ctx, policy, rng, destroyed):
                     state_2.add_active(n, mem)
                     policy.on_invocation(state_2, n, t)
                     created[(v2, n)] = created.get((v2, n), 0) + 1

@@ -188,9 +188,7 @@ class _Lane:
                     decision.check_conservation(batch)
                     _check_states(self.config, states, t)
                 running = interval_running_cost(states, ctx)
-                destroyed = decision.destroyed
-                for v, n, count in end_interval(states, policy, t, ctx.catalog):
-                    destroyed[(v, n)] = destroyed.get((v, n), 0) + count
+                end_interval(states, policy, t, ctx.catalog)
                 if check_now:
                     _check_states(self.config, states, t)
             switching = interval_switching_cost(decision, ctx)
@@ -385,11 +383,14 @@ def sweep(grid: SweepGrid, base: SimConfig, jobs: int = 1):
     Each (seed, beta) point generates its request stream once and simulates
     the no-cache baseline and every policy on it in lockstep, each once,
     priced at every alpha, because alpha never changes a trajectory. `jobs > 1`
-    maps the points over a process pool. Each cell is reproducible in
-    isolation and independent of grid-axis order; records come back sorted by
-    (seed, beta, alpha, policy). A replay base (`batches` set) has no beta
-    axis: its records carry beta None.
+    maps the points over a pool of up to `jobs` processes, no more than there
+    are points. Each cell is reproducible in isolation and independent of
+    grid-axis order; records come back sorted by (seed, beta, alpha, policy).
+    A replay base (`batches` set) has no beta axis: its records carry beta
+    None.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     betas = grid.betas if base.batches is None else [None]
     for beta in betas:  # inputs every cell shares fail the sweep, not each cell
         if beta is not None:
@@ -407,8 +408,9 @@ def sweep(grid: SweepGrid, base: SimConfig, jobs: int = 1):
         return configs, params, seed, "nocache" in grid.policies
 
     points = [point(seed, beta) for seed in grid.seeds for beta in betas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_point, points))
     else:
         results = [_run_point(pt) for pt in points]

@@ -175,6 +175,8 @@ def ingest_trace(
         raise ConfigError("downscale must be >= 1")
     if bin_width < 1:
         raise ConfigError("bin_width must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     records = read_trace(path)
     rng = np.random.default_rng(seed)
     totals: dict[int, dict[tuple[int, int], int]] = {}

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import edgesim
+from edgesim import cli
 from edgesim.cli import main
 
 SUMMARY_KEYS = {
@@ -374,6 +375,41 @@ def test_output_naming_a_file_exits_usage(command, nodes_csv, tmp_path, capsys):
     assert f"--output {out}" in capsys.readouterr().err
     assert out.read_text() == "not a directory\n"
     assert sorted(tmp_path.iterdir()) == sorted([nodes_csv, out])
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_bad_output_exits_usage_before_simulating(command, under_a_file, nodes_csv, tmp_path, capsys, monkeypatch):
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before --output was checked")
+
+    monkeypatch.setattr(cli, command, simulate)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" / "deeper" if under_a_file else blocker
+    flags = (_run_flags if command == "run" else _sweep_flags)(nodes_csv, out)
+    assert main(flags) == 2
+    assert f"--output {out}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([nodes_csv, blocker])
+
+
+def test_trace_with_negative_seed_exits_usage(nodes_csv, tmp_path, capsys):
+    trace = _write(tmp_path / "trace.csv", "interval,node,ftype,count\n1,0,0,3\n")
+    out = tmp_path / "out"
+    flags = _run_flags(nodes_csv, out)
+    i = flags.index("--zipf-beta")
+    flags[i : i + 2] = ["--trace", trace]
+    flags[flags.index("--seed") + 1] = "-1"
+    assert main(flags) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_jobs_below_one_exits_usage(nodes_csv, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(_sweep_flags(nodes_csv, out, extra=("--jobs", "0"))) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 UNDECODABLE_CASES = {

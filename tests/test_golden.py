@@ -299,7 +299,7 @@ def test_pressure_inputs_exercise_every_path(policy, tmp_path, monkeypatch):
     def spy(batch, states, ctx, *args, **kwargs):
         decision = distribute(batch, states, ctx, *args, **kwargs)
         contexts.append(ctx)
-        # read now: the run adds the end-of-interval sweep to `destroyed` later
+        # pressure evictions only: the end-of-interval sweep is never added
         evictions.append(sum(decision.destroyed.values()))
         return decision
 

@@ -203,7 +203,7 @@ def test_fc_victim_is_oldest_entry():
     state.cache[WEB.id] = 1
     fc.end_of_interval([state], now=4)
     rng = np.random.default_rng(0)
-    assert fc.select_victim(state, DEFAULT_CATALOG, rng, now=5) == CHECKOUT.id
+    assert fc.select_victim(state, DEFAULT_CATALOG, rng) == CHECKOUT.id
 
 
 def test_fc_ttl_zero_flushes_everything():
