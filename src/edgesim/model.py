@@ -160,11 +160,10 @@ class NodeState:
     policies read. `used_mb` tracks occupancy incrementally.
     """
 
-    __slots__ = ("node_id", "n_types", "active", "cache", "freq", "last_used", "used_mb")
+    __slots__ = ("node_id", "active", "cache", "freq", "last_used", "used_mb")
 
     def __init__(self, node_id: int, n_types: int):
         self.node_id = node_id
-        self.n_types = n_types
         self.active = [0] * n_types
         self.cache = [0] * n_types
         self.freq = [0] * n_types

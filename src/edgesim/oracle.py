@@ -48,13 +48,13 @@ class TinyInstance:
         seen = set()
         for b in self.batches:
             if not 1 <= b.interval <= self.horizon:
-                raise InstanceTooLarge(f"batch interval {b.interval} outside 1..{self.horizon}")
+                raise ConfigError(f"batch interval {b.interval} outside 1..{self.horizon}")
             if b.interval in seen:
                 raise ConfigError(f"two batches for interval {b.interval}; merge them into one")
             seen.add(b.interval)
             for v, n in b.counts:
                 if not 0 <= v < self.topology.n_nodes or not 0 <= n < len(self.catalog):
-                    raise InstanceTooLarge(f"batch references unknown node/type ({v}, {n})")
+                    raise ConfigError(f"batch references unknown node/type ({v}, {n})")
 
 
 @dataclass

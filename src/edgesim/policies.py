@@ -93,9 +93,15 @@ class EvictionPolicy:
     pressure, end_of_interval is called once per interval, after service
     completes, and returns (node, type, count) triples to destroy, node-major
     and type-minor, each count positive.
+
+    holds_idle says whether the policy can keep an idle container into the
+    next interval. One that cannot is never asked for a victim or for its
+    end_of_interval sweep: routing only creates for it, and the interval
+    closes by destroying what it created.
     """
 
     name = "?"
+    holds_idle = True
 
     def __init__(self, n_types: int, global_stats: bool = False):
         self.n_types = n_types
@@ -203,11 +209,14 @@ class FixedCaching(EvictionPolicy):
 class NoCache(EvictionPolicy):
     """Destroys every container as soon as service completes (the baseline).
 
-    Its caches are empty whenever requests are routed, so it is never asked
-    for a victim.
+    Its caches are empty whenever requests are routed, so it holds no idle
+    container: a run routes its requests by creation alone and closes each
+    interval by destroying the created containers. `end_of_interval` is the
+    same flush, for callers that close an interval step by step.
     """
 
     name = "nocache"
+    holds_idle = False
 
     def end_of_interval(self, states, now):
         return [(state.node_id, n, count) for state in states for n, count in enumerate(state.cache) if count]

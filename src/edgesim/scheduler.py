@@ -34,9 +34,7 @@ class RoutingContext:
     def __init__(self, topology: Topology, catalog, params: CostParams):
         self.topology = topology
         self.catalog = catalog
-        self.params = params
         self.n_nodes = topology.n_nodes
-        self.n_types = len(catalog)
         self.alpha = params.alpha
         self.mem = [f.mem_mb for f in catalog]
         self.capacity = [node.capacity_mb for node in topology.nodes]
@@ -140,9 +138,11 @@ def distribute_interval(
     at the origin, as many at once as fit, evicting via the policy under
     capacity pressure. When the origin cannot host even after emptying its
     cache, the request overflows to the cheapest feasible node by (d + p);
-    only if no node can host is it counted as rejected. Each served request
-    inside the analyzed channels is audited at the context's alpha and
-    bound-checked by `check`.
+    only if no node can host is it counted as rejected. A policy that holds
+    no idle container while requests are routed (`holds_idle` False) has
+    nothing to hit, offload to or evict, so its groups go straight to
+    creation. Each served request inside the analyzed channels is audited at
+    the context's alpha and bound-checked by `check`.
     """
     t = batch.interval
     decision = IntervalDecision(interval=t)
@@ -150,7 +150,9 @@ def distribute_interval(
     offloaded = decision.offloaded
     created = decision.created
     destroyed = decision.destroyed
+    capacity = ctx.capacity
     aq_audit = ctx.aq
+    holds_idle = policy.holds_idle
     trace = audit is not None or check is not None
 
     # A request's realized cost is cost + alpha*q and its bound
@@ -165,53 +167,55 @@ def distribute_interval(
                 if cost + aq > aq + top + 1e-9:
                     check.fail(alpha, AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
 
-    for (v, n), lam in sorted(batch.counts.items()):
-        if lam == 0:
+    for key, lam in sorted(batch.counts.items()):
+        if not lam:
             continue
+        v, n = key
         state_v = states[v]
         mem = ctx.mem[n]
         p_vn = ctx.p[v][n]
-
-        # 1) serve from the origin's own cache
-        hit = min(lam, state_v.cache[n])
-        if hit:
-            state_v.consume_cache(n, hit)
-            policy.on_invocation(state_v, n, t, count=hit)
-            local_served[(v, n)] = local_served.get((v, n), 0) + hit
-            if trace:
-                for _ in range(hit):
-                    note(v, n, "hit", v, 0.0, p_vn)
-        if hit == lam:
-            continue
-        remaining = lam - hit
-
-        # 2) offload to cached containers at nodes with d <= p, nearest first
-        for v2, d in ctx.offload[v][n]:
-            state_2 = states[v2]
-            take = state_2.cache[n]
-            if not take:
-                continue
-            if take > remaining:
-                take = remaining
-            state_2.consume_cache(n, take)
-            policy.on_invocation(state_2, n, t, count=take)
-            key = (v, v2, n)
-            offloaded[key] = offloaded.get(key, 0) + take
-            remaining -= take
-            if trace:
-                for _ in range(take):
-                    note(v, n, "offload", v2, d, p_vn)  # d <= p here
+        remaining = lam
+        if holds_idle:
+            # 1) serve from the origin's own cache
+            hit = min(lam, state_v.cache[n])
+            if hit:
+                state_v.consume_cache(n, hit)
+                policy.on_invocation(state_v, n, t, hit)
+                local_served[key] = hit
+                remaining -= hit
+                if trace:
+                    for _ in range(hit):
+                        note(v, n, "hit", v, 0.0, p_vn)
             if not remaining:
-                break
+                continue
+
+            # 2) offload to cached containers at nodes with d <= p, nearest first
+            for v2, d in ctx.offload[v][n]:
+                state_2 = states[v2]
+                take = state_2.cache[n]
+                if not take:
+                    continue
+                if take > remaining:
+                    take = remaining
+                state_2.consume_cache(n, take)
+                policy.on_invocation(state_2, n, t, take)
+                route = (v, v2, n)
+                offloaded[route] = offloaded.get(route, 0) + take
+                remaining -= take
+                if trace:
+                    for _ in range(take):
+                        note(v, n, "offload", v2, d, p_vn)  # d <= p here
+                if not remaining:
+                    break
 
         # 3) create at the origin, every container that fits at once;
         # overflow to the cheapest feasible node
         while remaining:
-            if _make_room(state_v, mem, ctx, policy, rng, destroyed):
-                k = state_v.admit(n, mem, ctx.capacity[v], remaining)
-                policy.on_invocation(state_v, n, t, count=k)
-                created[(v, n)] = created.get((v, n), 0) + k
-                local_served[(v, n)] = local_served.get((v, n), 0) + k
+            if state_v.used_mb + mem <= capacity[v] or _make_room(state_v, mem, ctx, policy, rng, destroyed):
+                k = state_v.admit(n, mem, capacity[v], remaining)
+                policy.on_invocation(state_v, n, t, k)
+                created[key] = created.get(key, 0) + k
+                local_served[key] = local_served.get(key, 0) + k
                 remaining -= k
                 if trace:
                     for _ in range(k):
@@ -226,19 +230,19 @@ def distribute_interval(
                     # than creating next to it
                     state_2.consume_cache(n, 1)
                     policy.on_invocation(state_2, n, t)
-                    key = (v, v2, n)
-                    offloaded[key] = offloaded.get(key, 0) + 1
+                    route = (v, v2, n)
+                    offloaded[route] = offloaded.get(route, 0) + 1
                     remaining -= 1
                     served = True
                     if trace:
                         note(v, n, "offload", v2, d, max(p_vn, d))
                     break
-                if _make_room(state_2, mem, ctx, policy, rng, destroyed):
+                if state_2.used_mb + mem <= capacity[v2] or _make_room(state_2, mem, ctx, policy, rng, destroyed):
                     state_2.add_active(n, mem)
                     policy.on_invocation(state_2, n, t)
                     created[(v2, n)] = created.get((v2, n), 0) + 1
-                    key = (v, v2, n)
-                    offloaded[key] = offloaded.get(key, 0) + 1
+                    route = (v, v2, n)
+                    offloaded[route] = offloaded.get(route, 0) + 1
                     decision.fallback_creations += 1
                     remaining -= 1
                     served = True
@@ -249,7 +253,6 @@ def distribute_interval(
                         audit.append(AuditRecord(t, v, n, "create", v2, realized, max(aq_vn + p_vn, aq_vn + d)))
                     break
             if not served:
-                key = (v, n)
                 decision.rejected[key] = decision.rejected.get(key, 0) + remaining
                 if audit is not None:
                     for _ in range(remaining):
@@ -258,63 +261,24 @@ def distribute_interval(
     return decision
 
 
-def admit_interval(
-    batch: RequestBatch, states: list[NodeState], ctx: RoutingContext, policy
-) -> tuple[IntervalDecision, float]:
-    """Route and close one unchecked, unaudited interval of a no-cache lane;
-    returns the decision and the interval's running cost.
+def close_created(decision: IntervalDecision, states: list[NodeState], ctx: RoutingContext) -> float:
+    """Close one interval of a policy that holds no idle container: price one
+    interval of q for every container `decision` created, node-major and
+    type-minor, and destroy them with one `used_mb -=` per (node, type).
 
-    A no-cache lane destroys every container at the end of each interval, so
-    every cache is empty when one starts: there is nothing to hit, offload
-    to or evict, and `distribute_interval` would only create. Each (origin,
-    type) group creates every container that fits at the origin, then one at
-    a time at the first node in `ctx.fallback_order` with room, and rejects
-    the rest. The close prices q per container, node-major and type-minor,
-    and destroys the containers with one `used_mb -=` per (node, type), as
-    `interval_running_cost` and `end_interval` would.
+    Every cache was empty when the interval started, so the created
+    containers are all that is alive; this prices and destroys exactly what
+    `interval_running_cost` followed by `end_interval` would, to the bit.
     """
-    t = batch.interval
-    decision = IntervalDecision(interval=t)
-    local_served = decision.local_served
-    offloaded = decision.offloaded
-    created = decision.created
-    capacity = ctx.capacity
-    mems = ctx.mem
-    for key, lam in sorted(batch.counts.items()):
-        if not lam:
-            continue
-        v, n = key
-        state_v = states[v]
-        mem = mems[n]
-        if state_v.used_mb + mem <= capacity[v]:
-            k = state_v.admit(n, mem, capacity[v], lam)
-            policy.on_invocation(state_v, n, t, k)
-            created[key] = created.get(key, 0) + k
-            local_served[key] = k
-            lam -= k
-        while lam:
-            for v2 in ctx.fallback_order(v, n):
-                state_2 = states[v2]
-                if state_2.used_mb + mem <= capacity[v2]:
-                    state_2.add_active(n, mem)
-                    policy.on_invocation(state_2, n, t)
-                    created[(v2, n)] = created.get((v2, n), 0) + 1
-                    route = (v, v2, n)
-                    offloaded[route] = offloaded.get(route, 0) + 1
-                    decision.fallback_creations += 1
-                    lam -= 1
-                    break
-            else:
-                decision.rejected[key] = lam
-                lam = 0
     running = 0.0
     q = ctx.q
-    for (v, n), count in sorted(created.items()):
+    mems = ctx.mem
+    for (v, n), count in sorted(decision.created.items()):
         running += q[v][n] * count
         state = states[v]
         state.active[n] = 0
         state.used_mb -= mems[n] * count
-    return decision, running
+    return running
 
 
 def end_interval(states: list[NodeState], policy, now: int, catalog) -> list[tuple[int, int, int]]:

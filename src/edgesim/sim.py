@@ -22,7 +22,7 @@ from .model import (
     validate_setup,
 )
 from .policies import POLICY_NAMES, make_policy
-from .scheduler import BoundChecks, RoutingContext, admit_interval, distribute_interval, end_interval
+from .scheduler import BoundChecks, RoutingContext, close_created, distribute_interval, end_interval
 from .workload import ListSource, ZipfConfig, ZipfSource
 
 CHECK_LEVELS = ("off", "sample", "full")
@@ -143,7 +143,6 @@ class _Lane:
                 self.failures[p.alpha] = exc
         self.alphas = [p.alpha for p in params if p.alpha not in self.failures]
         self.check_every = {"off": 0, "sample": 10, "full": 1}[config.check]
-        self.admit_only = config.policy == "nocache" and not config.audit
         self.rejections = 0
         self.fallback_creations = 0
         self.intervals = 0
@@ -166,10 +165,11 @@ class _Lane:
     def step(self, batch: RequestBatch) -> bool:
         """Simulate one interval; False once the lane has ended.
 
-        Route, check, idle the active containers while pricing the running
-        cost, run the policy's sweep, check again, then price switching and
-        communication and append the ledger row. An unchecked interval of an
-        unaudited no-cache lane routes and closes by admission alone.
+        Route, check, close, check again, then price switching and
+        communication and append the ledger row. A caching policy closes by
+        idling the active containers while pricing the running cost, then
+        running its sweep; a policy that holds no idle container closes by
+        pricing and destroying the containers it created.
         """
         t = batch.interval
         ctx = self.ctx
@@ -177,20 +177,20 @@ class _Lane:
         policy = self.policy
         try:
             check_now = self.check_every and not t % self.check_every
-            if self.admit_only and not check_now:
-                decision, running = admit_interval(batch, states, ctx, policy)
-            else:
-                checked = self.bounds if check_now else None
-                decision = distribute_interval(batch, states, ctx, policy, self.rng, audit=self.audit, check=checked)
-                if not self.bounds.live:
-                    return False
-                if check_now:
-                    decision.check_conservation(batch)
-                    _check_states(self.config, states, t)
+            checked = self.bounds if check_now else None
+            decision = distribute_interval(batch, states, ctx, policy, self.rng, audit=self.audit, check=checked)
+            if not self.bounds.live:
+                return False
+            if check_now:
+                decision.check_conservation(batch)
+                _check_states(self.config, states, t)
+            if policy.holds_idle:
                 running = interval_running_cost(states, ctx)
                 end_interval(states, policy, t, ctx.catalog)
-                if check_now:
-                    _check_states(self.config, states, t)
+            else:
+                running = close_created(decision, states, ctx)
+            if check_now:
+                _check_states(self.config, states, t)
             switching = interval_switching_cost(decision, ctx)
             communication = interval_comm_cost(decision, ctx.topology)
             self.ledger.append_interval(

@@ -159,8 +159,6 @@ def ingest_trace(
     path,
     n_nodes: int,
     n_types: int,
-    node_map: dict[int, int] | None = None,
-    type_map: dict[int, int] | None = None,
     downscale: int = 1,
     seed: int = 0,
     bin_width: int = 1,
@@ -181,12 +179,11 @@ def ingest_trace(
     rng = np.random.default_rng(seed)
     totals: dict[int, dict[tuple[int, int], int]] = {}
     for rec in records:
-        node = node_map.get(rec.node, rec.node) if node_map else rec.node
-        ftype = type_map.get(rec.ftype, rec.ftype) if type_map else rec.ftype
+        node, ftype = rec.node, rec.ftype
         if not 0 <= node < n_nodes:
-            raise MappingError(f"trace node {rec.node} maps to {node}, outside 0..{n_nodes - 1}")
+            raise MappingError(f"trace node {node} outside 0..{n_nodes - 1}")
         if not 0 <= ftype < n_types:
-            raise MappingError(f"trace ftype {rec.ftype} maps to {ftype}, outside 0..{n_types - 1}")
+            raise MappingError(f"trace ftype {ftype} outside 0..{n_types - 1}")
         interval = (rec.interval - 1) // bin_width + 1
         bucket = totals.setdefault(interval, {})
         bucket[(node, ftype)] = bucket.get((node, ftype), 0) + rec.count

@@ -144,6 +144,17 @@ def test_instance_rejects_two_batches_for_one_interval():
         )
 
 
+@pytest.mark.parametrize("interval, key", [(3, (0, 0)), (0, (0, 0)), (1, (1, 0)), (1, (0, 1))])
+def test_malformed_batch_is_config_error_not_too_large(interval, key):
+    # an interval outside 1..horizon or an unknown node/type: malformed, not large
+    with pytest.raises(ConfigError) as err:
+        TinyInstance(
+            topology=make_topology([4000.0]), catalog=(FunctionType(0, 55.0),),
+            params=CostParams(alpha=0.01), horizon=2, batches=[RequestBatch(interval, {key: 1})],
+        )
+    assert type(err.value) is ConfigError
+
+
 def test_enumeration_budget_refusal():
     # aggressive demand blows the enumeration estimate without tripping the
     # structural caps first

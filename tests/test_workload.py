@@ -133,9 +133,6 @@ def test_ingest_unknown_node_is_mapping_error(tmp_path):
     path.write_text("interval,node,ftype,count\n1,5,0,3\n")
     with pytest.raises(MappingError):
         ingest_trace(path, n_nodes=2, n_types=1)
-    # a remap fixes it
-    batches = ingest_trace(path, n_nodes=2, n_types=1, node_map={5: 1})
-    assert batches[0].counts == {(1, 0): 3}
 
 
 def test_ingest_negative_count_rejected(tmp_path):
