@@ -210,31 +210,29 @@ def _mean(values):
     return sum(values) / len(values) if values else None
 
 
-def _write_figure_csvs(outdir, records, written):
-    """Plot-ready aggregates: cost vs alpha per (beta, policy), cold starts per beta."""
-    by_cell = {}
-    for rec in records:
-        by_cell.setdefault((rec["beta"], rec["alpha"], rec["policy"]), []).append(rec)
-    path = os.path.join(outdir, "avg_cost_by_alpha.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "alpha", "policy", "normalized_cost"])
-        for (beta, alpha, policy) in sorted(by_cell, key=lambda k: (k[0] or 0, k[1], k[2])):
-            m = _mean([r["normalized_cost"] for r in by_cell[(beta, alpha, policy)]])
-            writer.writerow([beta, alpha, policy, "" if m is None else repr(m)])
-    written.append(path)
+# Plot-ready aggregates: (file, key fields, averaged field) per figure.
+FIGURE_CSVS = (
+    ("avg_cost_by_alpha.csv", ("beta", "alpha", "policy"), "normalized_cost"),
+    ("cold_start_by_beta.csv", ("beta", "policy"), "cold_start_frequency"),
+)
 
-    by_beta = {}
-    for rec in records:
-        by_beta.setdefault((rec["beta"], rec["policy"]), []).append(rec)
-    path = os.path.join(outdir, "cold_start_by_beta.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "policy", "cold_start_frequency"])
-        for (beta, policy) in sorted(by_beta, key=lambda k: (k[0] or 0, k[1])):
-            m = _mean([r["cold_start_frequency"] for r in by_beta[(beta, policy)]])
-            writer.writerow([beta, policy, "" if m is None else repr(m)])
-    written.append(path)
+
+def _write_figure_csvs(outdir, records, written):
+    """One row per group of records sharing a figure's key fields: the keys
+    and the group's mean of the averaged field as a plain number, empty when
+    it has none."""
+    for name, keys, column in FIGURE_CSVS:
+        groups = {}
+        for rec in records:
+            groups.setdefault(tuple(rec[k] for k in keys), []).append(rec[column])
+        path = os.path.join(outdir, name)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*keys, column])
+            for key in sorted(groups, key=lambda k: (k[0] or 0, *k[1:])):
+                m = _mean(groups[key])
+                writer.writerow([*key, "" if m is None else repr(float(m))])
+        written.append(path)
 
 
 def cmd_oracle(args) -> int:

@@ -124,11 +124,12 @@ def occupancy(state: NodeState, catalog) -> float:
     return sum(f.mem_mb * (state.active[f.id] + state.cache[f.id]) for f in catalog)
 
 
-def validate_setup(topology: Topology, catalog, params: CostParams) -> None:
-    """Cross-checks that construction-time validation cannot see.
+def validate_fit(topology: Topology, catalog) -> None:
+    """The alpha-independent half of `validate_setup`: a non-empty catalog
+    with dense ids, and every node able to hold the largest container.
 
-    Every node must fit one container of any type, and alpha * q <= p must hold
-    for every (type, node) pair, otherwise caching can never pay off.
+    A failure here fails every alpha, so a simulation raises it before any
+    lane steps.
     """
     if not catalog:
         raise ConfigError("catalog is empty")
@@ -142,6 +143,17 @@ def validate_setup(topology: Topology, catalog, params: CostParams) -> None:
                 f"node {node.id} capacity {node.capacity_mb} MB cannot hold the "
                 f"largest container ({max_mem} MB)"
             )
+
+
+def validate_setup(topology: Topology, catalog, params: CostParams) -> None:
+    """Cross-checks that construction-time validation cannot see.
+
+    `validate_fit` first, then alpha * q <= p for every (type, node) pair,
+    otherwise caching can never pay off. Only this second check depends on
+    alpha: in a sweep, its failure ends that alpha's cells alone.
+    """
+    validate_fit(topology, catalog)
+    for node in topology.nodes:
         for f in catalog:
             p = switching_cost(node, f, params)
             q = running_cost(node, f, params)

@@ -20,6 +20,7 @@ from .model import (
     validate_setup,
 )
 from .scheduler import per_request_bound
+from .workload import ListSource
 
 MAX_NODES = 3
 MAX_TYPES = 2
@@ -45,16 +46,11 @@ class TinyInstance:
         if not 1 <= self.horizon <= MAX_INTERVALS:
             raise InstanceTooLarge(f"horizon must be in 1..{MAX_INTERVALS}, got {self.horizon}")
         validate_setup(self.topology, self.catalog, self.params)
-        seen = set()
         for b in self.batches:
             if not 1 <= b.interval <= self.horizon:
                 raise ConfigError(f"batch interval {b.interval} outside 1..{self.horizon}")
-            if b.interval in seen:
-                raise ConfigError(f"two batches for interval {b.interval}; merge them into one")
-            seen.add(b.interval)
-            for v, n in b.counts:
-                if not 0 <= v < self.topology.n_nodes or not 0 <= n < len(self.catalog):
-                    raise ConfigError(f"batch references unknown node/type ({v}, {n})")
+        # node and type ranges, one batch per interval: the checks a policy replay makes
+        ListSource(self.batches, self.topology.n_nodes, len(self.catalog))
 
 
 @dataclass

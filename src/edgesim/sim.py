@@ -19,6 +19,7 @@ from .model import (
     RequestBatch,
     Topology,
     occupancy,
+    validate_fit,
     validate_setup,
 )
 from .policies import POLICY_NAMES, make_policy
@@ -81,19 +82,16 @@ class RunResult:
     audit: list | None = None
 
 
-def _zipf_config(config: SimConfig) -> ZipfConfig:
-    return ZipfConfig(
+def _workload_source(config: SimConfig):
+    if config.batches is not None:
+        return ListSource(config.batches, config.topology.n_nodes, len(config.catalog))
+    zipf = ZipfConfig(
         beta=config.beta,
         n_types=len(config.catalog),
         mean_rate=config.mean_rate,
         seed=derive_seed(config.seed, "workload"),
     )
-
-
-def _workload_source(config: SimConfig):
-    if config.batches is not None:
-        return ListSource(config.batches, config.topology.n_nodes, len(config.catalog))
-    return ZipfSource(_zipf_config(config), config.topology, global_ranking=config.zipf_global)
+    return ZipfSource(zipf, config.topology, global_ranking=config.zipf_global)
 
 
 def _check_states(config: SimConfig, states, interval: int) -> None:
@@ -126,13 +124,24 @@ class _Lane:
 
     A lane owns everything a lone run of its config would: node states,
     policy, policy rng, ledger, bound checks at every alpha it is priced at,
-    check level, audit list and failures (alpha -> the exception that ends
+    check level, audit list and `failures` (alpha -> the exception that ends
     that alpha's run). Alpha never changes what a lane does; it only weights
     the ledger later.
+
+    Building a lane raises what no alpha of its config can run with (an fc
+    ttl below 0). An alpha that fails `validate_setup` is in `failures` from
+    the start, and a bound violation adds its alpha when it happens; both end
+    that alpha only. Any other exception in `step` is the lane's own fault
+    and ends every alpha still running.
     """
 
-    def __init__(self, config: SimConfig, params: list[CostParams]):
+    def __init__(self, config: SimConfig, params: list[CostParams], ctx: RoutingContext):
+        n_types = len(config.catalog)
         self.config = config
+        self.ctx = ctx
+        self.policy = make_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
+        self.states = [NodeState(v, n_types) for v in range(config.topology.n_nodes)]
+        self.rng = np.random.default_rng(derive_seed(config.seed, "policy", config.policy))
         self.ledger = CostLedger(config.params.alpha)
         self.audit = [] if config.audit else None
         self.failures = {}
@@ -141,26 +150,13 @@ class _Lane:
                 validate_setup(config.topology, config.catalog, p)
             except ConfigError as exc:
                 self.failures[p.alpha] = exc
-        self.alphas = [p.alpha for p in params if p.alpha not in self.failures]
+        self.bounds = BoundChecks(ctx, [p.alpha for p in params if p.alpha not in self.failures])
+        self.bounds.failures = self.failures  # bound violations land in the same map
         self.check_every = {"off": 0, "sample": 10, "full": 1}[config.check]
         self.rejections = 0
         self.fallback_creations = 0
         self.intervals = 0
         self.truncated = False
-
-    def start(self, ctx: RoutingContext) -> None:
-        config = self.config
-        n_types = len(config.catalog)
-        self.ctx = ctx
-        self.bounds = BoundChecks(ctx, self.alphas)
-        self.states = [NodeState(v, n_types) for v in range(config.topology.n_nodes)]
-        self.policy = make_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
-        self.rng = np.random.default_rng(derive_seed(config.seed, "policy", config.policy))
-
-    def end(self, exc: Exception) -> None:
-        """End every alpha still running with `exc`."""
-        for alpha in self.bounds.live:
-            self.failures[alpha] = exc
 
     def step(self, batch: RequestBatch) -> bool:
         """Simulate one interval; False once the lane has ended.
@@ -201,8 +197,9 @@ class _Lane:
             self.fallback_creations += decision.fallback_creations
             self.intervals = t
             return True
-        except Exception as exc:  # ends this lane's alphas that have not failed already
-            self.end(exc)
+        except Exception as exc:  # the lane's own fault: ends its alphas still running
+            for alpha in self.bounds.live:
+                self.failures[alpha] = exc
             return False
 
 
@@ -214,44 +211,34 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
     workload, topology, catalog and cost parameters, so one batch per
     interval feeds every lane and only one is held at a time. Routing,
     eviction and every random draw ignore alpha, so a lane is the trajectory
-    each alpha's own run of its config follows. `validate_setup` and the
-    per-request bound depend on alpha and run per alpha and lane; a failure
-    there ends that alpha of that lane only. Any other exception in a lane
-    ends that lane; one in the shared stream ends every lane still running.
+    each alpha's own run of its config follows.
+
+    A failure ends the simulation in one of three tiers:
+    1. what every lane shares raises from here before any lane steps: a
+       topology and catalog no alpha can run (`validate_fit`), a lane that
+       cannot be built (an fc ttl below 0) and a source that cannot be
+       built (a malformed replay list, bad Zipf parameters);
+    2. an alpha that fails `validate_setup` or the per-request bound ends
+       that alpha of that lane only;
+    3. any other exception in a lane ends that lane only.
     """
-    lanes = [_Lane(config, params) for config in configs]
-    running = [lane for lane in lanes if lane.alphas]
-    if not running:
-        return lanes
     config = configs[0]
+    validate_fit(config.topology, config.catalog)
     ctx = RoutingContext(config.topology, config.catalog, config.params)
-    started = []
-    for lane in running:
-        try:
-            lane.start(ctx)
-            started.append(lane)
-        except Exception as exc:
-            lane.end(exc)
-    running = started
-    try:
-        source = _workload_source(config)
-        for t in range(1, config.horizon + 1):
-            if not running:
-                break
-            batch = source.batch(t)
-            if batch is None:
-                for lane in running:
-                    lane.truncated = True
-                break
-            if batch.interval != t:
-                raise InvariantViolation(f"workload produced interval {batch.interval} for clock {t}")
-            running = [lane for lane in running if lane.step(batch)]
-    except Exception as exc:
-        for lane in running:
-            lane.end(exc)
-    for lane in lanes:
-        if lane.alphas:
-            lane.failures.update(lane.bounds.failures)
+    lanes = [_Lane(c, params, ctx) for c in configs]
+    source = _workload_source(config)
+    running = [lane for lane in lanes if lane.bounds.live]
+    for t in range(1, config.horizon + 1):
+        if not running:
+            break
+        batch = source.batch(t)
+        if batch is None:
+            for lane in running:
+                lane.truncated = True
+            break
+        if batch.interval != t:
+            raise InvariantViolation(f"workload produced interval {batch.interval} for clock {t}")
+        running = [lane for lane in running if lane.step(batch)]
     return lanes
 
 
@@ -263,25 +250,22 @@ def _totals(lane: _Lane, params: list[CostParams]) -> dict:
 def _summaries(lane: _Lane, params: list[CostParams], baselines: dict) -> dict:
     """alpha -> summary, for every alpha of `params` the lane did not fail at.
 
-    The normalized cost divides by the no-cache total in `baselines`
-    (alpha -> total) on the identical workload and seed.
+    Every lane's normalized cost divides by the no-cache total in
+    `baselines` (alpha -> total) on the identical workload and seed; the
+    no-cache lane that is its own baseline gets exactly 1.0.
     """
     config = lane.config
     requests = lane.ledger.total_requests()
     cold_starts = lane.ledger.total_cold_starts()
     summaries = {}
     for alpha, total in _totals(lane, params).items():
-        if config.policy == "nocache":
-            normalized = 1.0 if total > 0 else None
-        else:
-            normalized = total / baselines[alpha] if baselines[alpha] > 0 else None
         summaries[alpha] = {
             "policy": config.policy,
             "alpha": alpha,
             "beta": config.beta,
             "seed": config.seed,
             "total_cost": total,
-            "normalized_cost": normalized,
+            "normalized_cost": total / baselines[alpha] if baselines[alpha] > 0 else None,
             "cold_start_frequency": (cold_starts / requests) if requests else None,
             "rejections": lane.rejections,
             "fallback_creations": lane.fallback_creations,
@@ -323,7 +307,8 @@ def run(config: SimConfig, baseline_total: float | None = None) -> RunResult:
 
     The summary's normalized cost divides by the no-cache policy on the
     identical workload and seed: `baseline_total` when supplied, otherwise a
-    no-cache lane simulated beside this one from the same request stream.
+    no-cache lane simulated beside this one from the same request stream (a
+    no-cache config is its own baseline).
     """
     alpha = config.params.alpha
     configs = [config]
@@ -387,16 +372,13 @@ def sweep(grid: SweepGrid, base: SimConfig, jobs: int = 1):
     are points. Each cell is reproducible in isolation and independent of
     grid-axis order; records come back sorted by (seed, beta, alpha, policy).
     A replay base (`batches` set) has no beta axis: its records carry beta
-    None.
+    None. An input every cell shares raises ConfigError when the first
+    (seed, beta) point that uses it starts (see `_simulate`); a failure of one
+    alpha or one lane is an error record for its cells.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     betas = grid.betas if base.batches is None else [None]
-    for beta in betas:  # inputs every cell shares fail the sweep, not each cell
-        if beta is not None:
-            _zipf_config(replace(base, beta=beta))
-    if "fc" in grid.policies:
-        make_policy("fc", len(base.catalog), ttl=base.ttl)
     params = [replace(base.params, alpha=alpha) for alpha in grid.alphas]
     policies = ["nocache"] + [policy for policy in grid.policies if policy != "nocache"]
 

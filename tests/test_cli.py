@@ -159,6 +159,7 @@ def test_sweep_outputs(nodes_csv, tmp_path):
     cold_csv = (out / "cold_start_by_beta.csv").read_text().splitlines()
     assert cold_csv[0] == "beta,policy,cold_start_frequency"
     assert len(cold_csv) == 1 + 4
+    assert all(float(row.rsplit(",", 1)[1]) > 0 for row in cost_csv[1:] + cold_csv[1:])  # plain numbers
     assert not (out / "errors.jsonl").exists()
 
 
@@ -363,6 +364,41 @@ def test_sweep_shared_input_error_exits_usage(case, nodes_csv, tmp_path, capsys)
             flags += [flag, value]
     assert main(flags) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+UNRUNNABLE_SETUP_CASES = {
+    "catalog_ids_gap": ("catalog", "id,mem_mb,name\n0,55,web\n2,92,img\n", "dense"),
+    "node_below_largest_container": (
+        "nodes", "id,capacity_mb,cpu_ghz,x,y\n0,2500,1.0,0,0\n1,100,1.0,5,0\n", "cannot hold the largest container",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE_SETUP_CASES))
+def test_sweep_unrunnable_setup_exits_usage(case, jobs, nodes_csv, tmp_path, capsys):
+    # a topology and catalog that no alpha can run fail the sweep, as they fail `run`
+    target, text, message = UNRUNNABLE_SETUP_CASES[case]
+    out = tmp_path / "sweep"
+    flags = _sweep_flags(nodes_csv, out, extra=("--jobs", jobs))
+    if target == "nodes":
+        flags[flags.index(str(nodes_csv))] = _write(tmp_path / "nodes.csv", text)
+    else:
+        flags += ["--catalog", _write(tmp_path / "catalog.csv", text)]
+    assert main(flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_later_bad_beta_exits_usage(nodes_csv, tmp_path, capsys):
+    # a bad beta fails when its (seed, beta) point starts: the points before it
+    # have run, but the sweep still exits 2 and writes nothing
+    out = tmp_path / "sweep"
+    flags = _sweep_flags(nodes_csv, out)
+    flags[flags.index("--betas") + 1] = "0.5,1.0,-1"
+    assert main(flags) == 2
+    assert "zipf beta" in capsys.readouterr().err
     assert not out.exists()
 
 

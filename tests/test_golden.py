@@ -48,6 +48,10 @@ PRESSURE_AUDIT_GOLDEN = {
 AUDIT_GOLDEN = "4b3f82b09420b86adbd176ba9578baea1fc7296d8110a48458454a68c05590e8"
 SWEEP_ERRORS_GOLDEN = "6f180fab4b1bd35280699ead9eac98e21d372826e63626cba50a3e9bd68caa05"
 SWEEP_GOLDEN = "ee8f365f1eae875f350383d7a813447150a999ca33774a996dd4150772ebf834"
+# Pinned before the two figure writers became one loop, then re-pinned once
+# when means were written as plain floats: every "np.float64(x)" cell of the
+# old bytes became "x", and no other byte changed.
+FIGURE_CSV_GOLDEN = "1c54b0fdda41b2587e940dceb53ddabbdadbaced89e6f449d3520f49abbc28c7"
 ORACLE_RANDOM_GOLDEN = "0caad0e691a09673e8f5c1960dc4a57c37fe7b4ad280bda3dd9c9c7a39424b02"
 ORACLE_CAP_GOLDEN = "f6ec424b7163658cbdffde2e2c30f68f972a165af0cdf25cfeadd2df1115b37d"
 ORACLE_CLI_GOLDEN = "779f403389522679eaffac31938016f2f0f0cd59a305171d92779b98fcba484a"
@@ -178,6 +182,22 @@ def sweep_errors_digest(tmp_path):
     return _sha(results, errors)
 
 
+def figure_csv_digest(tmp_path):
+    """The sweep's two plot-ready aggregates over 4 policies, a 3 x 3 (alpha,
+    beta) grid given out of order and 2 seeds."""
+    nodes = tmp_path / "nodes.csv"
+    _write_nodes(nodes, 5, 1200)
+    out = tmp_path / "figure-out"
+    argv = [
+        "sweep", "--alphas", "0.01,0.002,0.005", "--betas", "1.4,0.6,1.0", "--policies", "pcache,lru,fc,nocache",
+        "--nodes", str(nodes), "--mean-rate", "1.5", "--horizon", "20", "--seeds", "1,2",
+        "--output", str(out),
+    ]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return _sha(*((out / name).read_bytes() for name in ("avg_cost_by_alpha.csv", "cold_start_by_beta.csv")))
+
+
 def cap_instance(rng):
     """A 3-node/2-type/3-interval instance of CAP_DEMAND: the rng permutes
     nodes and types and draws every number, and every node fits one
@@ -260,6 +280,10 @@ def test_pressure_audit_run_bytes(policy, tmp_path):
 
 def test_sweep_results_bytes(tmp_path):
     assert sweep_digest(tmp_path) == SWEEP_GOLDEN
+
+
+def test_sweep_figure_csv_bytes(tmp_path):
+    assert figure_csv_digest(tmp_path) == FIGURE_CSV_GOLDEN
 
 
 def test_sweep_errors_bytes(tmp_path):

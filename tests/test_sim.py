@@ -371,3 +371,32 @@ def test_sweep_failed_baseline_group_normalizes_per_policy(monkeypatch):
         (0.005, "nocache", "InvariantViolation: injected"),
         (0.01, "nocache", "InvariantViolation: injected"),
     ]
+
+
+def test_sweep_over_replay_naming_unknown_node_raises():
+    base = _zipf_config(horizon=4)
+    base = replace(base, beta=None, batches=[RequestBatch(1, {(0, 0): 1}), RequestBatch(2, {(99, 0): 1})])
+    grid = SweepGrid(alphas=[0.002, 0.005], betas=[1.0], policies=["pcache", "lru"], seeds=[3, 4])
+    with pytest.raises(ConfigError, match="names node 99"):
+        sweep(grid, base)
+
+
+def test_fc_negative_ttl_raises_before_routing(monkeypatch):
+    routed = []
+    distribute_interval = sim.distribute_interval
+
+    def counting(batch, *args, **kwargs):
+        routed.append(batch.interval)
+        return distribute_interval(batch, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "distribute_interval", counting)
+    with pytest.raises(ConfigError, match="fc ttl"):
+        run(_zipf_config(policy="fc", ttl=-1, horizon=30))
+    assert routed == []
+
+
+def test_nocache_run_normalizes_by_the_given_baseline():
+    config = _zipf_config(policy="nocache")
+    total = run(config).summary["total_cost"]
+    assert total > 0
+    assert run(config, baseline_total=2 * total).summary["normalized_cost"] == 0.5
