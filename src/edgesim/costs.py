@@ -35,18 +35,13 @@ class IntervalDecision:
     def total_rejected(self) -> int:
         return sum(self.rejected.values())
 
-    def served_counts(self) -> dict[tuple[int, int], int]:
-        """Requests accounted per (origin, type), for conservation checks."""
+    def check_conservation(self, batch: RequestBatch) -> None:
+        """Every request is served exactly once (or explicitly rejected)."""
         served = dict(self.local_served)
         for (v, _v2, n), c in self.offloaded.items():
             served[(v, n)] = served.get((v, n), 0) + c
         for (v, n), c in self.rejected.items():
             served[(v, n)] = served.get((v, n), 0) + c
-        return served
-
-    def check_conservation(self, batch: RequestBatch) -> None:
-        """Every request is served exactly once (or explicitly rejected)."""
-        served = self.served_counts()
         for key in set(batch.counts) | set(served):
             lam = batch.counts.get(key, 0)
             got = served.get(key, 0)

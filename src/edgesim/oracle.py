@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,6 @@ from .model import (
     switching_cost,
     validate_setup,
 )
-from .scheduler import per_request_bound
 from .workload import ListSource
 
 MAX_NODES = 3
@@ -99,8 +97,10 @@ def _estimate_ops(instance, lam, keep_cap):
 
 
 # (state, routing) pairs priced per numpy block. A block's temporaries take a
-# few hundred bytes per pair; larger blocks run faster but raise peak memory.
-_BLOCK_PAIRS = 1024
+# few hundred bytes per pair; larger blocks pay less per-block overhead but
+# raise peak memory. On a 2-vCPU Xeon, 2048 saved a few percent more time
+# than 1536 for 0.3 MB more peak RSS, and 4096 ran slower.
+_BLOCK_PAIRS = 1536
 
 
 def _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
@@ -134,10 +134,11 @@ def _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
         for n in range(N):
             used = used + u[n] * by_node[:, n]
         feasible = ~(used > np.reshape(cap, (V, 1, 1))).any(axis=0)
-        diff = m_cols - block
+        switched = np.maximum(m_cols - block, 0)
         cost = cost0[first_state : first_state + step, None] + comm
         for i in range(size):
-            np.add(cost, p_flat[i] * diff[i], out=cost, where=diff[i] > 0)
+            # adds p * 0 = +0.0 where nothing is switched on: costs are never -0.0
+            cost += p_flat[i] * switched[i]
             cost += aq_flat[i] * pool[i]
         flat = np.flatnonzero(feasible)
         if not len(flat):
@@ -145,13 +146,15 @@ def _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
         pools = pool.reshape(size, -1)[:, flat]
         costs = cost.ravel()[flat]
         keys = weights @ (pools - lo[:, None])
-        # group equal pools, cheapest first; the stable sort keeps the
-        # earliest of equal costs first
-        order = np.lexsort((costs, keys))
-        sorted_keys = keys[order]
-        starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-        # pools in the order of their first pair
-        best = order[starts][np.argsort(np.minimum.reduceat(order, starts))]
+        # np.unique sorts stably, so `first` is each pool's first pair
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        cheapest = np.full(len(first), np.inf)
+        np.minimum.at(cheapest, group, costs)
+        at_min = np.flatnonzero(costs == cheapest[group])
+        best = np.full(len(first), len(costs))
+        np.minimum.at(best, group[at_min], at_min)
+        # the earliest pair of least cost per pool, pools in the order of their first pair
+        best = best[np.argsort(first)]
         si, ai = np.divmod(flat[best], A)
         for key, c, s, a in zip(
             map(tuple, pools[:, best].T.tolist()),
@@ -165,13 +168,54 @@ def _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
     return pool_best
 
 
+def _destroy(pool_best, caps) -> tuple[dict[tuple, float], np.ndarray]:
+    """Every state an interval can end in after destroying containers:
+    (state -> cost, parent), where parent[state] indexes list(pool_best).
+
+    A state can be reached from every pool it lies at or below once the pool
+    is clipped to caps. It costs what the cheapest of those pools costs, and
+    its parent is the earliest of them on a tie. States run by their first
+    such pool, then in C order. That is what a walk over every destruction
+    vector of every pool, in order, keeping strictly cheaper parents, builds
+    (the reference in tests/test_properties.py). Both come from suffix minima
+    over the dense lattice of states, shape caps + 1; parent is that lattice,
+    holding len(pool_best) where no pool reaches.
+    """
+    n_pools = len(pool_best)
+    shape = tuple(c + 1 for c in caps)
+    clipped = np.minimum(np.array(list(pool_best), dtype=np.int64), caps)
+    cells = np.ravel_multi_index(tuple(clipped.T), shape)
+    costs = np.array([cost for cost, _prev, _aidx in pool_best.values()])
+
+    def least_dominating(values):
+        lattice = np.full(math.prod(shape), n_pools)
+        np.minimum.at(lattice, cells, values)
+        lattice = lattice.reshape(shape)
+        for axis in range(len(shape)):
+            lattice = np.flip(np.minimum.accumulate(np.flip(lattice, axis), axis=axis), axis)
+        return lattice
+
+    by_cost = np.argsort(costs, kind="stable")  # pool indices by (cost, pool order)
+    rank = np.empty_like(by_cost)
+    rank[by_cost] = np.arange(n_pools)
+    parent = np.append(by_cost, n_pools)[least_dominating(rank)]
+    first = least_dominating(np.arange(n_pools)).ravel()
+    reached = np.flatnonzero(first < n_pools)  # C order
+    order = reached[np.argsort(first[reached], kind="stable")]
+    states = np.stack(np.unravel_index(order, shape), axis=1)
+    dp = dict(zip(map(tuple, states.tolist()), costs[parent.ravel()[order]].tolist()))
+    return dp, parent
+
+
 def solve_exact(instance: TinyInstance) -> OracleSolution:
     """Global minimum of the total-cost objective by exhaustive enumeration.
 
     Dynamic program over the alive-container vector between intervals. Within
     an interval every feasible routing of every request is enumerated; at the
-    interval boundary every destruction vector is enumerated (pruned to counts
-    that future demand could ever use). Alive containers, serving or idle,
+    interval boundary every state that could be kept (pruned to counts that
+    future demand could ever use) takes the cheapest pool it lies below, by a
+    suffix minimum over the dense lattice of those states, as walking every
+    destruction vector of every pool would. Alive containers, serving or idle,
     bill one interval of running cost, matching the simulator's accounting.
     """
     V, N, T = instance.topology.n_nodes, len(instance.catalog), instance.horizon
@@ -240,7 +284,7 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
 
     zero = tuple([0] * size)
     dp = {zero: 0.0}
-    parents: dict[tuple[int, tuple], tuple] = {}
+    parents: dict[int, tuple[list, np.ndarray]] = {}
     routes_by_t = {}
 
     for t in range(1, T + 1):
@@ -248,15 +292,9 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
         pool_best = _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat)
         if not pool_best:
             raise InfeasibleInstance(f"no feasible routing for interval {t}")
-        ndp: dict[tuple, float] = {}
         caps_t = [keep_cap[t][i // N][i % N] for i in range(size)]
-        for pool, (cost, prev, aidx) in pool_best.items():
-            ranges = [range(min(pool[i], caps_t[i]) + 1) for i in range(size)]
-            for nxt in itertools.product(*ranges):
-                if cost < ndp.get(nxt, math.inf):
-                    ndp[nxt] = cost
-                    parents[(t, nxt)] = (prev, aidx, pool)
-        dp = ndp
+        dp, parent = _destroy(pool_best, caps_t)
+        parents[t] = (list(pool_best.items()), parent)
 
     final_state = min(dp, key=dp.get)
     best_cost = dp[final_state]
@@ -269,7 +307,8 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
     witness = []
     state = final_state
     for t in range(T, 0, -1):
-        prev, aidx, pool = parents[(t, state)]
+        items, parent = parents[t]
+        pool, (_cost, prev, aidx) = items[parent[state]]
         routes = routes_by_t[t][aidx]
         witness.append(
             {
@@ -295,6 +334,28 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
         state = prev
     witness.reverse()
     return OracleSolution(cost=best_cost, witness=witness)
+
+
+def per_request_bound(ftype, origin, serving_node, served_from_cache, params, topology):
+    """Realized marginal cost of one request and its worst-case bound.
+
+    Costs are attributed in the origin node's frame (p, q at the origin), the
+    frame the worst-case analysis is stated in. The bound is
+    alpha*q * max{1 + p/(alpha*q), 1 + d/(alpha*q)}. A creation at a remote
+    node (the capacity-overflow channel) also pays the remote switching cost
+    and can exceed the bound; callers treat that channel separately.
+    """
+    aq = params.alpha * running_cost(origin, ftype, params)
+    p_origin = switching_cost(origin, ftype, params)
+    d = float(topology.comm_cost[origin.id][serving_node.id])
+    bound = max(aq + p_origin, aq + d)
+    if served_from_cache:
+        realized = aq if serving_node.id == origin.id else d + aq
+    elif serving_node.id == origin.id:
+        realized = p_origin + aq
+    else:
+        realized = d + switching_cost(serving_node, ftype, params) + aq
+    return realized, bound
 
 
 def per_request_lower_bound(ftype: FunctionType, node: EdgeNode, params: CostParams) -> float:

@@ -66,28 +66,6 @@ class RoutingContext:
         return order
 
 
-def per_request_bound(ftype, origin, serving_node, served_from_cache, params, topology):
-    """Realized marginal cost of one request and its worst-case bound.
-
-    Costs are attributed in the origin node's frame (p, q at the origin), the
-    frame the worst-case analysis is stated in. The bound is
-    alpha*q * max{1 + p/(alpha*q), 1 + d/(alpha*q)}. A creation at a remote
-    node (the capacity-overflow channel) also pays the remote switching cost
-    and can exceed the bound; callers treat that channel separately.
-    """
-    aq = params.alpha * running_cost(origin, ftype, params)
-    p_origin = switching_cost(origin, ftype, params)
-    d = float(topology.comm_cost[origin.id][serving_node.id])
-    bound = max(aq + p_origin, aq + d)
-    if served_from_cache:
-        realized = aq if serving_node.id == origin.id else d + aq
-    elif serving_node.id == origin.id:
-        realized = p_origin + aq
-    else:
-        realized = d + switching_cost(serving_node, ftype, params) + aq
-    return realized, bound
-
-
 class BoundChecks:
     """Per-request worst-case bound checks of one trajectory, at every alpha it
     is priced at.

@@ -120,6 +120,12 @@ def test_conservation_check():
     bad = IntervalDecision(interval=1, local_served={(0, 0): 2})
     with pytest.raises(InvariantViolation):
         bad.check_conservation(batch)
+    one_short = IntervalDecision(interval=1, local_served={(0, 0): 2}, rejected={(1, 1): 1})
+    with pytest.raises(InvariantViolation) as exc:
+        one_short.check_conservation(batch)
+    assert str(exc.value) == (
+        "interval 1: request conservation broken for (node, type) (0, 0): lambda=3, accounted=2"
+    )
 
 
 def test_ledger_csv_roundtrip(tmp_path):

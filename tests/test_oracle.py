@@ -8,6 +8,7 @@ from edgesim.oracle import (
     competitive_check,
     instance_from_json,
     instance_to_json,
+    per_request_bound,
     per_request_lower_bound,
     random_tiny_instance,
     solve_exact,
@@ -181,6 +182,35 @@ def test_interval_over_every_capacity_is_infeasible():
     )
     with pytest.raises(InfeasibleInstance, match="interval 2"):
         solve_exact(inst)
+
+
+def test_per_request_bound_local_hit():
+    topo = make_topology([4000.0])
+    params = CostParams(alpha=0.001, run_coeff=0.2)
+    node = topo.nodes[0]
+    aq = params.alpha * 0.2 * 55.0
+    realized, bound = per_request_bound(FunctionType(0, 55.0), node, node, True, params, topo)
+    assert realized == pytest.approx(aq)
+    assert bound >= realized
+
+
+def test_per_request_bound_creation_equality():
+    topo = make_topology([4000.0])
+    params = CostParams(alpha=0.001, run_coeff=1.0)
+    node = topo.nodes[0]
+    realized, bound = per_request_bound(FunctionType(0, 55.0), node, node, False, params, topo)
+    assert realized == bound  # p + alpha*q is exactly the worst case
+    assert realized == pytest.approx(55.0 + params.alpha * 55.0)
+
+
+def test_per_request_bound_offload_below_bound():
+    topo = make_topology([4000.0, 4000.0], comm=[[0, 3], [3, 0]])
+    params = CostParams(alpha=0.001, run_coeff=1.0)
+    f = FunctionType(0, 55.0)
+    realized, bound = per_request_bound(f, topo.nodes[0], topo.nodes[1], True, params, topo)
+    assert realized == pytest.approx(3.0 + params.alpha * 55.0)
+    assert realized <= bound
+    assert bound == pytest.approx(55.0 + params.alpha * 55.0)
 
 
 def test_per_request_lower_bound_values():

@@ -9,11 +9,15 @@ replaced, and the one-pass fc entry logs against the two-pass class they
 replaced. The lane property checks lanes run in lockstep on one request
 stream against lone runs of the per-trajectory loop they replaced. The
 oracle properties check its block pricing against a per-pair
-loop, its optimum against every policy, and its refusal of instances over the
-enumeration budget. The reader fuzz feeds the CSV readers arbitrary bytes.
+loop, its suffix-minimum destruction step against a walk over every
+destruction vector, its optimum against every policy, and its refusal of
+instances over the enumeration budget. The reader fuzz feeds the CSV readers
+arbitrary bytes.
 """
 
 import copy
+import itertools
+import math
 import tempfile
 from collections import deque
 from dataclasses import replace
@@ -713,13 +717,55 @@ def pricing_inputs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(args=pricing_inputs(), block_pairs=st.sampled_from((1, 3, 7, 1024)))
+@given(args=pricing_inputs(), block_pairs=st.sampled_from((1, 3, 7, 1024, 1536)))
 def test_block_pricing_equals_one_pair_at_a_time(args, block_pairs):
     # same pools in the same insertion order, each with the same cost bits,
     # state and routing index, whatever the block boundaries
     with mock.patch.object(oracle, "_BLOCK_PAIRS", block_pairs):
         got = oracle._best_pools(*args)
     assert list(got.items()) == list(best_pools_one_pair_at_a_time(*args).items())
+
+
+def destroy_one_pool_at_a_time(pool_best, caps):
+    """Reference for `oracle._destroy`: walks every destruction vector of every
+    pool, keeping the first pool of strictly smallest cost per state."""
+    dp, parents = {}, {}
+    for pool, (cost, prev, aidx) in pool_best.items():
+        ranges = [range(min(x, c) + 1) for x, c in zip(pool, caps)]
+        for state in itertools.product(*ranges):
+            if cost < dp.get(state, math.inf):
+                dp[state] = cost
+                parents[state] = (prev, aidx, pool)
+    return dp, parents
+
+
+@st.composite
+def destruction_inputs(draw):
+    """Pools that nest and tie on cost, caps that clip them, 0 included."""
+    size = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, 3)] * size)
+    pools = draw(st.lists(vector, min_size=1, max_size=12, unique=True))
+    price = st.sampled_from((0.0, 0.5, 1.0, 2.5))
+    pool_best = {pool: (draw(price), (k,), k) for k, pool in enumerate(pools)}
+    caps = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    return pool_best, caps
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=destruction_inputs())
+def test_suffix_minimum_destruction_equals_the_walk(args):
+    # same states in the same insertion order, each with the same cost and
+    # the same parent pool
+    pool_best, caps = args
+    dp, parent = oracle._destroy(pool_best, caps)
+    ref_dp, ref_parents = destroy_one_pool_at_a_time(pool_best, caps)
+    assert list(dp.items()) == list(ref_dp.items())
+    items = list(pool_best.items())
+    parents = {}
+    for state in dp:
+        pool, (_cost, prev, aidx) = items[parent[state]]
+        parents[state] = (prev, aidx, pool)
+    assert parents == ref_parents
 
 
 @SETTINGS

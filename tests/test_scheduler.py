@@ -18,7 +18,6 @@ from edgesim.scheduler import (
     RoutingContext,
     distribute_interval,
     end_interval,
-    per_request_bound,
 )
 
 from conftest import make_topology
@@ -166,31 +165,6 @@ def test_rejection_when_no_node_can_host():
     assert d.rejected == {(0, 0): 2}
     assert sum(1 for r in audit if r.action == "reject") == 2
     d.check_conservation(batch)  # rejected requests still accounted
-
-
-def test_per_request_bound_local_hit():
-    topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE, alpha=0.001, run_coeff=0.2)
-    node = topo.nodes[0]
-    aq = params.alpha * 0.2 * 55.0
-    realized, bound = per_request_bound(ONE_TYPE[0], node, node, True, params, topo)
-    assert realized == pytest.approx(aq)
-    assert bound >= realized
-
-
-def test_per_request_bound_creation_equality():
-    topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
-    node = topo.nodes[0]
-    realized, bound = per_request_bound(ONE_TYPE[0], node, node, False, params, topo)
-    assert realized == bound  # p + alpha*q is exactly the worst case
-    assert realized == pytest.approx(55.0 + params.alpha * 55.0)
-
-
-def test_per_request_bound_offload_below_bound():
-    topo, params, ctx, states = _setup([4000.0, 4000.0], comm=[[0, 3], [3, 0]], catalog=ONE_TYPE)
-    realized, bound = per_request_bound(ONE_TYPE[0], topo.nodes[0], topo.nodes[1], True, params, topo)
-    assert realized == pytest.approx(3.0 + params.alpha * 55.0)
-    assert realized <= bound
-    assert bound == pytest.approx(55.0 + params.alpha * 55.0)
 
 
 def test_end_interval_actives_idle_into_cache():
