@@ -9,7 +9,7 @@ import os
 import sys
 
 from .errors import ConfigError, InvariantViolation
-from .model import DEFAULT_CATALOG, CostParams, load_catalog, load_topology, open_input
+from .model import DEFAULT_CATALOG, CostParams, left_sum, load_catalog, load_topology, open_input
 from .oracle import instance_from_json, solve_exact
 from .scheduler import write_audit_csv
 from .sim import SimConfig, SweepGrid, run, summary_json, sweep
@@ -207,7 +207,7 @@ def cmd_sweep(args) -> int:
 
 def _mean(values):
     values = [v for v in values if v is not None]
-    return sum(values) / len(values) if values else None
+    return left_sum(values) / len(values) if values else None
 
 
 # Plot-ready aggregates: (file, key fields, averaged field) per figure.

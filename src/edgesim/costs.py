@@ -6,7 +6,7 @@ import csv
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
-from .model import RequestBatch, Topology
+from .model import RequestBatch, Topology, left_sum
 
 
 @dataclass
@@ -65,9 +65,13 @@ def interval_switching_cost(decision: IntervalDecision, ctx) -> float:
 
 
 def interval_comm_cost(decision: IntervalDecision, topology: Topology) -> float:
-    """Sum of d over offloaded requests; local service contributes nothing."""
+    """Sum of d over offloaded requests; local service contributes nothing.
+    A left fold from the int 0, as `left_sum` adds, written out for speed."""
     d = topology.comm_cost
-    return sum(d[v][v2] * c for (v, v2, n), c in decision.offloaded.items())
+    total = 0
+    for (v, v2, _n), c in decision.offloaded.items():
+        total += d[v][v2] * c
+    return total
 
 
 def interval_running_cost(states, ctx) -> float:
@@ -126,7 +130,7 @@ class CostLedger:
         """Sum of the row totals at `alpha` (default: the ledger's), recomputed
         from the unweighted components with the same per-row expression."""
         alpha = self.alpha if alpha is None else alpha
-        return sum(r.switching + r.communication + alpha * r.running for r in self.rows)
+        return left_sum(r.switching + r.communication + alpha * r.running for r in self.rows)
 
     def total_cold_starts(self) -> int:
         return sum(r.cold_starts for r in self.rows)

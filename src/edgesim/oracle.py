@@ -14,6 +14,7 @@ from .model import (
     FunctionType,
     RequestBatch,
     Topology,
+    left_sum,
     running_cost,
     switching_cost,
     validate_setup,
@@ -67,32 +68,24 @@ def _compositions(total: int, k: int):
             yield (first,) + rest
 
 
-def _demand(instance: TinyInstance) -> list[list[list[int]]]:
-    V, N, T = instance.topology.n_nodes, len(instance.catalog), instance.horizon
-    lam = [[[0] * N for _ in range(V)] for _ in range(T + 1)]
-    for b in instance.batches:
-        for (v, n), c in b.counts.items():
-            lam[b.interval][v][n] += c
-    return lam
-
-
-def _estimate_ops(instance, lam, keep_cap):
-    V, N, T = instance.topology.n_nodes, len(instance.catalog), instance.horizon
+def _estimate_ops(lam, keep_cap, V):
+    """Per interval: its routings times the states before it, plus its kept
+    states squared; infinite once a count is too large for a float."""
     est = 0.0
     states_prev = 1.0
-    for t in range(1, T + 1):
-        n_assign = 1.0
-        for v in range(V):
-            for n in range(N):
-                c = lam[t][v][n]
+    try:
+        for t in range(1, len(lam)):
+            n_assign = 1.0
+            for c in lam[t]:
                 if c:
                     n_assign *= math.comb(c + V - 1, V - 1)
-        states_t = 1.0
-        for v in range(V):
-            for n in range(N):
-                states_t *= keep_cap[t][v][n] + 1
-        est += states_prev * n_assign + states_t * states_t
-        states_prev = states_t
+            states_t = 1.0
+            for k in keep_cap[t]:
+                states_t *= k + 1
+            est += states_prev * n_assign + states_t * states_t
+            states_prev = states_t
+    except OverflowError:
+        return math.inf
     return est
 
 
@@ -219,82 +212,55 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
     bill one interval of running cost, matching the simulator's accounting.
     """
     V, N, T = instance.topology.n_nodes, len(instance.catalog), instance.horizon
-    u = [f.mem_mb for f in instance.catalog]
-    cap = [node.capacity_mb for node in instance.topology.nodes]
+    nodes, catalog, params = instance.topology.nodes, instance.catalog, instance.params
+    u = [f.mem_mb for f in catalog]
+    cap = [node.capacity_mb for node in nodes]
     d = instance.topology.comm_cost
-    params = instance.params
-    alpha = params.alpha
-    p = [[switching_cost(node, f, params) for f in instance.catalog] for node in instance.topology.nodes]
-    q = [[running_cost(node, f, params) for f in instance.catalog] for node in instance.topology.nodes]
-    lam = _demand(instance)
+    size = V * N  # flat index i = v * N + n
+    p_flat = [switching_cost(node, f, params) for node in nodes for f in catalog]
+    aq_flat = [params.alpha * running_cost(node, f, params) for node in nodes for f in catalog]
+    lam = [[0] * size for _ in range(T + 1)]  # Python ints: a JSON count can exceed int64
+    for b in instance.batches:
+        for (v, n), c in b.counts.items():
+            lam[b.interval][v * N + n] += c
 
     # Max containers of a type worth keeping after interval t: the largest
     # single future interval's global demand (a container serves one request
     # per interval), further capped by what fits in the node.
-    totals = [[sum(lam[t][v][n] for v in range(V)) for n in range(N)] for t in range(T + 1)]
-    keep_cap = [[[0] * N for _ in range(V)] for _ in range(T + 1)]
-    for t in range(T + 1):
-        for n in range(N):
-            future = max((totals[tt][n] for tt in range(t + 1, T + 1)), default=0)
-            for v in range(V):
-                keep_cap[t][v][n] = min(future, int(cap[v] // u[n]))
+    fits = [int(c // m) for c in cap for m in u]
+    keep_cap, future = [None] * (T + 1), [0] * N
+    for t in range(T, -1, -1):
+        keep_cap[t] = [min(future[i % N], fits[i]) for i in range(size)]
+        future = [max(f, sum(lam[t][n::N])) for n, f in enumerate(future)]
 
-    est = _estimate_ops(instance, lam, keep_cap)
+    est = _estimate_ops(lam, keep_cap, V)
     if est > MAX_ENUM_OPS:
         raise InstanceTooLarge(
             f"instance needs ~{est:.3g} enumeration steps, cap is {MAX_ENUM_OPS:.0e}"
         )
 
-    size = V * N  # flat index i = v * N + n
-    p_flat = [p[v][n] for v in range(V) for n in range(N)]
-    aq_flat = [alpha * q[v][n] for v in range(V) for n in range(N)]
-
-    def assignments_for(t):
-        """Every routing of interval t's requests: the (A, size) served-count
-        vectors m, their (A,) communication costs and their routes."""
-        groups = []
-        for v in range(V):
-            for n in range(N):
-                c = lam[t][v][n]
-                if c:
-                    comps = [
-                        (comp, sum(comp[s] * d[v][s] for s in range(V)))
-                        for comp in _compositions(c, V)
-                    ]
-                    groups.append((v, n, comps))
-        ms, comms, routes_all = [], [], []
-        m = [0] * size
-
-        def rec(i, comm, routes):
-            if i == len(groups):
-                ms.append(tuple(m))
-                comms.append(comm)
-                routes_all.append(tuple(routes))
-                return
-            v, n, comps = groups[i]
-            for comp, ccost in comps:
-                for s in range(V):
-                    m[s * N + n] += comp[s]
-                rec(i + 1, comm + ccost, routes + [(v, n, comp)])
-                for s in range(V):
-                    m[s * N + n] -= comp[s]
-
-        rec(0, 0.0, [])
-        return np.array(ms, dtype=np.int64), np.array(comms, dtype=float), routes_all
-
-    zero = tuple([0] * size)
-    dp = {zero: 0.0}
-    parents: dict[int, tuple[list, np.ndarray]] = {}
-    routes_by_t = {}
-
+    dp = {(0,) * size: 0.0}
+    parents = {}  # t -> (request groups, list(pool_best.items()), parent)
     for t in range(1, T + 1):
-        m_all, comm, routes_by_t[t] = assignments_for(t)
+        # Every routing of interval t, one product over its (origin, type)
+        # request groups with group 0 outermost: served counts m_all (A, size)
+        # and communication costs comm (A,), each added up group by group.
+        groups, m_all, comm = [], np.zeros((1, size), dtype=np.int64), np.zeros(1)
+        for i, c in enumerate(lam[t]):
+            if c:
+                v, n = divmod(i, N)
+                comps = list(_compositions(c, V))
+                served = np.zeros((len(comps), size), dtype=np.int64)
+                served[:, n::N] = comps
+                ccost = np.array([left_sum(comp[s] * d[v][s] for s in range(V)) for comp in comps])
+                m_all = (m_all[:, None] + served).reshape(-1, size)
+                comm = (comm[:, None] + ccost).ravel()
+                groups.append((v, n, comps))
         pool_best = _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat)
         if not pool_best:
             raise InfeasibleInstance(f"no feasible routing for interval {t}")
-        caps_t = [keep_cap[t][i // N][i % N] for i in range(size)]
-        dp, parent = _destroy(pool_best, caps_t)
-        parents[t] = (list(pool_best.items()), parent)
+        dp, parent = _destroy(pool_best, keep_cap[t])
+        parents[t] = (groups, list(pool_best.items()), parent)
 
     final_state = min(dp, key=dp.get)
     best_cost = dp[final_state]
@@ -307,9 +273,11 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
     witness = []
     state = final_state
     for t in range(T, 0, -1):
-        items, parent = parents[t]
+        groups, items, parent = parents[t]
         pool, (_cost, prev, aidx) = items[parent[state]]
-        routes = routes_by_t[t][aidx]
+        # the routing index in the product's mixed radix: one pick per group
+        picks = np.unravel_index(aidx, [len(comps) for _v, _n, comps in groups])
+        routes = [(v, n, comps[k]) for (v, n, comps), k in zip(groups, picks)]
         witness.append(
             {
                 "interval": t,
@@ -454,7 +422,7 @@ def random_tiny_instance(rng: np.random.Generator) -> TinyInstance:
 
     demand_mb = 0.0
     for t in range(1, T + 1):
-        demand_mb = max(demand_mb, sum(lam[t, :, n].sum() * catalog[n].mem_mb for n in range(N)))
+        demand_mb = max(demand_mb, left_sum(lam[t, :, n].sum() * catalog[n].mem_mb for n in range(N)))
     cap = max(demand_mb, max(f.mem_mb for f in catalog)) * float(rng.uniform(1.0, 1.3))
 
     nodes = [EdgeNode(v, float(round(cap, 1)), float(round(cpus[v], 2))) for v in range(V)]

@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigError, ContractError
-from .model import NodeState
+from .model import NodeState, left_sum
 
 POLICY_NAMES = ("pcache", "lru", "fc", "nocache")
 
@@ -22,7 +22,7 @@ class EvictionDistribution:
             raise ContractError("eviction distribution needs a non-empty support")
         if any(p < 0 for p in self.probs.values()):
             raise ContractError("eviction probabilities must be >= 0")
-        s = sum(self.probs.values())
+        s = left_sum(self.probs.values())
         if abs(s - 1.0) > 1e-9:
             raise ContractError(f"eviction probabilities sum to {s!r}, not 1")
 
@@ -51,7 +51,7 @@ def pcache_distribution(state: NodeState, catalog, freq=None, last_used=None) ->
         weights[n] = f.mem_mb / denom
     if not weights:
         raise ContractError(f"node {state.node_id}: no cached containers to evict")
-    total = sum(weights.values())
+    total = left_sum(weights.values())
     return EvictionDistribution({n: w / total for n, w in sorted(weights.items())})
 
 

@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import ttest_1samp
 
 from edgesim.model import DEFAULT_CATALOG, CostParams, NodeState
 from edgesim.oracle import competitive_check, random_tiny_instance, solve_exact
@@ -213,6 +214,7 @@ def test_criterion_5_trend_reproduction(trend_records):
     fc_mean = _mean(r["normalized_cost"] for r in trend_records if r["policy"] == "fc")
     improvement = 1.0 - pcache_mean / fc_mean
     passed = order_ok and cold_ok and improvement >= 0.10
+    print("\n" + "\n".join(_seed_evidence(trend_records)))
     _report(
         5,
         passed,
@@ -220,6 +222,24 @@ def test_criterion_5_trend_reproduction(trend_records):
         f"(worst margin {worst_margin:.2e}); cold-start ordering holds at every beta; "
         f"pcache beats fc by {improvement:.1%} overall (needs >= 10%)",
     )
+
+
+def _seed_evidence(trend_records):
+    """Criterion 5 seed by seed, printed and never gated: per (beta, alpha)
+    cell, the seeds on which lru costs more than pcache and fc more than lru,
+    and the one-sided paired t-test p-value of each mean gap."""
+    cost = {(r["beta"], r["alpha"], r["policy"], r["seed"]): r["normalized_cost"] for r in trend_records}
+    lines = ["seed-level evidence (wins of 10 seeds, one-sided paired t-test p):"]
+    for beta in BETAS:
+        for alpha in TREND_ALPHAS:
+            cells = []
+            for low, high in (("pcache", "lru"), ("lru", "fc")):
+                gaps = [cost[(beta, alpha, high, s)] - cost[(beta, alpha, low, s)] for s in TREND_SEEDS]
+                wins = sum(gap > 0 for gap in gaps)
+                pvalue = ttest_1samp(gaps, 0.0, alternative="greater").pvalue
+                cells.append(f"{high} > {low} {wins:2d}/{len(gaps)} p={pvalue:.3g}")
+            lines.append(f"  beta {beta} alpha {alpha}: " + ", ".join(cells))
+    return lines
 
 
 def _desk_config(policy, ttl=10, horizon=300, seed=5):

@@ -252,6 +252,16 @@ MALFORMED_INSTANCE_CASES = {
     "node_not_object": ({**_instance_obj(), "nodes": [5]}, "malformed instance JSON"),
     "short_request": ({**_instance_obj(), "requests": [[1, 0, 0]]}, "malformed instance JSON"),
     "horizon_text": ({**_instance_obj(), "horizon": "x"}, "malformed instance JSON"),
+    # C(c + 1, 1) = c + 1 routings: beyond float range, refused like any oversize instance
+    "huge_count": (
+        {
+            **_instance_obj(),
+            "nodes": [{"id": v, "capacity_mb": 400.0, "cpu_ghz": 1.0} for v in range(2)],
+            "comm_cost": [[0.0, 1.0], [1.0, 0.0]],
+            "requests": [[1, 0, 0, 10**309]],
+        },
+        "cap is 1e+07",
+    ),
 }
 
 

@@ -8,16 +8,21 @@ numpy upgrade that changes those streams changes them too, and must say so
 when it re-pins.
 """
 
+import builtins
 import csv
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
 from collections import Counter
 from contextlib import redirect_stdout
+from functools import partial
 
 import numpy as np
 import pytest
 
+import edgesim
 from edgesim import cli, sim
 from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, FunctionType, RequestBatch, Topology
 from edgesim.oracle import TinyInstance, instance_to_json, random_tiny_instance, solve_exact
@@ -138,6 +143,10 @@ def audit_digest(out):
     return _sha(*((out / name).read_bytes() for name in ("ledger.csv", "audit.csv", "summary.json")))
 
 
+def trace_audit_digest(tmp_path):
+    return audit_digest(trace_audit_run(tmp_path, "pcache", 900, seed=22, rate=0.6))
+
+
 def pressure_run(tmp_path, policy):
     # 600 MB holds 332 + 158 + 55 + 55 MB exactly, and the bursts overflow
     # every node: local creations in batches, evictions, offloads, fallback
@@ -235,6 +244,10 @@ def cap_instances():
     return [cap_instance(rng) for _ in range(4)]
 
 
+def random_instances():
+    return [random_tiny_instance(np.random.default_rng(k)) for k in range(200)]
+
+
 def oracle_digest(instances):
     """The optimum's repr (an np.float64 repr differs from a float's) and the
     witness JSON of every instance."""
@@ -246,21 +259,24 @@ def oracle_digest(instances):
 
 
 def test_oracle_random_tiny_bytes():
-    instances = [random_tiny_instance(np.random.default_rng(k)) for k in range(200)]
-    assert oracle_digest(instances) == ORACLE_RANDOM_GOLDEN
+    assert oracle_digest(random_instances()) == ORACLE_RANDOM_GOLDEN
 
 
 def test_oracle_size_cap_bytes():
     assert oracle_digest(cap_instances()) == ORACLE_CAP_GOLDEN
 
 
-def test_oracle_cli_compare_bytes(tmp_path):
+def oracle_cli_digest(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(instance_to_json(cap_instances()[1])))
     stdout = io.StringIO()
     with redirect_stdout(stdout):
         assert cli.main(["oracle", "--instance", str(path), "--compare", "pcache"]) == 0
-    assert _sha(stdout.getvalue().encode()) == ORACLE_CLI_GOLDEN
+    return _sha(stdout.getvalue().encode())
+
+
+def test_oracle_cli_compare_bytes(tmp_path):
+    assert oracle_cli_digest(tmp_path) == ORACLE_CLI_GOLDEN
 
 
 @pytest.mark.parametrize("policy,check", sorted(DESK_GOLDEN))
@@ -269,8 +285,7 @@ def test_desk_run_bytes(policy, check, tmp_path):
 
 
 def test_trace_audit_run_bytes(tmp_path):
-    out = trace_audit_run(tmp_path, "pcache", 900, seed=22, rate=0.6)
-    assert audit_digest(out) == AUDIT_GOLDEN
+    assert trace_audit_digest(tmp_path) == AUDIT_GOLDEN
 
 
 @pytest.mark.parametrize("policy", sorted(PRESSURE_AUDIT_GOLDEN))
@@ -348,3 +363,45 @@ def test_pressure_inputs_exercise_every_path(policy, tmp_path, monkeypatch):
     caching = policy != "nocache"
     assert (max(map(len, in_radius.values()), default=0) >= 2) == caching
     assert (sum(evictions) > 0) == caching
+
+
+def golden_cases():
+    """(name, digest of a fresh directory, pinned hash) for every case above."""
+    cases = [(f"desk {p} {c}", partial(desk_digest, p, c), h) for (p, c), h in sorted(DESK_GOLDEN.items())]
+    cases.append(("trace audit", trace_audit_digest, AUDIT_GOLDEN))
+    cases += [
+        (f"pressure {p}", lambda tmp, p=p: audit_digest(pressure_run(tmp, p)), h)
+        for p, h in sorted(PRESSURE_AUDIT_GOLDEN.items())
+    ]
+    cases += [
+        ("sweep", sweep_digest, SWEEP_GOLDEN),
+        ("sweep errors", sweep_errors_digest, SWEEP_ERRORS_GOLDEN),
+        ("figure csv", figure_csv_digest, FIGURE_CSV_GOLDEN),
+        ("oracle random", lambda tmp: oracle_digest(random_instances()), ORACLE_RANDOM_GOLDEN),
+        ("oracle cap", lambda tmp: oracle_digest(cap_instances()), ORACLE_CAP_GOLDEN),
+        ("oracle cli", oracle_cli_digest, ORACLE_CLI_GOLDEN),
+    ]
+    return cases
+
+
+def _int_only_sum(values, start=0):
+    values = list(values)
+    floats = [x for x in [start, *values] if isinstance(x, (float, np.floating))]
+    if floats:
+        raise AssertionError(f"sum() over floats {floats[:3]!r}: its rounding depends on the Python version")
+    return builtins.sum(values, start)
+
+
+def test_goldens_add_no_float_with_sum(tmp_path, monkeypatch):
+    # Python 3.12's sum() compensates exact floats, so every float total must
+    # be a plain left fold (model.left_sum) for these bytes to hold on any
+    # interpreter: with a sum() that refuses floats in every edgesim module,
+    # every golden case still gives its pinned hash
+    for info in pkgutil.iter_modules(edgesim.__path__):
+        if info.name != "__main__":
+            monkeypatch.setattr(importlib.import_module(f"edgesim.{info.name}"), "sum", _int_only_sum, raising=False)
+    monkeypatch.setattr(edgesim, "sum", _int_only_sum, raising=False)
+    for k, (name, digest, pinned) in enumerate(golden_cases()):
+        out = tmp_path / str(k)
+        out.mkdir()
+        assert digest(out) == pinned, name

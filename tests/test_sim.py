@@ -400,3 +400,27 @@ def test_nocache_run_normalizes_by_the_given_baseline():
     total = run(config).summary["total_cost"]
     assert total > 0
     assert run(config, baseline_total=2 * total).summary["normalized_cost"] == 0.5
+
+
+# (node 0's doctored state, the message _check_states must raise): DEFAULT_CATALOG
+# is 55, 158, 332 and 92 MB and _zipf_config's nodes hold 2000 MB
+DOCTORED_STATES = {
+    "over_capacity": (dict(cache=[0, 0, 7, 0], freq=[0, 0, 7, 0], used_mb=2324.0), "exceeds capacity"),
+    "drifted": (dict(cache=[1, 0, 0, 0], freq=[1, 0, 0, 0], used_mb=56.0), "occupancy drifted"),
+    "never_invoked": (dict(cache=[1, 0, 0, 0], used_mb=55.0), "never invoked"),
+    "negative": (dict(active=[0, -1, 0, 0], cache=[0, 1, 0, 0], freq=[0, 1, 0, 0], used_mb=0.0), "negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCTORED_STATES))
+def test_state_checks_trip_on_doctored_states(case):
+    # every condition of the per-interval state check raises, naming its node
+    # and interval; the undoctored states pass
+    config = _zipf_config()
+    states = [sim.NodeState(v, 4) for v in range(config.topology.n_nodes)]
+    sim._check_states(config, states, 3)
+    fields, message = DOCTORED_STATES[case]
+    for name, value in fields.items():
+        setattr(states[0], name, value)
+    with pytest.raises(InvariantViolation, match=f"interval 3: node 0 .*{message}"):
+        sim._check_states(config, states, 3)

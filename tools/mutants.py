@@ -1,0 +1,251 @@
+"""Mutant catalogue: small, deliberate bugs that the fast test suite must catch.
+
+Usage, from the repository root:
+
+    python3 tools/mutants.py             # run every mutant, 2-30 s each
+    python3 tools/mutants.py NAME ...    # run the named mutants only
+
+For each mutant the script copies the tree to a temporary directory, replaces
+the mutant's anchor text (which must occur exactly once in its file) and runs
+
+    pytest -x -q --ignore=tests/test_acceptance.py --ignore=tests/test_mutants.py --hypothesis-seed=0
+
+there, after checking that the unmutated tree passes. A failing run kills the
+mutant; a passing run lets it survive. The fixed hypothesis seed makes every
+verdict reproducible. The exit status is 1 when a mutant survived. A survivor
+calls for a new test, never for dropping the mutant. A refactor that moves an
+anchor updates its entry in the same change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "bench", "tools", "pyproject.toml", "README.md")
+# tests/test_mutants.py checks the anchors of the unmutated tree: a mutant
+# always removes one, so that test would kill every mutant
+PYTEST = [
+    "-m", "pytest", "-x", "-q", "--ignore=tests/test_acceptance.py", "--ignore=tests/test_mutants.py",
+    "--hypothesis-seed=0", "-p", "no:cacheprovider",
+]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    anchor: str
+    replacement: str
+    breaks: str
+
+
+SCHED = "src/edgesim/scheduler.py"
+SIM = "src/edgesim/sim.py"
+ORACLE = "src/edgesim/oracle.py"
+POLICIES = "src/edgesim/policies.py"
+COSTS = "src/edgesim/costs.py"
+MODEL = "src/edgesim/model.py"
+
+MUTANTS = [
+    # alpha collapse: one trajectory priced and checked at every alpha
+    Mutant("bounds-first-alpha-only", SCHED,
+           "for alpha in alphas}", "for alpha in alphas[:1]}",
+           "per-request bounds checked at the first alpha only"),
+    Mutant("validate-first-alpha-only", SIM,
+           "        for p in params:\n            try:\n", "        for p in params[:1]:\n            try:\n",
+           "alpha*q <= p checked at the first alpha only"),
+    Mutant("drop-bound-failures", SCHED,
+           "        self.failures[alpha] = InvariantViolation(", "        InvariantViolation(",
+           "a bound violation ends the alpha's checks but is never reported"),
+    Mutant("price-at-ledger-alpha", SIM,
+           "{p.alpha: lane.ledger.total_cost(p.alpha)", "{p.alpha: lane.ledger.total_cost()",
+           "every alpha priced at the first alpha's weight"),
+    Mutant("skip-shared-input-check", SIM,
+           "    validate_fit(config.topology, config.catalog)\n    ctx =", "    ctx =",
+           "an input every lane shares fails cell by cell instead of raising"),
+    Mutant("nocache-not-own-baseline", SIM,
+           '    elif config.policy != "nocache":', "    elif True:",
+           "a no-cache run simulates a second no-cache lane as its baseline"),
+    Mutant("smallest-alpha-violation-only", SCHED,
+           "                if cost + aq > aq + top + 1e-9:",
+           "                if cost + aq > aq + top + 1e-9 and alpha == min(check.live):",
+           "only the smallest live alpha records its violation"),
+    # oracle block pricing
+    Mutant("pools-keep-later-tie", ORACLE,
+           "if held is None or c < held[0]:", "if held is None or c <= held[0]:",
+           "a later pair of equal cost replaces a pool's earliest pair"),
+    Mutant("pools-ignore-cost", ORACLE,
+           "at_min = np.flatnonzero(costs == cheapest[group])", "at_min = np.arange(len(costs))",
+           "each pool keeps its first pair, not its cheapest"),
+    Mutant("pools-in-key-order", ORACLE,
+           "        best = best[np.argsort(first)]\n", "",
+           "pools enter the dict in key order, not first-pair order"),
+    Mutant("capacity-any-node", ORACLE,
+           "(used > np.reshape(cap, (V, 1, 1))).any(axis=0)", "(used > np.reshape(cap, (V, 1, 1))).all(axis=0)",
+           "a pool is infeasible only when every node overflows"),
+    # routing tables
+    Mutant("admit-strict-capacity", MODEL,
+           "while k < limit and used + mem_mb <= capacity_mb:", "while k < limit and used + mem_mb < capacity_mb:",
+           "a container that fills its node exactly is refused"),
+    Mutant("offload-no-clamp", SCHED,
+           "                if take > remaining:\n                    take = remaining\n", "",
+           "an offload consumes more cached containers than requests remain"),
+    Mutant("offload-table-short", SCHED,
+           "[pairs[: bisect_right(dists, p)] for p in self.p[v]]",
+           "[pairs[: max(0, bisect_right(dists, p) - 1)] for p in self.p[v]]",
+           "the farthest in-radius neighbour is cut off each offload table"),
+    # lockstep lanes
+    Mutant("shared-policy-rng", SIM,
+           'self.rng = np.random.default_rng(derive_seed(config.seed, "policy", config.policy))',
+           'self.rng = ctx.__dict__.setdefault("rng", np.random.default_rng(derive_seed(config.seed, "policy", config.policy)))',
+           "every lane of a stream draws from one policy rng"),
+    Mutant("close-skips-active", COSTS,
+           "            if alive:\n                alive += cache[n]", "            if False:\n                alive += cache[n]",
+           "the interval close neither idles nor prices serving containers"),
+    Mutant("no-check-after-routing", SIM,
+           "                decision.check_conservation(batch)\n                _check_states(self.config, states, t)\n",
+           "                decision.check_conservation(batch)\n",
+           "node states are checked only after the close"),
+    # one router for every lane
+    Mutant("close-zeroes-used-mb", SCHED,
+           "        state.used_mb -= mems[n] * count", "        state.used_mb = 0.0",
+           "the no-cache close resets occupancy instead of subtracting it"),
+    Mutant("close-in-insertion-order", SCHED,
+           "    for (v, n), count in sorted(decision.created.items()):", "    for (v, n), count in decision.created.items():",
+           "the no-cache close prices in insertion order, not node-major"),
+    Mutant("fallback-no-invocation", SCHED,
+           "                    state_2.add_active(n, mem)\n                    policy.on_invocation(state_2, n, t)\n",
+           "                    state_2.add_active(n, mem)\n",
+           "a fallback creation updates no invocation statistics"),
+    Mutant("fallback-credits-origin", SCHED,
+           "created[(v2, n)] = created.get((v2, n), 0) + 1", "created[key] = created.get(key, 0) + 1",
+           "a fallback creation is booked at the origin, not where it happened"),
+    # fc entry logs
+    Mutant("fc-sync-after-expiry", POLICIES,
+           "                while len(dq) > cached:\n                    dq.popleft()\n"
+           "                if len(dq) < cached:\n                    dq.extend([now] * (cached - len(dq)))\n"
+           "                count = 0\n                while dq and now - dq[0] >= self.ttl:\n"
+           "                    dq.popleft()\n                    count += 1\n",
+           "                if len(dq) < cached:\n                    dq.extend([now] * (cached - len(dq)))\n"
+           "                count = 0\n                while dq and now - dq[0] >= self.ttl:\n"
+           "                    dq.popleft()\n                    count += 1\n"
+           "                while len(dq) > cached:\n                    dq.popleft()\n",
+           "fc retires consumed entries after expiring, so it expires the wrong containers"),
+    Mutant("fc-victim-no-sync", POLICIES,
+           "            while len(dq) > cached:\n                dq.popleft()\n            if cached and",
+           "            if cached and",
+           "fc picks its pressure victim from stale entry logs"),
+    Mutant("fc-ttl-strict", POLICIES,
+           "while dq and now - dq[0] >= self.ttl:", "while dq and now - dq[0] > self.ttl:",
+           "fc keeps a container one interval past its ttl"),
+    # oracle destruction by suffix minima
+    Mutant("destroy-ties-latest-pool", ORACLE,
+           'by_cost = np.argsort(costs, kind="stable")', "by_cost = np.lexsort((-np.arange(n_pools), costs))",
+           "a state's parent is the latest of its cheapest pools"),
+    Mutant("destroy-c-order", ORACLE,
+           'order = reached[np.argsort(first[reached], kind="stable")]', "order = reached",
+           "kept states enter dp in C order, not by their first pool"),
+    # oracle routings as one product
+    Mutant("routings-groups-reversed", ORACLE,
+           "                m_all = (m_all[:, None] + served).reshape(-1, size)\n"
+           "                comm = (comm[:, None] + ccost).ravel()\n",
+           "                m_all = (served[:, None] + m_all).reshape(-1, size)\n"
+           "                comm = (ccost[:, None] + comm).ravel()\n",
+           "routings enumerated with the last request group outermost"),
+    Mutant("witness-picks-reversed", ORACLE,
+           "for (v, n, comps), k in zip(groups, picks)]", "for (v, n, comps), k in zip(groups, picks[::-1])]",
+           "the witness decodes its routing's picks in reverse group order"),
+    Mutant("huge-count-overflows", ORACLE,
+           "    except OverflowError:\n        return math.inf\n", "    except ZeroDivisionError:\n        return math.inf\n",
+           "a request count beyond float range ends in a traceback, not a refusal"),
+    # invariants and rules
+    Mutant("no-conservation-check", COSTS,
+           "            if lam != got:", "            if False:",
+           "request conservation is never checked"),
+    Mutant("no-capacity-check", SIM,
+           "        if occ > node.capacity_mb + 1e-9:", "        if occ > node.capacity_mb * 2:",
+           "occupancy may exceed capacity up to twice over"),
+    Mutant("pcache-weight-no-memory", POLICIES,
+           "weights[n] = f.mem_mb / denom", "weights[n] = 1.0 / denom",
+           "pcache's eviction weight ignores the container's memory"),
+    Mutant("fallback-by-distance", SCHED,
+           "key=lambda v2: (self.d[v][v2] + self.p[v2][n], v2)", "key=lambda v2: (self.d[v][v2], v2)",
+           "overflow goes to the nearest node, not the cheapest by d + p"),
+    Mutant("validate-fit-half", MODEL,
+           "        if node.capacity_mb < max_mem:", "        if node.capacity_mb < max_mem / 2:",
+           "a node too small for the largest container is accepted"),
+    Mutant("derive-seed-random", SIM,
+           '        h.update(b"|")', '        h.update(b"|" + __import__("os").urandom(4))',
+           "derived seeds differ from run to run"),
+    Mutant("total-cost-builtin-sum", COSTS,
+           "        return left_sum(r.switching", "        return sum(r.switching",
+           "the run's total cost depends on the interpreter's float sum()"),
+]
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    path = root / mutant.file
+    text = path.read_text()
+    found = text.count(mutant.anchor)
+    if found != 1:
+        raise SystemExit(f"{mutant.name}: anchor occurs {found} times in {mutant.file}")
+    path.write_text(text.replace(mutant.anchor, mutant.replacement))
+
+
+def run_one(mutant: Mutant | None) -> tuple[bool, float, str]:
+    """(killed, seconds, the failing test or pytest's last line) for one
+    mutant, or for the unmutated tree when `mutant` is None."""
+    with tempfile.TemporaryDirectory(prefix="edgesim-mutant-") as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, root / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", "out"))
+            else:
+                shutil.copy2(src, root / name)
+        if mutant is not None:
+            apply(mutant, root)
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *PYTEST], cwd=root, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    failed = [line for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    last = (failed or lines or [proc.stderr.strip()[-200:]])[0 if failed else -1]
+    return proc.returncode != 0, seconds, last[:160]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] or MUTANTS
+    failed, seconds, last = run_one(None)
+    if failed:
+        print(f"the unmutated tree fails ({last}); no mutant can be judged")
+        return 2
+    print(f"unmutated tree passes in {seconds:.1f} s", flush=True)
+    survivors = []
+    for m in chosen:
+        killed, seconds, last = run_one(m)
+        print(f"{'killed  ' if killed else 'SURVIVED'} {m.name:32} {seconds:6.1f} s  {last}", flush=True)
+        if not killed:
+            survivors.append(m.name)
+    print(f"{len(chosen) - len(survivors)}/{len(chosen)} killed" + (f"; survived: {', '.join(survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
