@@ -38,5 +38,5 @@ class InstanceTooLarge(ConfigError):
     """Offline-solver instance exceeds the enumerable-size caps."""
 
 
-class InfeasibleInstance(ValueError):
+class InfeasibleInstance(ConfigError):
     """No assignment can serve the instance's requests within capacity."""

@@ -203,16 +203,12 @@ class NodeState:
         self.cache[ftype] -= count
         self.active[ftype] += count
 
-    def add_active(self, ftype: int, mem_mb: float) -> None:
-        self.active[ftype] += 1
-        self.used_mb += mem_mb
-
     def admit(self, ftype: int, mem_mb: float, capacity_mb: float, limit: int) -> int:
         """Create up to `limit` active containers, one at a time while each
         fits in `capacity_mb`; returns how many. At least one must fit.
 
-        `used_mb` takes one `+= mem_mb` per container, as `add_active` does,
-        so it is bit-identical to creating them one by one.
+        `used_mb` takes one `+= mem_mb` per container, so it is bit-identical
+        to creating them one by one.
         """
         used = self.used_mb
         k = 0

@@ -70,7 +70,9 @@ def _compositions(total: int, k: int):
 
 def _estimate_ops(lam, keep_cap, V):
     """Per interval: its routings times the states before it, plus its kept
-    states squared; infinite once a count is too large for a float."""
+    states squared; infinite once a count is too large for a float. A group
+    of c requests counts max(C(c + V - 1, V - 1), c + 1) routings, so a huge
+    count is refused on one node too, where C(c, 0) = 1."""
     est = 0.0
     states_prev = 1.0
     try:
@@ -78,7 +80,7 @@ def _estimate_ops(lam, keep_cap, V):
             n_assign = 1.0
             for c in lam[t]:
                 if c:
-                    n_assign *= math.comb(c + V - 1, V - 1)
+                    n_assign *= max(math.comb(c + V - 1, V - 1), c + 1)
             states_t = 1.0
             for k in keep_cap[t]:
                 states_t *= k + 1
@@ -458,14 +460,21 @@ def instance_from_json(obj: dict) -> TinyInstance:
         raise
     except KeyError as exc:
         raise ConfigError(f"malformed instance JSON: missing key {exc}") from None
-    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (TypeError, ValueError, OverflowError, IndexError, AttributeError) as exc:
         raise ConfigError(f"malformed instance JSON: {exc}") from None
+
+
+def _integer(x) -> int:
+    """An id, interval, count or horizon: a JSON number with no fraction."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
 
 
 def _instance_from_json(obj: dict) -> TinyInstance:
     nodes = [
         EdgeNode(
-            id=int(row["id"]),
+            id=_integer(row["id"]),
             capacity_mb=float(row["capacity_mb"]),
             cpu_ghz=float(row["cpu_ghz"]),
             coord=tuple(row["coord"]) if row.get("coord") else None,
@@ -483,7 +492,7 @@ def _instance_from_json(obj: dict) -> TinyInstance:
         comm = comm_cost_from_coords(nodes, float(obj.get("comm_scale", 1.0)))
     topology = Topology(nodes=nodes, comm_cost=comm)
     catalog = tuple(
-        FunctionType(int(row["id"]), float(row["mem_mb"]), row.get("name", "") or "")
+        FunctionType(_integer(row["id"]), float(row["mem_mb"]), row.get("name", "") or "")
         for row in sorted(obj["types"], key=lambda r: r["id"])
     )
     params = CostParams(
@@ -491,12 +500,12 @@ def _instance_from_json(obj: dict) -> TinyInstance:
         switch_coeff=float(obj.get("switch_coeff", 1.0)),
         run_coeff=float(obj.get("run_coeff", 1.0)),
     )
-    horizon = int(obj["horizon"])
+    horizon = _integer(obj["horizon"])
     per_interval: dict[int, dict] = {}
     for t, v, n, c in obj.get("requests", []):
-        bucket = per_interval.setdefault(int(t), {})
-        key = (int(v), int(n))
-        bucket[key] = bucket.get(key, 0) + int(c)
+        bucket = per_interval.setdefault(_integer(t), {})
+        key = (_integer(v), _integer(n))
+        bucket[key] = bucket.get(key, 0) + _integer(c)
     batches = [RequestBatch(interval=t, counts=cts) for t, cts in sorted(per_interval.items())]
     return TinyInstance(topology=topology, catalog=catalog, params=params, horizon=horizon, batches=batches)
 

@@ -12,6 +12,8 @@ from .model import CostParams, NodeState, RequestBatch, Topology, running_cost, 
 
 @dataclass
 class AuditRecord:
+    """One request; a batch's equal records share one instance, never mutated."""
+
     interval: int
     origin: int
     ftype: int
@@ -114,13 +116,14 @@ def distribute_interval(
     from cached containers at nodes whose communication cost does not exceed
     the origin's switching cost (nearest first), then by creating containers
     at the origin, as many at once as fit, evicting via the policy under
-    capacity pressure. When the origin cannot host even after emptying its
-    cache, the request overflows to the cheapest feasible node by (d + p);
-    only if no node can host is it counted as rejected. A policy that holds
-    no idle container while requests are routed (`holds_idle` False) has
-    nothing to hit, offload to or evict, so its groups go straight to
-    creation. Each served request inside the analyzed channels is audited at
-    the context's alpha and bound-checked by `check`.
+    capacity pressure. What the origin cannot host even with an empty cache
+    overflows in one pass over the other nodes by ascending (d + p): each
+    serves from its cache, then creates as many as fit, evicting likewise;
+    what no node can host is rejected. A policy that holds no idle container
+    while requests are routed (`holds_idle` False) has nothing to hit,
+    offload to or evict, so its groups go straight to creation. Each request
+    is audited at the context's alpha; all but overflow creations are
+    bound-checked by `check`.
     """
     t = batch.interval
     decision = IntervalDecision(interval=t)
@@ -133,17 +136,18 @@ def distribute_interval(
     holds_idle = policy.holds_idle
     trace = audit is not None or check is not None
 
-    # A request's realized cost is cost + alpha*q and its bound
-    # max(alpha*q + p, alpha*q + d) = alpha*q + top, with top = max(p, d).
-    def note(origin, n, action, serving, cost, top):
+    # `count` requests of one channel, each costing cost + alpha*q against the
+    # bound max(alpha*q + p, alpha*q + d) = alpha*q + top, with top = max(p, d).
+    def note(origin, n, action, serving, cost, top, count, checked=True):
         if audit is not None:
             aq = aq_audit[origin][n]
-            audit.append(AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
-        if check is not None:
-            for alpha, aq_table in check.live.items():
-                aq = aq_table[origin][n]
-                if cost + aq > aq + top + 1e-9:
-                    check.fail(alpha, AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
+            audit.extend([AuditRecord(t, origin, n, action, serving, cost + aq, aq + top)] * count)
+        if checked and check is not None:
+            for _ in range(count):
+                for alpha, aq_table in check.live.items():
+                    aq = aq_table[origin][n]
+                    if cost + aq > aq + top + 1e-9:
+                        check.fail(alpha, AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
 
     for key, lam in sorted(batch.counts.items()):
         if not lam:
@@ -162,8 +166,7 @@ def distribute_interval(
                 local_served[key] = hit
                 remaining -= hit
                 if trace:
-                    for _ in range(hit):
-                        note(v, n, "hit", v, 0.0, p_vn)
+                    note(v, n, "hit", v, 0.0, p_vn, hit)
             if not remaining:
                 continue
 
@@ -181,61 +184,52 @@ def distribute_interval(
                 offloaded[route] = offloaded.get(route, 0) + take
                 remaining -= take
                 if trace:
-                    for _ in range(take):
-                        note(v, n, "offload", v2, d, p_vn)  # d <= p here
+                    note(v, n, "offload", v2, d, p_vn, take)  # d <= p here
                 if not remaining:
                     break
 
-        # 3) create at the origin, every container that fits at once;
-        # overflow to the cheapest feasible node
-        while remaining:
-            if state_v.used_mb + mem <= capacity[v] or _make_room(state_v, mem, ctx, policy, rng, destroyed):
-                k = state_v.admit(n, mem, capacity[v], remaining)
-                policy.on_invocation(state_v, n, t, k)
-                created[key] = created.get(key, 0) + k
-                local_served[key] = local_served.get(key, 0) + k
+        # 3) create at the origin, every container that fits at once
+        while remaining and (state_v.used_mb + mem <= capacity[v] or _make_room(state_v, mem, ctx, policy, rng, destroyed)):
+            k = state_v.admit(n, mem, capacity[v], remaining)
+            policy.on_invocation(state_v, n, t, k)
+            created[key] = created.get(key, 0) + k
+            local_served[key] = local_served.get(key, 0) + k
+            remaining -= k
+            if trace:
+                note(v, n, "create", v, p_vn, p_vn, k)
+        if not remaining:
+            continue
+
+        # 4) overflow by d + p: each node's idle containers, cheaper than new ones, first
+        for v2 in ctx.fallback_order(v, n):
+            state_2 = states[v2]
+            d = ctx.d[v][v2]
+            route = (v, v2, n)
+            take = min(remaining, state_2.cache[n])
+            if take:
+                state_2.consume_cache(n, take)
+                policy.on_invocation(state_2, n, t, take)
+                offloaded[route] = offloaded.get(route, 0) + take
+                remaining -= take
+                if trace:
+                    note(v, n, "offload", v2, d, max(p_vn, d), take)
+            while remaining and (state_2.used_mb + mem <= capacity[v2] or _make_room(state_2, mem, ctx, policy, rng, destroyed)):
+                k = state_2.admit(n, mem, capacity[v2], remaining)
+                policy.on_invocation(state_2, n, t, k)
+                created[(v2, n)] = created.get((v2, n), 0) + k
+                offloaded[route] = offloaded.get(route, 0) + k
+                decision.fallback_creations += k
                 remaining -= k
                 if trace:
-                    for _ in range(k):
-                        note(v, n, "create", v, p_vn, p_vn)
-                continue
-            served = False
-            for v2 in ctx.fallback_order(v, n):
-                state_2 = states[v2]
-                d = ctx.d[v][v2]
-                if state_2.cache[n] > 0:
-                    # idle container beyond the d <= p radius: still cheaper
-                    # than creating next to it
-                    state_2.consume_cache(n, 1)
-                    policy.on_invocation(state_2, n, t)
-                    route = (v, v2, n)
-                    offloaded[route] = offloaded.get(route, 0) + 1
-                    remaining -= 1
-                    served = True
-                    if trace:
-                        note(v, n, "offload", v2, d, max(p_vn, d))
-                    break
-                if state_2.used_mb + mem <= capacity[v2] or _make_room(state_2, mem, ctx, policy, rng, destroyed):
-                    state_2.add_active(n, mem)
-                    policy.on_invocation(state_2, n, t)
-                    created[(v2, n)] = created.get((v2, n), 0) + 1
-                    route = (v, v2, n)
-                    offloaded[route] = offloaded.get(route, 0) + 1
-                    decision.fallback_creations += 1
-                    remaining -= 1
-                    served = True
-                    if audit is not None:
-                        # outside the worst-case analysis; not bound-checked
-                        aq_vn = aq_audit[v][n]
-                        realized = d + ctx.p[v2][n] + aq_vn
-                        audit.append(AuditRecord(t, v, n, "create", v2, realized, max(aq_vn + p_vn, aq_vn + d)))
-                    break
-            if not served:
-                decision.rejected[key] = decision.rejected.get(key, 0) + remaining
-                if audit is not None:
-                    for _ in range(remaining):
-                        audit.append(AuditRecord(t, v, n, "reject", -1, 0.0, 0.0))
-                remaining = 0
+                    # outside the worst-case analysis; not bound-checked
+                    note(v, n, "create", v2, d + ctx.p[v2][n], max(p_vn, d), k, checked=False)
+            if not remaining:
+                break
+        else:
+            # 5) no node can host the rest
+            decision.rejected[key] = remaining
+            if audit is not None:
+                audit.extend([AuditRecord(t, v, n, "reject", -1, 0.0, 0.0)] * remaining)
     return decision
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -262,6 +263,34 @@ MALFORMED_INSTANCE_CASES = {
         },
         "cap is 1e+07",
     ),
+    # one node has one routing, priced as c + 1: refused before int64 overflows
+    "huge_count_one_node": ({**_instance_obj(), "requests": [[1, 0, 0, 10**20]]}, "cap is 1e+07"),
+    "huge_count_one_roomy_node": (
+        {
+            **_instance_obj(),
+            "nodes": [{"id": 0, "capacity_mb": 1e300, "cpu_ghz": 1.0}],
+            "horizon": 1,
+            "requests": [[1, 0, 0, 10**20]],
+        },
+        "cap is 1e+07",
+    ),
+    # ten 55 MB containers cannot fit in 400 MB
+    "infeasible": ({**_instance_obj(), "requests": [[1, 0, 0, 10]]}, "no feasible routing for interval 1"),
+    "horizon_infinite": ({**_instance_obj(), "horizon": math.inf}, "malformed instance JSON"),
+    "count_infinite": ({**_instance_obj(), "requests": [[1, 0, 0, math.inf]]}, "malformed instance JSON"),
+    "capacity_beyond_float": (
+        {**_instance_obj(), "nodes": [{"id": 0, "capacity_mb": 10**400, "cpu_ghz": 1.0}]},
+        "malformed instance JSON",
+    ),
+    "horizon_fraction": ({**_instance_obj(), "horizon": 2.5}, "2.5 is not an integer"),
+    "interval_fraction": ({**_instance_obj(), "requests": [[1.5, 0, 0, 1]]}, "1.5 is not an integer"),
+    "count_fraction": ({**_instance_obj(), "requests": [[1, 0, 0, 2.5]]}, "2.5 is not an integer"),
+    "request_node_fraction": ({**_instance_obj(), "requests": [[1, 0.5, 0, 1]]}, "0.5 is not an integer"),
+    "node_id_fraction": (
+        {**_instance_obj(), "nodes": [{"id": 0.5, "capacity_mb": 400.0, "cpu_ghz": 1.0}]},
+        "0.5 is not an integer",
+    ),
+    "type_id_fraction": ({**_instance_obj(), "types": [{"id": 0.5, "mem_mb": 55.0}]}, "0.5 is not an integer"),
 }
 
 

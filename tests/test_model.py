@@ -162,8 +162,8 @@ def test_validate_setup_randomized_feasibility():
 
 def test_node_state_transitions_track_occupancy():
     state = NodeState(0, 4)
-    state.add_active(WEB.id, WEB.mem_mb)
-    state.add_active(CHECKOUT.id, CHECKOUT.mem_mb)
+    state.admit(WEB.id, WEB.mem_mb, 4000.0, 1)
+    state.admit(CHECKOUT.id, CHECKOUT.mem_mb, 4000.0, 1)
     assert state.used_mb == occupancy(state, DEFAULT_CATALOG)
     ctx = RoutingContext(make_topology([4000.0]), DEFAULT_CATALOG, CostParams(alpha=0.01))
     interval_running_cost([state], ctx)  # service completes: the actives idle
@@ -211,7 +211,7 @@ def test_load_topology_without_nodes(tmp_path):
 
 def test_admit_creates_containers_while_they_fit():
     state = NodeState(0, 4)
-    state.add_active(2, 332.0)
+    assert state.admit(2, 332.0, 600.0, 1) == 1
     # 332 + 2 * 134 = 600 exactly: the second container still fits
     assert state.admit(1, 134.0, 600.0, 5) == 2
     assert state.active == [0, 2, 1, 0] and state.used_mb == 600.0

@@ -231,7 +231,8 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
                     break
         while remaining:
             if _make_room_reference(state_v, v, mem, ctx, policy, rng, destroyed):
-                state_v.add_active(n, mem)
+                state_v.active[n] += 1
+                state_v.used_mb += mem
                 policy.on_invocation(state_v, n, t)
                 created[(v, n)] = created.get((v, n), 0) + 1
                 local_served[(v, n)] = local_served.get((v, n), 0) + 1
@@ -254,7 +255,8 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
                         note(v, n, "offload", v2, d, max(p_vn, d))
                     break
                 if _make_room_reference(state_2, v2, mem, ctx, policy, rng, destroyed):
-                    state_2.add_active(n, mem)
+                    state_2.active[n] += 1
+                    state_2.used_mb += mem
                     policy.on_invocation(state_2, n, t)
                     created[(v2, n)] = created.get((v2, n), 0) + 1
                     key = (v, v2, n)

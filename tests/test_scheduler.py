@@ -52,7 +52,7 @@ def _close(states, policy, now, ctx):
 def _warm(states, policy, v, n, count, ctx, now=1):
     """Put `count` warm containers of type n in node v's cache."""
     for _ in range(count):
-        states[v].add_active(n, ctx.mem[n])
+        states[v].admit(n, ctx.mem[n], ctx.capacity[v], 1)
         policy.on_invocation(states[v], n, now)
     interval_running_cost([states[v]], ctx)  # the containers idle
 
@@ -153,6 +153,33 @@ def test_fallback_prefers_remote_cache_beyond_radius():
     assert d.fallback_creations == 0
     actions = [(r.action, r.serving_node) for r in audit]
     assert ("offload", 1) in actions
+
+
+def test_overflow_takes_idle_containers_then_creates_beyond_radius():
+    # the origin is full of serving containers and caches none; the far node
+    # (d = 100 > p = 55) holds 2 idle containers and room for 2 more
+    topo, params, ctx, states = _setup([55.0, 220.0], comm=[[0, 100], [100, 0]], catalog=ONE_TYPE)
+    policy = make_policy("lru", 1)
+    states[0].admit(0, 55.0, 55.0, 1)
+    _warm(states, policy, 1, 0, 2, ctx)
+    batch = RequestBatch(interval=2, counts={(0, 0): 4})
+    audit = []
+    bounds = BoundChecks(ctx, [0.001, 0.002])
+    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), audit=audit, check=bounds)
+    assert d.offloaded == {(0, 1, 0): 4}
+    assert d.created == {(1, 0): 2} and d.fallback_creations == 2
+    assert d.local_served == {} and d.destroyed == {} and d.rejected == {}
+    assert states[1].active == [4] and states[1].cache == [0] and states[1].used_mb == 220.0
+    aq = ctx.aq[0][0]
+    offload = AuditRecord(2, 0, 0, "offload", 1, 100.0 + aq, aq + 100.0)
+    create = AuditRecord(2, 0, 0, "create", 1, 100.0 + 55.0 + aq, aq + 100.0)
+    assert audit == [offload, offload, create, create]
+    # the offloads meet their bound at every alpha; creations are not checked
+    assert bounds.failures == {} and sorted(bounds.live) == [0.001, 0.002]
+    from edgesim.oracle import competitive_check
+
+    report = competitive_check(audit, topo, ONE_TYPE, params)
+    assert (report.n_checked, report.n_fallback_creations) == (2, 2)
 
 
 def test_rejection_when_no_node_can_host():

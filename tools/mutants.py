@@ -54,6 +54,30 @@ POLICIES = "src/edgesim/policies.py"
 COSTS = "src/edgesim/costs.py"
 MODEL = "src/edgesim/model.py"
 
+# the two steps an overflow node serves by, in order
+OVERFLOW_IDLE = (
+    "            take = min(remaining, state_2.cache[n])\n"
+    "            if take:\n"
+    "                state_2.consume_cache(n, take)\n"
+    "                policy.on_invocation(state_2, n, t, take)\n"
+    "                offloaded[route] = offloaded.get(route, 0) + take\n"
+    "                remaining -= take\n"
+    "                if trace:\n"
+    '                    note(v, n, "offload", v2, d, max(p_vn, d), take)\n'
+)
+OVERFLOW_CREATE = (
+    "            while remaining and (state_2.used_mb + mem <= capacity[v2] or _make_room(state_2, mem, ctx, policy, rng, destroyed)):\n"
+    "                k = state_2.admit(n, mem, capacity[v2], remaining)\n"
+    "                policy.on_invocation(state_2, n, t, k)\n"
+    "                created[(v2, n)] = created.get((v2, n), 0) + k\n"
+    "                offloaded[route] = offloaded.get(route, 0) + k\n"
+    "                decision.fallback_creations += k\n"
+    "                remaining -= k\n"
+    "                if trace:\n"
+    "                    # outside the worst-case analysis; not bound-checked\n"
+    '                    note(v, n, "create", v2, d + ctx.p[v2][n], max(p_vn, d), k, checked=False)\n'
+)
+
 MUTANTS = [
     # alpha collapse: one trajectory priced and checked at every alpha
     Mutant("bounds-first-alpha-only", SCHED,
@@ -122,12 +146,18 @@ MUTANTS = [
            "    for (v, n), count in sorted(decision.created.items()):", "    for (v, n), count in decision.created.items():",
            "the no-cache close prices in insertion order, not node-major"),
     Mutant("fallback-no-invocation", SCHED,
-           "                    state_2.add_active(n, mem)\n                    policy.on_invocation(state_2, n, t)\n",
-           "                    state_2.add_active(n, mem)\n",
+           "                policy.on_invocation(state_2, n, t, k)\n", "",
            "a fallback creation updates no invocation statistics"),
     Mutant("fallback-credits-origin", SCHED,
-           "created[(v2, n)] = created.get((v2, n), 0) + 1", "created[key] = created.get(key, 0) + 1",
+           "created[(v2, n)] = created.get((v2, n), 0) + k", "created[key] = created.get(key, 0) + k",
            "a fallback creation is booked at the origin, not where it happened"),
+    # batched overflow
+    Mutant("overflow-creates-before-idle", SCHED,
+           OVERFLOW_IDLE + OVERFLOW_CREATE, OVERFLOW_CREATE + OVERFLOW_IDLE,
+           "overflow creates before taking idle containers"),
+    Mutant("overflow-one-idle-per-node", SCHED,
+           "take = min(remaining, state_2.cache[n])", "take = min(remaining, state_2.cache[n], 1)",
+           "overflow takes at most one idle container per node"),
     # fc entry logs
     Mutant("fc-sync-after-expiry", POLICIES,
            "                while len(dq) > cached:\n                    dq.popleft()\n"
