@@ -98,32 +98,26 @@ def _estimate_ops(lam, keep_cap, V):
 _BLOCK_PAIRS = 1536
 
 
-def _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
-    """Cheapest feasible (state, routing) pair per pool, the element-wise max
-    of the two: pool -> (cost, state, routing index).
+def _priced_blocks(dp, m_all, comm, u, cap, p_flat, aq_flat):
+    """Every (state, routing) pair priced, a numpy block at a time.
 
-    Pairs run state-major, in dp order. A pool enters the dict at its first
-    feasible pair and keeps the earliest pair of strictly smallest cost. Each
-    cost adds its terms in the order a per-pair loop does (the reference in
-    tests/test_properties.py), so the two agree to the bit.
+    Pairs run state-major, in dp order. Each block with a feasible pair
+    yields (its first state's index, pools (size, pairs), its feasible pairs'
+    indices, their costs); pair s * A + a is routing a from the block's state
+    s, and pool index i is v * N + n. Each cost adds its terms in the order a
+    per-pair loop does (the reference in tests/test_properties.py), so
+    `_best_pools` and `_cheapest_pool` agree with it, and each other, to the
+    bit.
     """
     A, size = m_all.shape
     V, N = len(cap), len(u)
-    prev_states = list(dp)
-    states = np.array(prev_states, dtype=np.int64).T[:, :, None]  # (size, S, 1)
+    states = np.array(list(dp), dtype=np.int64).T[:, :, None]  # (size, S, 1)
     m_cols = m_all.T[:, None, :]  # (size, 1, A)
     cost0 = np.fromiter(dp.values(), dtype=float, count=len(dp))
-    # A pool's mixed-radix key: coordinate i spans lo[i]..lo[i] + span[i] - 1.
-    # Within MAX_ENUM_OPS the product of the spans is at most 1e14, so keys fit
-    # in int64.
-    lo = np.maximum(states.min(axis=(1, 2)), m_all.min(axis=0))
-    span = np.maximum(states.max(axis=(1, 2)), m_all.max(axis=0)) - lo + 1
-    weights = np.cumprod(np.concatenate(([1], span[:-1])))
     step = max(1, _BLOCK_PAIRS // A)
-    pool_best: dict[tuple, tuple] = {}
     for first_state in range(0, states.shape[1], step):
         block = states[:, first_state : first_state + step]
-        pool = np.maximum(block, m_cols)  # (size, b, A), flat index i = v * N + n
+        pool = np.maximum(block, m_cols)  # (size, b, A)
         by_node = pool.reshape(V, N, *pool.shape[1:])
         used = 0.0
         for n in range(N):
@@ -136,10 +130,29 @@ def _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
             cost += p_flat[i] * switched[i]
             cost += aq_flat[i] * pool[i]
         flat = np.flatnonzero(feasible)
-        if not len(flat):
-            continue
-        pools = pool.reshape(size, -1)[:, flat]
-        costs = cost.ravel()[flat]
+        if len(flat):
+            yield first_state, pool.reshape(size, -1), flat, cost.ravel()[flat]
+
+
+def _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
+    """Cheapest feasible (state, routing) pair per pool, the element-wise max
+    of the two: pool -> (cost, state, routing index).
+
+    A pool enters the dict at its first feasible pair and keeps the earliest
+    pair of strictly smallest cost.
+    """
+    A = len(m_all)
+    prev_states = list(dp)
+    states = np.array(prev_states, dtype=np.int64)
+    # A pool's mixed-radix key: coordinate i spans lo[i]..lo[i] + span[i] - 1.
+    # Within MAX_ENUM_OPS the product of the spans is at most 1e14, so keys fit
+    # in int64.
+    lo = np.maximum(states.min(axis=0), m_all.min(axis=0))
+    span = np.maximum(states.max(axis=0), m_all.max(axis=0)) - lo + 1
+    weights = np.cumprod(np.concatenate(([1], span[:-1])))
+    pool_best: dict[tuple, tuple] = {}
+    for first_state, pool, flat, costs in _priced_blocks(dp, m_all, comm, u, cap, p_flat, aq_flat):
+        pools = pool[:, flat]
         keys = weights @ (pools - lo[:, None])
         # np.unique sorts stably, so `first` is each pool's first pair
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
@@ -161,6 +174,42 @@ def _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
             if held is None or c < held[0]:
                 pool_best[key] = (c, prev_states[s], a)
     return pool_best
+
+
+def _cheapest_pool(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
+    """The one item of `_best_pools` that destroying every pool to the zero
+    state keeps, as a one-item dict (empty when no pair is feasible): the
+    pool of least cost, the one whose first feasible pair comes first on a
+    tie, with its earliest pair of that cost.
+
+    A running minimum over the pairs finds the earliest pair of least cost.
+    Its pool is that item's unless a pair of another pool reaches the same
+    cost; only grouping tells which of those pools comes first, so a tie
+    groups the pools as `_best_pools` does.
+    """
+    A = len(m_all)
+    least = None  # (cost, first state of the block, pair index, pool)
+    tied = False
+    for first_state, pool, flat, costs in _priced_blocks(dp, m_all, comm, u, cap, p_flat, aq_flat):
+        c = costs.min()
+        if least is not None and c > least[0]:
+            continue
+        at_min = flat[costs == c]
+        pools = pool[:, at_min]
+        mixed = (pools != pools[:, :1]).any()
+        if least is None or c < least[0]:
+            least, tied = (c, first_state, at_min[0], pools[:, 0]), mixed
+        else:
+            tied = tied or mixed or (pools[:, 0] != least[3]).any()
+    if least is None:
+        return {}
+    if tied:
+        pool_best = _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat)
+        pool = min(pool_best, key=lambda key: pool_best[key][0])  # the first of least cost
+        return {pool: pool_best[pool]}
+    c, first_state, pair, pool = least
+    s, a = divmod(int(pair), A)
+    return {tuple(pool.tolist()): (c.item(), list(dp)[first_state + s], a)}
 
 
 def _destroy(pool_best, caps) -> tuple[dict[tuple, float], np.ndarray]:
@@ -210,8 +259,10 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
     interval boundary every state that could be kept (pruned to counts that
     future demand could ever use) takes the cheapest pool it lies below, by a
     suffix minimum over the dense lattice of those states, as walking every
-    destruction vector of every pool would. Alive containers, serving or idle,
-    bill one interval of running cost, matching the simulator's accounting.
+    destruction vector of every pool would. Where no request follows, the zero
+    state is the only one, and a running minimum over the pairs finds its
+    pool. Alive containers, serving or idle, bill one interval of running
+    cost, matching the simulator's accounting.
     """
     V, N, T = instance.topology.n_nodes, len(instance.catalog), instance.horizon
     nodes, catalog, params = instance.topology.nodes, instance.catalog, instance.params
@@ -258,7 +309,10 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
                 m_all = (m_all[:, None] + served).reshape(-1, size)
                 comm = (comm[:, None] + ccost).ravel()
                 groups.append((v, n, comps))
-        pool_best = _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat)
+        # where no request follows, every pool is destroyed to the zero state,
+        # which keeps only the cheapest
+        pricing = _best_pools if any(keep_cap[t]) else _cheapest_pool
+        pool_best = pricing(dp, m_all, comm, u, cap, p_flat, aq_flat)
         if not pool_best:
             raise InfeasibleInstance(f"no feasible routing for interval {t}")
         dp, parent = _destroy(pool_best, keep_cap[t])
@@ -465,8 +519,9 @@ def instance_from_json(obj: dict) -> TinyInstance:
 
 
 def _integer(x) -> int:
-    """An id, interval, count or horizon: a JSON number with no fraction."""
-    if isinstance(x, float) and not x.is_integer():
+    """An id, interval, count or horizon: a JSON number with no fraction, not
+    a boolean or a string, which int() would convert."""
+    if isinstance(x, (bool, str)) or (isinstance(x, float) and not x.is_integer()):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
 

@@ -211,15 +211,12 @@ class NoCache(EvictionPolicy):
 
     Its caches are empty whenever requests are routed, so it holds no idle
     container: a run routes its requests by creation alone and closes each
-    interval by destroying the created containers. `end_of_interval` is the
-    same flush, for callers that close an interval step by step.
+    interval by destroying the created containers (`scheduler.close_created`),
+    never through an end-of-interval sweep.
     """
 
     name = "nocache"
     holds_idle = False
-
-    def end_of_interval(self, states, now):
-        return [(state.node_id, n, count) for state in states for n, count in enumerate(state.cache) if count]
 
 
 def make_policy(name: str, n_types: int, ttl: int = 10, global_stats: bool = False) -> EvictionPolicy:

@@ -254,10 +254,10 @@ def close_created(decision: IntervalDecision, states: list[NodeState], ctx: Rout
 
 
 def end_interval(states: list[NodeState], policy, now: int, catalog) -> list[tuple[int, int, int]]:
-    """Run the policy's end-of-interval sweep (TTL expiry for fc, full flush
-    for nocache) over every node, once the active containers have idled into
-    the cache, and destroy what it returns: (node, type, count) triples,
-    node-major and type-minor."""
+    """Run the policy's end-of-interval sweep (TTL expiry for fc) over every
+    node, once the active containers have idled into the cache, and destroy
+    what it returns: (node, type, count) triples, node-major and type-minor.
+    A no-cache lane closes by `close_created` instead."""
     destructions = policy.end_of_interval(states, now)
     for v, ftype, count in destructions:
         if not 0 <= ftype < len(catalog):

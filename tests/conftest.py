@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, Topology
+from edgesim.policies import NoCache, make_policy
 
 
 def make_topology(capacities, cpus=None, comm=None, coords=None):
@@ -34,6 +35,22 @@ def desk_topology(n_nodes=25, capacity=4000.0, seed=1234, box=100.0, scale=0.35)
     from edgesim.model import comm_cost_from_coords
 
     return Topology(nodes=nodes, comm_cost=comm_cost_from_coords(nodes, scale))
+
+
+class FlushingNoCache(NoCache):
+    """No-cache with the end-of-interval sweep a step-by-step close needs: it
+    destroys every cached container, node-major and type-minor. A run never
+    sweeps a no-cache lane; it closes one by `scheduler.close_created`."""
+
+    def end_of_interval(self, states, now):
+        return [(state.node_id, n, count) for state in states for n, count in enumerate(state.cache) if count]
+
+
+def make_stepping_policy(name, n_types, ttl=10, global_stats=False):
+    """`make_policy`, with `FlushingNoCache` for "nocache"."""
+    if name == "nocache":
+        return FlushingNoCache(n_types, global_stats)
+    return make_policy(name, n_types, ttl=ttl, global_stats=global_stats)
 
 
 @pytest.fixture

@@ -283,6 +283,9 @@ MALFORMED_INSTANCE_CASES = {
         "malformed instance JSON",
     ),
     "horizon_fraction": ({**_instance_obj(), "horizon": 2.5}, "2.5 is not an integer"),
+    # int() would read true as 1 and "3" as 3
+    "horizon_bool": ({**_instance_obj(), "horizon": True}, "True is not an integer"),
+    "count_string": ({**_instance_obj(), "requests": [[1, 0, 0, "3"]]}, "'3' is not an integer"),
     "interval_fraction": ({**_instance_obj(), "requests": [[1.5, 0, 0, 1]]}, "1.5 is not an integer"),
     "count_fraction": ({**_instance_obj(), "requests": [[1, 0, 0, 2.5]]}, "2.5 is not an integer"),
     "request_node_fraction": ({**_instance_obj(), "requests": [[1, 0.5, 0, 1]]}, "0.5 is not an integer"),

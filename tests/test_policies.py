@@ -7,13 +7,14 @@ from edgesim.policies import (
     EvictionDistribution,
     FixedCaching,
     LRU,
-    NoCache,
     PCache,
     lru_select_victim,
     make_policy,
     pcache_distribution,
     pcache_select_victim,
 )
+
+from conftest import FlushingNoCache
 
 WEB, FILEPROC, CHECKOUT, IMGREC = DEFAULT_CATALOG
 
@@ -218,7 +219,7 @@ def test_fc_negative_ttl_rejected():
 
 
 def test_nocache_flushes_cache():
-    policy = NoCache(n_types=4)
+    policy = FlushingNoCache(n_types=4)
     state = _state(cache={WEB.id: 2, CHECKOUT.id: 1}, freq={WEB.id: 2, CHECKOUT.id: 1})
     assert policy.end_of_interval([state], now=1) == [(0, WEB.id, 2), (0, CHECKOUT.id, 1)]
 

@@ -9,9 +9,11 @@ replaced, and the one-pass fc entry logs against the two-pass class they
 replaced. The lane property checks lanes run in lockstep on one request
 stream against lone runs of the per-trajectory loop they replaced. The
 oracle properties check its block pricing against a per-pair
-loop, its suffix-minimum destruction step against a walk over every
-destruction vector, its optimum against every policy, and its refusal of
-instances over the enumeration budget. The reader fuzz feeds the CSV readers
+loop, its running minimum for an interval no request follows against
+grouping every pool and destroying each to the zero state, its
+suffix-minimum destruction step against a walk over every destruction
+vector, its optimum against every policy, and its refusal of instances over
+the enumeration budget. The reader fuzz feeds the CSV readers
 arbitrary bytes.
 """
 
@@ -27,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from edgesim import oracle, sim
@@ -64,6 +66,8 @@ from edgesim.scheduler import (
 )
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 from edgesim.workload import read_trace
+
+from conftest import make_stepping_policy
 
 # alpha * q <= p needs alpha <= 1 / cpu^2, so every alpha below is feasible
 CPUS = (1.0, 1.5, 2.0, 2.5)
@@ -299,7 +303,7 @@ def test_table_routing_equals_one_request_at_a_time(config):
     sides = []
     for route in (distribute_interval, distribute_one_request_at_a_time):
         states = [NodeState(v, n_types) for v in range(ctx.n_nodes)]
-        policy = make_policy(config.policy, n_types, ttl=config.ttl)
+        policy = make_stepping_policy(config.policy, n_types, ttl=config.ttl)
         sides.append((route, states, policy, np.random.default_rng(config.seed), [], BoundChecks(ctx, [ctx.alpha])))
     for batch in config.batches:
         decisions = [route(batch, states, ctx, policy, rng, audit, check) for route, states, policy, rng, audit, check in sides]
@@ -321,7 +325,7 @@ def test_routing_conserves_requests_within_capacity(config):
     ctx = RoutingContext(config.topology, config.catalog, config.params)
     n_types = len(config.catalog)
     states = [NodeState(v, n_types) for v in range(ctx.n_nodes)]
-    policy = make_policy(config.policy, n_types, ttl=config.ttl)
+    policy = make_stepping_policy(config.policy, n_types, ttl=config.ttl)
     rng = np.random.default_rng(config.seed)
     for batch in config.batches:
         decision = distribute_interval(batch, states, ctx, policy, rng)
@@ -347,7 +351,7 @@ def test_admission_step_equals_full_routing(config):
     ctx = RoutingContext(config.topology, config.catalog, config.params)
     n_types = len(config.catalog)
     sides = [
-        ([NodeState(v, n_types) for v in range(ctx.n_nodes)], make_policy("nocache", n_types, global_stats=config.global_stats))
+        ([NodeState(v, n_types) for v in range(ctx.n_nodes)], make_stepping_policy("nocache", n_types, global_stats=config.global_stats))
         for _ in range(2)
     ]
     (states, policy), (ref_states, ref_policy) = sides
@@ -535,7 +539,7 @@ def simulate_alone(config, params, check_states):
     try:
         n_types = len(config.catalog)
         out.states = states = [NodeState(v, n_types) for v in range(config.topology.n_nodes)]
-        out.policy = policy = make_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
+        out.policy = policy = make_stepping_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
         source = sim._workload_source(config)
         out.rng = rng = np.random.default_rng(derive_seed(config.seed, "policy", config.policy))
         for t in range(1, config.horizon + 1):
@@ -726,6 +730,58 @@ def test_block_pricing_equals_one_pair_at_a_time(args, block_pairs):
     with mock.patch.object(oracle, "_BLOCK_PAIRS", block_pairs):
         got = oracle._best_pools(*args)
     assert list(got.items()) == list(best_pools_one_pair_at_a_time(*args).items())
+
+
+# Pool (1, 0) enters first, from state (0, 0) at cost 1, but reaches the
+# least cost, 0, only from state (1, 0), after pool (1, 1) has from (0, 1).
+CROSS_POOL_TIE = (
+    {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0},  # dp: state -> cost
+    np.array([[1, 0]]),  # one routing
+    np.array([0.0]),  # its comm cost
+    [1.0, 1.0], [8.0], [0.0, 0.0], [0.0, 0.0],  # u, cap, p_flat, aq_flat
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=pricing_inputs(), block_pairs=st.sampled_from((1, 3, 7, 1024, 1536)))
+@example(args=CROSS_POOL_TIE, block_pairs=1536)
+@example(args=CROSS_POOL_TIE, block_pairs=1)
+def test_cheapest_pool_equals_best_pools_then_destroy(args, block_pairs):
+    # the one item destroying every pool to the zero state keeps: same pool,
+    # cost bits, state and routing index, whatever the block boundaries and
+    # however the costs tie
+    zero = (0,) * len(args[1][0])
+    with mock.patch.object(oracle, "_BLOCK_PAIRS", block_pairs):
+        got = oracle._cheapest_pool(*args)
+        pool_best = oracle._best_pools(*args)
+    if not pool_best:
+        assert got == {}  # no feasible pair
+        return
+    _dp, parent = oracle._destroy(pool_best, [0] * len(zero))
+    [(pool, (cost, prev, aidx))] = got.items()
+    ref_pool, (ref_cost, ref_prev, ref_aidx) = list(pool_best.items())[parent[zero]]
+    assert (pool, cost.hex(), prev, aidx) == (ref_pool, ref_cost.hex(), ref_prev, ref_aidx)
+
+
+@pytest.mark.parametrize("cpus", [(1.0, 1.0), (1.0, 1.5)])
+def test_trailing_empty_interval_witness_equals_grouped_pools(cpus):
+    # no request after interval 2, so intervals 2 and 3 take the cheapest pool
+    # by a running minimum; equal nodes tie two pools at the optimum, as in
+    # test_oracle.py's cross-node case, and unequal ones do not
+    nodes = [EdgeNode(v, 400.0, cpu) for v, cpu in enumerate(cpus)]
+    instance = TinyInstance(
+        topology=Topology(nodes=nodes, comm_cost=np.array([[0.0, 5.0], [5.0, 0.0]])),
+        catalog=(FunctionType(0, 100.0), FunctionType(1, 55.0)),
+        params=CostParams(alpha=0.01),
+        horizon=3,
+        batches=[RequestBatch(1, {(0, 0): 1}), RequestBatch(2, {(1, 0): 1, (0, 1): 1})],
+    )
+    with mock.patch.object(oracle, "_cheapest_pool", wraps=oracle._cheapest_pool) as fast:
+        got = solve_exact(instance)
+    assert fast.call_count == 2
+    with mock.patch.object(oracle, "_cheapest_pool", oracle._best_pools):
+        ref = solve_exact(instance)
+    assert (repr(got.cost), got.witness) == (repr(ref.cost), ref.witness)
 
 
 def destroy_one_pool_at_a_time(pool_best, caps):

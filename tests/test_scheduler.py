@@ -20,7 +20,7 @@ from edgesim.scheduler import (
     end_interval,
 )
 
-from conftest import make_topology
+from conftest import make_stepping_policy, make_topology
 
 WEB = DEFAULT_CATALOG[0]
 ONE_TYPE = (FunctionType(0, 55.0, "web-server"),)
@@ -206,7 +206,7 @@ def test_end_interval_actives_idle_into_cache():
 
 def test_end_interval_nocache_destroys_everything():
     topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
-    policy = make_policy("nocache", 1)
+    policy = make_stepping_policy("nocache", 1)
     batch = RequestBatch(interval=1, counts={(0, 0): 3})
     distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
     destroyed = _close(states, policy, 1, ctx)
@@ -284,7 +284,7 @@ def _random_roundtrip(seed, policy_name):
     params = CostParams(alpha=0.005, switch_coeff=1.0, run_coeff=1.0)
     ctx = RoutingContext(topo, DEFAULT_CATALOG, params)
     states = [NodeState(i, 4) for i in range(v)]
-    policy = make_policy(policy_name, 4, ttl=3)
+    policy = make_stepping_policy(policy_name, 4, ttl=3)
     wl_rng = np.random.default_rng(seed + 1)
     decisions = []
     for t in range(1, 9):

@@ -176,6 +176,19 @@ MUTANTS = [
     Mutant("fc-ttl-strict", POLICIES,
            "while dq and now - dq[0] >= self.ttl:", "while dq and now - dq[0] > self.ttl:",
            "fc keeps a container one interval past its ttl"),
+    # oracle running minimum where no request follows
+    Mutant("cheapest-no-tie-fallback", ORACLE,
+           "    if tied:\n", "    if False:\n",
+           "a cross-pool tie takes the earliest least-cost pair, whatever its pool"),
+    Mutant("cheapest-keeps-last-tie", ORACLE,
+           "if least is None or c < least[0]:", "if least is None or c <= least[0]:",
+           "the running minimum keeps the last least-cost pair, not the first"),
+    Mutant("cheapest-tie-within-block-unseen", ORACLE,
+           "mixed = (pools != pools[:, :1]).any()", "mixed = False",
+           "pools that tie within one block are taken for one pool"),
+    Mutant("cheapest-tie-across-blocks-unseen", ORACLE,
+           "tied = tied or mixed or (pools[:, 0] != least[3]).any()", "tied = tied or mixed",
+           "pools that tie in different blocks are taken for one pool"),
     # oracle destruction by suffix minima
     Mutant("destroy-ties-latest-pool", ORACLE,
            'by_cost = np.argsort(costs, kind="stable")', "by_cost = np.lexsort((-np.arange(n_pools), costs))",
