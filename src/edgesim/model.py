@@ -234,22 +234,38 @@ class NodeState:
 
 @dataclass
 class RequestBatch:
-    """Per-interval request counts keyed by (origin node, function type)."""
+    """Per-interval request counts keyed by (origin node, function type).
+
+    The keys iterate in ascending (node, type) order, the order every lane
+    routes them in: the constructor rebuilds `counts` so, whatever order the
+    caller's dict holds, and stores every count as a Python int.
+    """
 
     interval: int
     counts: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for (v, n), c in self.counts.items():
-            if not isinstance(c, (int, np.integer)) or c < 0:
-                raise ConfigError(f"request count for node {v}, type {n} must be a non-negative int")
-            if type(c) is not int:
-                self.counts[(v, n)] = int(c)
+        counts = self.counts
+        exact = True  # Python int keys and counts only
+        for key, c in counts.items():
+            # plain type tests pass Python int keys and counts without the checks below
+            if type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is type(c) is int and c >= 0:
+                continue
+            ints = (int, np.integer)
+            if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, ints) and not isinstance(x, bool) for x in key)):
+                raise ConfigError(f"request key {key!r} must be a (node, type) pair of ints")
+            if not isinstance(c, ints) or c < 0:
+                raise ConfigError(f"request count for node {key[0]}, type {key[1]} must be a non-negative int")
+            exact = False
+        keys = sorted(counts)
+        if not exact or keys != list(counts):
+            self.counts = {key: int(counts[key]) for key in keys}
 
     @classmethod
     def _trusted(cls, interval: int, counts: dict[tuple[int, int], int]) -> RequestBatch:
-        """A batch whose counts are already non-negative ints, built without
-        re-checking each one."""
+        """A batch whose counts are already non-negative ints with their
+        (node, type) keys in ascending order, built without re-checking or
+        re-sorting them."""
         batch = cls.__new__(cls)
         batch.interval = interval
         batch.counts = counts

@@ -577,6 +577,6 @@ def instance_to_json(instance: TinyInstance) -> dict:
         "run_coeff": instance.params.run_coeff,
         "horizon": instance.horizon,
         "requests": [
-            [b.interval, v, n, c] for b in instance.batches for (v, n), c in sorted(b.counts.items())
+            [b.interval, v, n, c] for b in instance.batches for (v, n), c in b.counts.items()
         ],
     }

@@ -110,7 +110,8 @@ def distribute_interval(
     audit: list[AuditRecord] | None = None,
     check: BoundChecks | None = None,
 ) -> IntervalDecision:
-    """Route one interval's requests (deterministic ascending (node, type) order).
+    """Route one interval's requests in the order `batch.counts` iterates:
+    ascending (node, type), as every `RequestBatch` keeps it.
 
     Each (origin, type) group is served from the origin's cache first, then
     from cached containers at nodes whose communication cost does not exceed
@@ -149,7 +150,7 @@ def distribute_interval(
                     if cost + aq > aq + top + 1e-9:
                         check.fail(alpha, AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
 
-    for key, lam in sorted(batch.counts.items()):
+    for key, lam in batch.counts.items():
         if not lam:
             continue
         v, n = key

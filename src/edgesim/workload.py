@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +61,20 @@ def node_rank_maps(cfg: ZipfConfig, n_nodes: int, global_ranking: bool = False) 
     return [rng.permutation(cfg.n_types) for _ in range(n_nodes)]
 
 
+def zipf_key_table(rank_maps: list[np.ndarray], n_types: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """(gather, keys) for building batches in ascending (node, type) order.
+
+    With T types, `gather[v*T + n]` is the flat multinomial cell `v*T + rank`
+    that counts type n at node v, and `keys[v*T + n]` is (v, n).
+    """
+    gather = np.empty(len(rank_maps) * n_types, dtype=np.intp)
+    for v, types in enumerate(rank_maps):
+        row = v * n_types
+        gather[row + np.asarray(types)] = np.arange(row, row + n_types)
+    keys = [(v, n) for v in range(len(rank_maps)) for n in range(n_types)]
+    return gather, keys
+
+
 def generate_batch(
     cfg: ZipfConfig,
     topology: Topology,
@@ -67,23 +82,25 @@ def generate_batch(
     rng: np.random.Generator,
     rank_maps: list[np.ndarray] | None = None,
     pop: np.ndarray | None = None,
+    table: tuple[np.ndarray, list[tuple[int, int]]] | None = None,
 ) -> RequestBatch:
     """Draw one interval of requests: Poisson totals per node, split across
     types by the (per-node permuted) Zipf popularity `pop`, computed from cfg
-    when not given."""
-    if rank_maps is None:
-        rank_maps = node_rank_maps(cfg, topology.n_nodes)
+    when not given. The batch's keys come in ascending (node, type) order,
+    read through the `zipf_key_table` of `rank_maps`, built when not given."""
+    if table is None:
+        if rank_maps is None:
+            rank_maps = node_rank_maps(cfg, topology.n_nodes)
+        table = zipf_key_table(rank_maps, cfg.n_types)
     if pop is None:
         pop = zipf_popularity(cfg.beta, cfg.n_types)
+    gather, keys = table
     totals = rng.poisson(cfg.mean_rate, size=topology.n_nodes)
     # one call draws every node's split, from the same stream as per-node calls
     splits = rng.multinomial(totals, pop)
-    nodes, ranks = np.nonzero(splits)
-    counts = {
-        (v, int(rank_maps[v][rank])): c
-        for v, rank, c in zip(nodes.tolist(), ranks.tolist(), splits[nodes, ranks].tolist())
-    }
-    return RequestBatch._trusted(interval, counts)  # .tolist() counts of nonzero cells: ints >= 1
+    flat = splits.take(gather).tolist()
+    # .tolist() counts of nonzero cells: ints >= 1, keyed in ascending order
+    return RequestBatch._trusted(interval, dict(zip(compress(keys, flat), filter(None, flat))))
 
 
 class ZipfSource:
@@ -92,12 +109,12 @@ class ZipfSource:
     def __init__(self, cfg: ZipfConfig, topology: Topology, global_ranking: bool = False):
         self.cfg = cfg
         self.topology = topology
-        self._rank_maps = node_rank_maps(cfg, topology.n_nodes, global_ranking)
+        self._table = zipf_key_table(node_rank_maps(cfg, topology.n_nodes, global_ranking), cfg.n_types)
         self._pop = zipf_popularity(cfg.beta, cfg.n_types)
         self._rng = np.random.default_rng(cfg.seed)
 
     def batch(self, interval: int) -> RequestBatch:
-        return generate_batch(self.cfg, self.topology, interval, self._rng, self._rank_maps, self._pop)
+        return generate_batch(self.cfg, self.topology, interval, self._rng, pop=self._pop, table=self._table)
 
 
 class ListSource:

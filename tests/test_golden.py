@@ -366,42 +366,44 @@ def test_pressure_inputs_exercise_every_path(policy, tmp_path, monkeypatch):
 
 
 def golden_cases():
-    """(name, digest of a fresh directory, pinned hash) for every case above."""
-    cases = [(f"desk {p} {c}", partial(desk_digest, p, c), h) for (p, c), h in sorted(DESK_GOLDEN.items())]
-    cases.append(("trace audit", trace_audit_digest, AUDIT_GOLDEN))
+    """(name, digest of a fresh directory) for every case above."""
+    cases = [(f"desk {p} {c}", partial(desk_digest, p, c)) for p, c in sorted(DESK_GOLDEN)]
+    cases.append(("trace audit", trace_audit_digest))
+    cases += [(f"pressure {p}", lambda tmp, p=p: audit_digest(pressure_run(tmp, p))) for p in sorted(PRESSURE_AUDIT_GOLDEN)]
     cases += [
-        (f"pressure {p}", lambda tmp, p=p: audit_digest(pressure_run(tmp, p)), h)
-        for p, h in sorted(PRESSURE_AUDIT_GOLDEN.items())
-    ]
-    cases += [
-        ("sweep", sweep_digest, SWEEP_GOLDEN),
-        ("sweep errors", sweep_errors_digest, SWEEP_ERRORS_GOLDEN),
-        ("figure csv", figure_csv_digest, FIGURE_CSV_GOLDEN),
-        ("oracle random", lambda tmp: oracle_digest(random_instances()), ORACLE_RANDOM_GOLDEN),
-        ("oracle cap", lambda tmp: oracle_digest(cap_instances()), ORACLE_CAP_GOLDEN),
-        ("oracle cli", oracle_cli_digest, ORACLE_CLI_GOLDEN),
+        ("sweep", sweep_digest),
+        ("sweep errors", sweep_errors_digest),
+        ("figure csv", figure_csv_digest),
+        ("oracle random", lambda tmp: oracle_digest(random_instances())),
+        ("oracle cap", lambda tmp: oracle_digest(cap_instances())),
+        ("oracle cli", oracle_cli_digest),
     ]
     return cases
 
 
-def _int_only_sum(values, start=0):
+def _recording_sum(floats, values, start=0):
+    """builtins.sum that records in `floats` every float it is handed. It
+    raises nothing, so no failure handler of the run can swallow the
+    finding."""
     values = list(values)
-    floats = [x for x in [start, *values] if isinstance(x, (float, np.floating))]
-    if floats:
-        raise AssertionError(f"sum() over floats {floats[:3]!r}: its rounding depends on the Python version")
+    floats += [x for x in [start, *values] if isinstance(x, (float, np.floating))]
     return builtins.sum(values, start)
 
 
 def test_goldens_add_no_float_with_sum(tmp_path, monkeypatch):
     # Python 3.12's sum() compensates exact floats, so every float total must
-    # be a plain left fold (model.left_sum) for these bytes to hold on any
-    # interpreter: with a sum() that refuses floats in every edgesim module,
-    # every golden case still gives its pinned hash
+    # be a plain left fold (model.left_sum) for the golden bytes to hold on
+    # any interpreter: with a sum() that records the floats it sees in every
+    # edgesim module, no golden case hands sum() a float. The recording sum
+    # returns what sum() returns, so the bytes stay those the *_bytes tests pin
+    floats = []
+    recording_sum = partial(_recording_sum, floats)
     for info in pkgutil.iter_modules(edgesim.__path__):
         if info.name != "__main__":
-            monkeypatch.setattr(importlib.import_module(f"edgesim.{info.name}"), "sum", _int_only_sum, raising=False)
-    monkeypatch.setattr(edgesim, "sum", _int_only_sum, raising=False)
-    for k, (name, digest, pinned) in enumerate(golden_cases()):
+            monkeypatch.setattr(importlib.import_module(f"edgesim.{info.name}"), "sum", recording_sum, raising=False)
+    monkeypatch.setattr(edgesim, "sum", recording_sum, raising=False)
+    for k, (name, digest) in enumerate(golden_cases()):
         out = tmp_path / str(k)
         out.mkdir()
-        assert digest(out) == pinned, name
+        digest(out)
+        assert not floats, f"{name}: sum() over floats {floats[:3]!r}: its rounding depends on the Python version"

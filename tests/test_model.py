@@ -251,3 +251,30 @@ def test_request_batch_stores_numpy_counts_as_int():
         RequestBatch(interval=1, counts={(0, 0): np.int64(-1)})
     with pytest.raises(ConfigError):
         RequestBatch(interval=1, counts={(0, 0): 2.0})
+
+
+def test_request_batch_orders_keys_ascending():
+    counts = {(v, n): np.int64(v + n + 1) for v in range(3) for n in range(4)}
+    reversed_counts = dict(reversed(counts.items()))
+    batch = RequestBatch(interval=1, counts=reversed_counts)
+    assert list(batch.counts) == sorted(counts)
+    assert batch.counts == counts
+    assert all(type(c) is int for c in batch.counts.values())
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        {(0, "a"): 1, (0, 1): 1},
+        {5: 1},
+        {(0, 1, 2): 1},
+        {(0,): 1},
+        {(0.0, 1): 1},
+        {(True, 1): 1},
+        {"01": 1},
+    ],
+    ids=["type_text", "bare_int", "triple", "single", "node_float", "node_bool", "text"],
+)
+def test_request_batch_rejects_malformed_keys(counts):
+    with pytest.raises(ConfigError, match="pair of ints"):
+        RequestBatch(interval=1, counts=counts)

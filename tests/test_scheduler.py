@@ -140,6 +140,38 @@ def test_fallback_creates_at_cheapest_feasible_node():
     assert d.rejected == {}
 
 
+def test_fallback_prefers_cheapest_over_nearest():
+    # node 1 is nearest (d = 1) but slow (d + p = 1 + 110); node 2 is farther
+    # (d = 10) and fast (d + p = 10 + 27.5): the overflow is created at node 2
+    topo, params, ctx, states = _setup(
+        [55.0, 4000.0, 4000.0], comm=[[0, 1, 10], [1, 0, 10], [10, 10, 0]], cpus=[1.0, 0.5, 2.0], catalog=ONE_TYPE
+    )
+    policy = make_policy("pcache", 1)
+    states[0].admit(0, 55.0, 55.0, 1)
+    d = distribute_interval(RequestBatch(interval=1, counts={(0, 0): 2}), states, ctx, policy, np.random.default_rng(0))
+    assert ctx.fallback_order(0, 0) == [2, 1]
+    assert d.created == {(2, 0): 2}
+    assert d.offloaded == {(0, 2, 0): 2}
+    assert d.fallback_creations == 2
+    assert states[1].active == [0] and states[2].active == [2]
+
+
+def test_origins_compete_for_the_last_room_in_key_order():
+    # nodes 0 and 1 are full of serving containers; node 2 has room for one
+    # more. The batch is built in descending key order, yet it routes in
+    # ascending (node, type) order, so origin 0 takes the room and origin 1's
+    # request is rejected
+    topo, params, ctx, states = _setup([55.0, 55.0, 55.0], comm=[[0, 1, 5], [1, 0, 5], [5, 5, 0]], catalog=ONE_TYPE)
+    policy = make_policy("pcache", 1)
+    states[0].admit(0, 55.0, 55.0, 1)
+    states[1].admit(0, 55.0, 55.0, 1)
+    batch = RequestBatch(interval=1, counts={(1, 0): 1, (0, 0): 1})
+    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
+    assert d.created == {(2, 0): 1}
+    assert d.offloaded == {(0, 2, 0): 1}
+    assert d.rejected == {(1, 0): 1}
+
+
 def test_fallback_prefers_remote_cache_beyond_radius():
     # origin full of actives; the only cache sits beyond the d <= p radius
     topo, params, ctx, states = _setup([160.0, 4000.0], comm=[[0, 100], [100, 0]], catalog=ONE_TYPE)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesim.errors import ConfigError, MappingError, TraceParseError
 from edgesim.model import RequestBatch
@@ -11,6 +13,7 @@ from edgesim.workload import (
     ingest_trace,
     node_rank_maps,
     read_trace,
+    zipf_key_table,
     zipf_popularity,
 )
 
@@ -69,6 +72,45 @@ def test_generate_batch_shares_match_popularity():
         share = batch.counts.get((0, n), 0) / total
         se = (pop[n] * (1 - pop[n]) / total) ** 0.5
         assert abs(share - pop[n]) <= 3 * se
+
+
+def _nonzero_batch(cfg, topology, interval, rng, rank_maps, pop):
+    """generate_batch as it was before the key table: the nonzero cells in
+    rank order within each node."""
+    totals = rng.poisson(cfg.mean_rate, size=topology.n_nodes)
+    splits = rng.multinomial(totals, pop)
+    nodes, ranks = np.nonzero(splits)
+    counts = {
+        (v, int(rank_maps[v][rank])): c
+        for v, rank, c in zip(nodes.tolist(), ranks.tolist(), splits[nodes, ranks].tolist())
+    }
+    return RequestBatch._trusted(interval, counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_nodes=st.integers(1, 30),
+    n_types=st.integers(1, 8),
+    beta=st.floats(0.0, 3.0, exclude_min=True),
+    rate=st.sampled_from((0.0, 1.2, 50.0)),
+    global_ranking=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_key_table_batches_equal_nonzero_batches(n_nodes, n_types, beta, rate, global_ranking, seed):
+    # the same counts from the same draws; only the keys' order moves, to ascending
+    topo = make_topology([4000.0] * n_nodes)
+    cfg = ZipfConfig(beta=beta, n_types=n_types, mean_rate=rate, seed=seed)
+    maps = node_rank_maps(cfg, n_nodes, global_ranking)
+    pop = zipf_popularity(beta, n_types)
+    table = zipf_key_table(maps, n_types)
+    rng_old, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    for t in range(1, 5):
+        old = _nonzero_batch(cfg, topo, t, rng_old, maps, pop)
+        new = generate_batch(cfg, topo, t, rng_new, maps, pop, table if t % 2 else None)
+        assert new.counts == old.counts
+        assert list(new.counts) == sorted(new.counts)
+        assert all(type(c) is int and c > 0 for c in new.counts.values())
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 def test_rank_maps_stable_and_permutations():

@@ -4,13 +4,16 @@ Usage, from the repository root:
 
     python3 tools/mutants.py             # run every mutant, 2-30 s each
     python3 tools/mutants.py NAME ...    # run the named mutants only
+    python3 tools/mutants.py --no-hashes # the same without the golden hash pins
 
 For each mutant the script copies the tree to a temporary directory, replaces
 the mutant's anchor text (which must occur exactly once in its file) and runs
 
     pytest -x -q --ignore=tests/test_acceptance.py --ignore=tests/test_mutants.py --hypothesis-seed=0
 
-there, after checking that the unmutated tree passes. A failing run kills the
+there, after checking that the unmutated tree passes. With --no-hashes the run
+also deselects the golden hash comparisons (`-k "not _bytes"`), so a mutant
+must be killed by a test that names what went wrong. A failing run kills the
 mutant; a passing run lets it survive. The fixed hypothesis seed makes every
 verdict reproducible. The exit status is 1 when a mutant survived. A survivor
 calls for a new test, never for dropping the mutant. A refactor that moves an
@@ -53,6 +56,7 @@ ORACLE = "src/edgesim/oracle.py"
 POLICIES = "src/edgesim/policies.py"
 COSTS = "src/edgesim/costs.py"
 MODEL = "src/edgesim/model.py"
+WORKLOAD = "src/edgesim/workload.py"
 
 # the two steps an overflow node serves by, in order
 OVERFLOW_IDLE = (
@@ -122,6 +126,13 @@ MUTANTS = [
     Mutant("offload-no-clamp", SCHED,
            "                if take > remaining:\n                    take = remaining\n", "",
            "an offload consumes more cached containers than requests remain"),
+    Mutant("batch-keeps-caller-order", MODEL,
+           "        keys = sorted(counts)\n", "        keys = list(counts)\n",
+           "a hand-built batch routes in its caller's key order, not ascending (node, type)"),
+    Mutant("zipf-keys-by-rank", WORKLOAD,
+           "gather[row + np.asarray(types)] = np.arange(row, row + n_types)",
+           "gather[row : row + n_types] = np.arange(row, row + n_types)",
+           "Zipf batches key each count by its popularity rank, not the node's type for it"),
     Mutant("offload-table-short", SCHED,
            "[pairs[: bisect_right(dists, p)] for p in self.p[v]]",
            "[pairs[: max(0, bisect_right(dists, p) - 1)] for p in self.p[v]]",
@@ -243,7 +254,7 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.anchor, mutant.replacement))
 
 
-def run_one(mutant: Mutant | None) -> tuple[bool, float, str]:
+def run_one(mutant: Mutant | None, pytest_args: list[str]) -> tuple[bool, float, str]:
     """(killed, seconds, the failing test or pytest's last line) for one
     mutant, or for the unmutated tree when `mutant` is None."""
     with tempfile.TemporaryDirectory(prefix="edgesim-mutant-") as tmp:
@@ -258,7 +269,7 @@ def run_one(mutant: Mutant | None) -> tuple[bool, float, str]:
             apply(mutant, root)
         env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, *PYTEST], cwd=root, env=env, capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, *pytest_args], cwd=root, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     failed = [line for line in lines if line.startswith(("FAILED ", "ERROR "))]
@@ -269,20 +280,22 @@ def run_one(mutant: Mutant | None) -> tuple[bool, float, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--no-hashes", action="store_true", help='deselect the golden hash comparisons (-k "not _bytes")')
     args = parser.parse_args(argv)
     by_name = {m.name: m for m in MUTANTS}
     unknown = [n for n in args.names if n not in by_name]
     if unknown:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [by_name[n] for n in args.names] or MUTANTS
-    failed, seconds, last = run_one(None)
+    pytest_args = PYTEST + ["-k", "not _bytes"] if args.no_hashes else PYTEST
+    failed, seconds, last = run_one(None, pytest_args)
     if failed:
         print(f"the unmutated tree fails ({last}); no mutant can be judged")
         return 2
     print(f"unmutated tree passes in {seconds:.1f} s", flush=True)
     survivors = []
     for m in chosen:
-        killed, seconds, last = run_one(m)
+        killed, seconds, last = run_one(m, pytest_args)
         print(f"{'killed  ' if killed else 'SURVIVED'} {m.name:32} {seconds:6.1f} s  {last}", flush=True)
         if not killed:
             survivors.append(m.name)
