@@ -10,7 +10,7 @@ import sys
 
 from .errors import ConfigError, InvariantViolation
 from .model import DEFAULT_CATALOG, CostParams, left_sum, load_catalog, load_topology, open_input
-from .oracle import instance_from_json, solve_exact
+from .oracle import check_witness, instance_from_json, solve_exact
 from .scheduler import write_audit_csv
 from .sim import SimConfig, SweepGrid, run, summary_json, sweep
 from .workload import ingest_trace
@@ -243,6 +243,7 @@ def cmd_oracle(args) -> int:
         raise ConfigError(f"{args.instance}: invalid JSON: {exc}") from exc
     instance = instance_from_json(obj)
     solution = solve_exact(instance)
+    check_witness(instance, solution)
     out = {"opt_cost": solution.cost, "witness": solution.witness}
     if args.compare:
         config = SimConfig(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompetitiveBoundError, ConfigError, InfeasibleInstance, InstanceTooLarge
+from .errors import CompetitiveBoundError, ConfigError, InfeasibleInstance, InstanceTooLarge, InvariantViolation
 from .model import (
     CostParams,
     EdgeNode,
@@ -106,8 +106,7 @@ def _priced_blocks(dp, m_all, comm, u, cap, p_flat, aq_flat):
     indices, their costs); pair s * A + a is routing a from the block's state
     s, and pool index i is v * N + n. Each cost adds its terms in the order a
     per-pair loop does (the reference in tests/test_properties.py), so
-    `_best_pools` and `_cheapest_pool` agree with it, and each other, to the
-    bit.
+    `_kept_states` agrees with it to the bit.
     """
     A, size = m_all.shape
     V, N = len(cap), len(u)
@@ -134,135 +133,79 @@ def _priced_blocks(dp, m_all, comm, u, cap, p_flat, aq_flat):
             yield first_state, pool.reshape(size, -1), flat, cost.ravel()[flat]
 
 
-def _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
-    """Cheapest feasible (state, routing) pair per pool, the element-wise max
-    of the two: pool -> (cost, state, routing index).
-
-    A pool enters the dict at its first feasible pair and keeps the earliest
-    pair of strictly smallest cost.
-    """
-    A = len(m_all)
-    prev_states = list(dp)
-    states = np.array(prev_states, dtype=np.int64)
-    # A pool's mixed-radix key: coordinate i spans lo[i]..lo[i] + span[i] - 1.
-    # Within MAX_ENUM_OPS the product of the spans is at most 1e14, so keys fit
-    # in int64.
-    lo = np.maximum(states.min(axis=0), m_all.min(axis=0))
-    span = np.maximum(states.max(axis=0), m_all.max(axis=0)) - lo + 1
-    weights = np.cumprod(np.concatenate(([1], span[:-1])))
-    pool_best: dict[tuple, tuple] = {}
-    for first_state, pool, flat, costs in _priced_blocks(dp, m_all, comm, u, cap, p_flat, aq_flat):
-        pools = pool[:, flat]
-        keys = weights @ (pools - lo[:, None])
-        # np.unique sorts stably, so `first` is each pool's first pair
-        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        cheapest = np.full(len(first), np.inf)
-        np.minimum.at(cheapest, group, costs)
-        at_min = np.flatnonzero(costs == cheapest[group])
-        best = np.full(len(first), len(costs))
-        np.minimum.at(best, group[at_min], at_min)
-        # the earliest pair of least cost per pool, pools in the order of their first pair
-        best = best[np.argsort(first)]
-        si, ai = np.divmod(flat[best], A)
-        for key, c, s, a in zip(
-            map(tuple, pools[:, best].T.tolist()),
-            costs[best].tolist(),
-            (si + first_state).tolist(),
-            ai.tolist(),
-        ):
-            held = pool_best.get(key)
-            if held is None or c < held[0]:
-                pool_best[key] = (c, prev_states[s], a)
-    return pool_best
-
-
-def _cheapest_pool(dp, m_all, comm, u, cap, p_flat, aq_flat) -> dict[tuple, tuple]:
-    """The one item of `_best_pools` that destroying every pool to the zero
-    state keeps, as a one-item dict (empty when no pair is feasible): the
-    pool of least cost, the one whose first feasible pair comes first on a
-    tie, with its earliest pair of that cost.
-
-    A running minimum over the pairs finds the earliest pair of least cost.
-    Its pool is that item's unless a pair of another pool reaches the same
-    cost; only grouping tells which of those pools comes first, so a tie
-    groups the pools as `_best_pools` does.
-    """
-    A = len(m_all)
-    least = None  # (cost, first state of the block, pair index, pool)
-    tied = False
-    for first_state, pool, flat, costs in _priced_blocks(dp, m_all, comm, u, cap, p_flat, aq_flat):
-        c = costs.min()
-        if least is not None and c > least[0]:
-            continue
-        at_min = flat[costs == c]
-        pools = pool[:, at_min]
-        mixed = (pools != pools[:, :1]).any()
-        if least is None or c < least[0]:
-            least, tied = (c, first_state, at_min[0], pools[:, 0]), mixed
-        else:
-            tied = tied or mixed or (pools[:, 0] != least[3]).any()
-    if least is None:
-        return {}
-    if tied:
-        pool_best = _best_pools(dp, m_all, comm, u, cap, p_flat, aq_flat)
-        pool = min(pool_best, key=lambda key: pool_best[key][0])  # the first of least cost
-        return {pool: pool_best[pool]}
-    c, first_state, pair, pool = least
-    s, a = divmod(int(pair), A)
-    return {tuple(pool.tolist()): (c.item(), list(dp)[first_state + s], a)}
-
-
-def _destroy(pool_best, caps) -> tuple[dict[tuple, float], np.ndarray]:
+def _kept_states(dp, m_all, comm, u, cap, p_flat, aq_flat, caps) -> tuple[dict, dict]:
     """Every state an interval can end in after destroying containers:
-    (state -> cost, parent), where parent[state] indexes list(pool_best).
+    (state -> cost, state -> parent pair), where pair s * A + a is routing a
+    from the s-th state of dp.
 
-    A state can be reached from every pool it lies at or below once the pool
-    is clipped to caps. It costs what the cheapest of those pools costs, and
-    its parent is the earliest of them on a tie. States run by their first
-    such pool, then in C order. That is what a walk over every destruction
-    vector of every pool, in order, keeping strictly cheaper parents, builds
-    (the reference in tests/test_properties.py). Both come from suffix minima
-    over the dense lattice of states, shape caps + 1; parent is that lattice,
-    holding len(pool_best) where no pool reaches.
+    A pair reaches every state at or below its pool clipped to caps. One pass
+    over the priced blocks reduces the pairs into the dense lattice of clipped
+    pools, shape caps + 1: each cell keeps its least cost, the earliest pair
+    at that cost and the first pair to reach it. Suffix minima over the
+    lattice then give each state the least cost of the cells at or above it,
+    the earliest pair at that cost as its parent, and its place in dp: by the
+    first pair that reaches it, then in C order. That is what a walk over
+    every destruction vector of every pair, in order, keeping strictly cheaper
+    parents, builds (the reference in tests/test_properties.py). Once every
+    cell has its first pair, a block that cannot lower a cell is skipped;
+    where no request follows, the lattice is the zero state alone, and the
+    pass is a running minimum.
     """
-    n_pools = len(pool_best)
+    A = len(m_all)
     shape = tuple(c + 1 for c in caps)
-    clipped = np.minimum(np.array(list(pool_best), dtype=np.int64), caps)
-    cells = np.ravel_multi_index(tuple(clipped.T), shape)
-    costs = np.array([cost for cost, _prev, _aidx in pool_best.values()])
+    stride = np.array([math.prod(shape[i + 1 :]) for i in range(len(shape))])  # C order
+    caps_col = np.array(caps)[:, None]
+    none = len(dp) * A  # past every pair: a cell no pair reaches
+    least = np.full(math.prod(shape), np.inf)
+    best = np.full(len(least), none)  # the earliest pair of least cost
+    first = np.full(len(least), none)  # the first pair to reach the cell
+    ceiling = math.inf  # the costliest cell's cost, once every cell is reached
+    for first_state, pool, flat, costs in _priced_blocks(dp, m_all, comm, u, cap, p_flat, aq_flat):
+        if costs.min() >= ceiling:
+            continue
+        cells = stride @ np.minimum(pool[:, flat], caps_col)
+        pairs = flat + first_state * A
+        np.minimum.at(first, cells, pairs)
+        held = least[cells]
+        np.minimum.at(least, cells, costs)
+        now = least[cells]
+        best[cells[now < held]] = none  # a lower cost: the cell's earlier pairs lose
+        at_min = costs == now
+        np.minimum.at(best, cells[at_min], pairs[at_min])
+        ceiling = least.max()
 
-    def least_dominating(values):
-        lattice = np.full(math.prod(shape), n_pools)
-        np.minimum.at(lattice, cells, values)
-        lattice = lattice.reshape(shape)
+    def suffix_min(values):
+        lattice = values.reshape(shape)
         for axis in range(len(shape)):
             lattice = np.flip(np.minimum.accumulate(np.flip(lattice, axis), axis=axis), axis)
-        return lattice
+        return lattice.ravel()
 
-    by_cost = np.argsort(costs, kind="stable")  # pool indices by (cost, pool order)
-    rank = np.empty_like(by_cost)
-    rank[by_cost] = np.arange(n_pools)
-    parent = np.append(by_cost, n_pools)[least_dominating(rank)]
-    first = least_dominating(np.arange(n_pools)).ravel()
-    reached = np.flatnonzero(first < n_pools)  # C order
-    order = reached[np.argsort(first[reached], kind="stable")]
-    states = np.stack(np.unravel_index(order, shape), axis=1)
-    dp = dict(zip(map(tuple, states.tolist()), costs[parent.ravel()[order]].tolist()))
-    return dp, parent
+    reached = np.flatnonzero(first < none)
+    by_cost = reached[np.lexsort((best[reached], least[reached]))]  # cells by (cost, pair)
+    rank = np.full(len(least), len(reached))
+    rank[by_cost] = np.arange(len(reached))
+    top = suffix_min(rank)
+    reach = suffix_min(first)
+    kept = np.flatnonzero(reach < none)  # C order
+    kept = kept[np.argsort(reach[kept], kind="stable")]
+    cell = by_cost[top[kept]]
+    states = list(map(tuple, np.stack(np.unravel_index(kept, shape), axis=1).tolist()))
+    return dict(zip(states, least[cell].tolist())), dict(zip(states, best[cell].tolist()))
 
 
 def solve_exact(instance: TinyInstance) -> OracleSolution:
     """Global minimum of the total-cost objective by exhaustive enumeration.
 
     Dynamic program over the alive-container vector between intervals. Within
-    an interval every feasible routing of every request is enumerated; at the
-    interval boundary every state that could be kept (pruned to counts that
-    future demand could ever use) takes the cheapest pool it lies below, by a
-    suffix minimum over the dense lattice of those states, as walking every
-    destruction vector of every pool would. Where no request follows, the zero
-    state is the only one, and a running minimum over the pairs finds its
-    pool. Alive containers, serving or idle, bill one interval of running
-    cost, matching the simulator's accounting.
+    an interval every feasible routing of every request is enumerated, and
+    one pass reduces the priced pairs into the dense lattice of states that
+    could be kept (pruned to counts that future demand could ever use): every
+    state takes the cheapest pool it lies below, by suffix minima over the
+    lattice, as walking every destruction vector of every pool would. On an
+    exact tie of pools, the earliest (state, routing) pair of least cost wins.
+    Where no request follows, the zero state is the only one, and the pass is
+    a running minimum. Alive containers, serving or idle, bill one interval of
+    running cost, matching the simulator's accounting.
     """
     V, N, T = instance.topology.n_nodes, len(instance.catalog), instance.horizon
     nodes, catalog, params = instance.topology.nodes, instance.catalog, instance.params
@@ -293,7 +236,7 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
         )
 
     dp = {(0,) * size: 0.0}
-    parents = {}  # t -> (request groups, list(pool_best.items()), parent)
+    parents = {}  # t -> (request groups, routings, the states before t, state -> parent pair)
     for t in range(1, T + 1):
         # Every routing of interval t, one product over its (origin, type)
         # request groups with group 0 outermost: served counts m_all (A, size)
@@ -309,14 +252,11 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
                 m_all = (m_all[:, None] + served).reshape(-1, size)
                 comm = (comm[:, None] + ccost).ravel()
                 groups.append((v, n, comps))
-        # where no request follows, every pool is destroyed to the zero state,
-        # which keeps only the cheapest
-        pricing = _best_pools if any(keep_cap[t]) else _cheapest_pool
-        pool_best = pricing(dp, m_all, comm, u, cap, p_flat, aq_flat)
-        if not pool_best:
+        prev_states = list(dp)
+        dp, parent = _kept_states(dp, m_all, comm, u, cap, p_flat, aq_flat, keep_cap[t])
+        if not dp:
             raise InfeasibleInstance(f"no feasible routing for interval {t}")
-        dp, parent = _destroy(pool_best, keep_cap[t])
-        parents[t] = (groups, list(pool_best.items()), parent)
+        parents[t] = (groups, m_all, prev_states, parent)
 
     final_state = min(dp, key=dp.get)
     best_cost = dp[final_state]
@@ -329,8 +269,10 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
     witness = []
     state = final_state
     for t in range(T, 0, -1):
-        groups, items, parent = parents[t]
-        pool, (_cost, prev, aidx) = items[parent[state]]
+        groups, m_all, prev_states, parent = parents[t]
+        prev_index, aidx = divmod(parent[state], len(m_all))
+        prev = prev_states[prev_index]
+        pool = np.maximum(prev, m_all[aidx]).tolist()
         # the routing index in the product's mixed radix: one pick per group
         picks = np.unravel_index(aidx, [len(comps) for _v, _n, comps in groups])
         routes = [(v, n, comps[k]) for (v, n, comps), k in zip(groups, picks)]
@@ -358,6 +300,64 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
         state = prev
     witness.reverse()
     return OracleSolution(cost=best_cost, witness=witness)
+
+
+def check_witness(instance: TinyInstance, solution: OracleSolution) -> None:
+    """Replay an optimum's witness from the model, not from the DP's tables.
+
+    Raises InvariantViolation unless the witness holds one entry per interval
+    and, in each, serves every request of the interval's batch exactly once;
+    its pool, the element-wise max of the previous kept state and the served
+    counts, fits every node; and kept plus destroyed equals that pool. The
+    witness's switching (p per container switched on), communication (d per
+    offloaded request) and running (alpha*q per pooled container) costs must
+    add up to `solution.cost` within a relative 1e-9.
+    """
+    V, N = instance.topology.n_nodes, len(instance.catalog)
+    nodes, catalog, params = instance.topology.nodes, instance.catalog, instance.params
+    d = instance.topology.comm_cost
+    demand = {b.interval: {key: c for key, c in b.counts.items() if c} for b in instance.batches}
+    intervals = [w["interval"] for w in solution.witness]
+    if intervals != list(range(1, instance.horizon + 1)):
+        raise InvariantViolation(f"witness covers intervals {intervals}, not 1..{instance.horizon}")
+
+    def grid(t, what, rows, node_key):
+        counts = [[0] * N for _ in range(V)]
+        for row in rows:
+            v, n, c = row[node_key], row["ftype"], row["count"]
+            if not (0 <= v < V and 0 <= n < N and isinstance(c, int) and c > 0):
+                raise InvariantViolation(f"interval {t}: malformed {what} entry {row}")
+            counts[v][n] += c
+        return counts
+
+    terms = []
+    kept = [[0] * N for _ in range(V)]
+    for w in solution.witness:
+        t = w["interval"]
+        served = grid(t, "assignment", w["assignments"], "serve_at")
+        routed = {}
+        for r in w["assignments"]:
+            key = (r["origin"], r["ftype"])
+            routed[key] = routed.get(key, 0) + r["count"]
+        if routed != demand.get(t, {}):
+            raise InvariantViolation(f"interval {t}: witness serves {routed}, the batch asks {demand.get(t, {})}")
+        terms += [d[r["origin"]][r["serve_at"]] * r["count"] for r in w["assignments"]]
+        pool = [[max(k, m) for k, m in zip(kept_v, served_v)] for kept_v, served_v in zip(kept, served)]
+        for v, node in enumerate(nodes):
+            used = left_sum(catalog[n].mem_mb * pool[v][n] for n in range(N))
+            if used > node.capacity_mb:
+                raise InvariantViolation(f"interval {t}: pool {pool[v]} needs {used} MB at node {v}, of {node.capacity_mb}")
+            for n, f in enumerate(catalog):
+                terms.append(switching_cost(node, f, params) * max(served[v][n] - kept[v][n], 0))
+                terms.append(params.alpha * running_cost(node, f, params) * pool[v][n])
+        after = grid(t, "kept", w["kept"], "node")
+        destroyed = grid(t, "destroyed", w["destroyed"], "node")
+        if [[k + x for k, x in zip(*rows)] for rows in zip(after, destroyed)] != pool:
+            raise InvariantViolation(f"interval {t}: kept {after} plus destroyed {destroyed} is not the pool {pool}")
+        kept = after
+    total = left_sum(terms)
+    if not math.isclose(total, solution.cost, rel_tol=1e-9):
+        raise InvariantViolation(f"the witness costs {total!r}, the solution says {solution.cost!r}")
 
 
 def per_request_bound(ftype, origin, serving_node, served_from_cache, params, topology):

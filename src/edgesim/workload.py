@@ -22,6 +22,8 @@ class ZipfConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.n_types, bool) or not isinstance(self.n_types, (int, np.integer)):
+            raise ConfigError(f"n_types must be an int, got {self.n_types!r}")
         if self.n_types < 1:
             raise ConfigError("n_types must be >= 1")
         if not 0 < self.beta < math.inf:

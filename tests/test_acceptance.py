@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import ttest_1samp
 
 from edgesim.model import DEFAULT_CATALOG, CostParams, NodeState
-from edgesim.oracle import competitive_check, random_tiny_instance, solve_exact
+from edgesim.oracle import check_witness, competitive_check, random_tiny_instance, solve_exact
 from edgesim.policies import pcache_distribution, pcache_select_victim
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 
@@ -110,7 +110,9 @@ def test_criterion_2_oracle_dominance():
     worst_gap = 0.0
     for _ in range(100):
         inst = random_tiny_instance(rng)
-        opt = solve_exact(inst).cost
+        solution = solve_exact(inst)
+        check_witness(inst, solution)  # the optimum is a real schedule at its cost
+        opt = solution.cost
         costs = {}
         for policy in ("pcache", "lru", "fc", "nocache"):
             cfg = SimConfig(

@@ -231,6 +231,24 @@ def test_oracle_compare_policy(tmp_path, capsys):
     assert out["compare"]["ratio"] >= 1.0
 
 
+def test_oracle_witness_that_fails_its_replay_exits_1(tmp_path, capsys, monkeypatch):
+    # an optimum reported too low is an invariant violation, printed nowhere
+    solve = cli.solve_exact
+
+    def understated(instance):
+        solution = solve(instance)
+        solution.cost /= 2
+        return solution
+
+    monkeypatch.setattr(cli, "solve_exact", understated)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_instance_obj()))
+    assert main(["oracle", "--instance", str(path), "--compare", "pcache"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invariant violation: the witness costs" in captured.err
+
+
 def test_oracle_oversize_instance_refused(tmp_path, capsys):
     obj = _instance_obj()
     obj["horizon"] = 9

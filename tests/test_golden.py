@@ -25,7 +25,7 @@ import pytest
 import edgesim
 from edgesim import cli, sim
 from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, FunctionType, RequestBatch, Topology
-from edgesim.oracle import TinyInstance, instance_to_json, random_tiny_instance, solve_exact
+from edgesim.oracle import TinyInstance, check_witness, instance_to_json, random_tiny_instance, solve_exact
 from edgesim.sim import SimConfig, run, summary_json
 
 from conftest import desk_topology
@@ -250,10 +250,11 @@ def random_instances():
 
 def oracle_digest(instances):
     """The optimum's repr (an np.float64 repr differs from a float's) and the
-    witness JSON of every instance."""
+    witness JSON of every instance, each witness replayed first."""
     parts = []
     for inst in instances:
         sol = solve_exact(inst)
+        check_witness(inst, sol)
         parts += [repr(sol.cost).encode(), json.dumps(sol.witness).encode()]
     return _sha(*parts)
 

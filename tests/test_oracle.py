@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from edgesim.errors import CompetitiveBoundError, ConfigError, InfeasibleInstance, InstanceTooLarge
+from edgesim.errors import CompetitiveBoundError, ConfigError, InfeasibleInstance, InstanceTooLarge, InvariantViolation
 from edgesim.model import CostParams, EdgeNode, FunctionType, RequestBatch, Topology
 from edgesim.oracle import (
+    OracleSolution,
     TinyInstance,
+    check_witness,
     competitive_check,
     instance_from_json,
     instance_to_json,
@@ -182,6 +184,64 @@ def test_interval_over_every_capacity_is_infeasible():
     )
     with pytest.raises(InfeasibleInstance, match="interval 2"):
         solve_exact(inst)
+
+
+def _two_interval_solution():
+    # t1: two requests at node 0, one created at each node; t2: one request
+    # at node 1, served by the kept container there
+    nodes = [EdgeNode(0, 110.0, 1.0), EdgeNode(1, 110.0, 1.0)]
+    inst = TinyInstance(
+        topology=Topology(nodes=nodes, comm_cost=np.array([[0.0, 2.0], [2.0, 0.0]])),
+        catalog=(FunctionType(0, 100.0),),
+        params=CostParams(alpha=0.01),
+        horizon=2,
+        batches=[RequestBatch(1, {(0, 0): 2}), RequestBatch(2, {(1, 0): 1})],
+    )
+    return inst, solve_exact(inst)
+
+
+def test_witness_replays_at_the_optimum():
+    inst, sol = _two_interval_solution()
+    check_witness(inst, sol)
+    assert sol.witness[0]["kept"] == [{"node": 1, "ftype": 0, "count": 1}]
+    assert sol.witness[0]["destroyed"] == [{"node": 0, "ftype": 0, "count": 1}]
+
+
+def _doctor(witness, t, key, k, **changes):
+    witness[t - 1][key][k].update(changes)
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        (lambda w: w[0]["assignments"].pop(), "witness serves"),  # a request unserved
+        (lambda w: _doctor(w, 1, "assignments", 0, count=2), "witness serves"),  # served twice
+        (lambda w: _doctor(w, 1, "assignments", 1, origin=1), "witness serves"),  # another batch's request
+        (lambda w: _doctor(w, 1, "assignments", 1, serve_at=0), "needs 200.0 MB at node 0"),  # over capacity
+        (lambda w: w[0]["destroyed"].clear(), "is not the pool"),  # kept + destroyed short of the pool
+        (lambda w: _doctor(w, 1, "kept", 0, count=2), "is not the pool"),  # kept above the pool
+        (lambda w: _doctor(w, 1, "destroyed", 0, count=0), "malformed destroyed"),
+        (lambda w: w.pop(), "not 1..2"),  # an interval missing
+        (lambda w: w.reverse(), "not 1..2"),
+        # a consistent schedule, not the one priced: nothing kept after t1, so
+        # t2 switches a container on again
+        (lambda w: (w[0]["kept"].clear(), w[0]["destroyed"].append({"node": 1, "ftype": 0, "count": 1})),
+         "the witness costs"),
+    ],
+)
+def test_witness_replay_rejects_a_doctored_witness(doctor, message):
+    inst, sol = _two_interval_solution()
+    doctor(sol.witness)
+    with pytest.raises(InvariantViolation, match=message):
+        check_witness(inst, sol)
+
+
+@pytest.mark.parametrize("factor", [0.5, 1 + 1e-8])
+def test_witness_replay_rejects_a_misreported_cost(factor):
+    inst, sol = _two_interval_solution()
+    check_witness(inst, OracleSolution(sol.cost * (1 + 1e-10), sol.witness))  # within a relative 1e-9
+    with pytest.raises(InvariantViolation, match="the witness costs"):
+        check_witness(inst, OracleSolution(sol.cost * factor, sol.witness))
 
 
 def test_per_request_bound_local_hit():

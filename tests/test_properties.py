@@ -8,12 +8,12 @@ the table-driven `distribute_interval` against the per-request loop it
 replaced, and the one-pass fc entry logs against the two-pass class they
 replaced. The lane property checks lanes run in lockstep on one request
 stream against lone runs of the per-trajectory loop they replaced. The
-oracle properties check its block pricing against a per-pair
-loop, its running minimum for an interval no request follows against
-grouping every pool and destroying each to the zero state, its
-suffix-minimum destruction step against a walk over every destruction
-vector, its optimum against every policy, and its refusal of instances over
-the enumeration budget. The reader fuzz feeds the CSV readers
+oracle properties check its one pass from priced pairs to kept states
+against a per-pair walk over every destruction vector (at any block size, in
+an interval no request follows, and with every keep cap above zero), its
+witness replay,
+its optimum against every policy, and its refusal of instances over the
+enumeration budget. The reader fuzz feeds the CSV readers
 arbitrary bytes.
 """
 
@@ -677,13 +677,15 @@ def test_lockstep_lanes_equal_lone_runs(config, alphas, infeasible):
             assert result.summary["normalized_cost"] == expected
 
 
-def best_pools_one_pair_at_a_time(dp, m_all, comm, u, cap, p_flat, aq_flat):
-    """Reference for `oracle._best_pools`: prices one (state, routing) pair at a time."""
-    N = len(u)
-    pool_best = {}
-    for state, cost0 in dp.items():
+def kept_states_one_pair_at_a_time(dp, m_all, comm, u, cap, p_flat, aq_flat, caps):
+    """Reference for `oracle._kept_states`: prices one (state, routing) pair at
+    a time and walks every destruction vector of the pair's pool clipped to
+    caps, replacing a state's entry only on a strictly lower cost."""
+    N, A = len(u), len(m_all)
+    kept, parent = {}, {}
+    for s, (state, cost0) in enumerate(dp.items()):
         for aidx, (m, comm_a) in enumerate(zip(m_all.tolist(), comm.tolist())):
-            pool = tuple(max(s, x) for s, x in zip(state, m))
+            pool = tuple(max(x, y) for x, y in zip(state, m))
             feasible = True
             for v, cap_v in enumerate(cap):
                 used = 0.0
@@ -698,15 +700,17 @@ def best_pools_one_pair_at_a_time(dp, m_all, comm, u, cap, p_flat, aq_flat):
                 if m[i] > state[i]:
                     cost += p_flat[i] * (m[i] - state[i])
                 cost += aq_flat[i] * pool[i]
-            best = pool_best.get(pool)
-            if best is None or cost < best[0]:
-                pool_best[pool] = (cost, state, aidx)
-    return pool_best
+            for after in itertools.product(*[range(min(x, c) + 1) for x, c in zip(pool, caps)]):
+                if cost < kept.get(after, math.inf):
+                    kept[after] = cost
+                    parent[after] = s * A + aidx
+    return kept, parent
 
 
 @st.composite
-def pricing_inputs(draw):
-    """Small counts and few distinct prices, so pools repeat and costs tie."""
+def pricing_inputs(draw, caps=st.integers(0, 2)):
+    """Small counts and few distinct prices, so pools repeat and costs tie;
+    keep caps drawn from caps."""
     n_nodes, n_types = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     size = n_nodes * n_types
     vector = st.tuples(*[st.integers(0, 2)] * size)
@@ -719,20 +723,11 @@ def pricing_inputs(draw):
     cap = [draw(st.sampled_from((2.0, 3.0, 8.0))) for _ in range(n_nodes)]
     p_flat = [draw(price) for _ in range(size)]
     aq_flat = [draw(price) for _ in range(size)]
-    return dp, m_all, comm, u, cap, p_flat, aq_flat
+    caps = draw(st.lists(caps, min_size=size, max_size=size))
+    return dp, m_all, comm, u, cap, p_flat, aq_flat, caps
 
 
-@settings(max_examples=200, deadline=None)
-@given(args=pricing_inputs(), block_pairs=st.sampled_from((1, 3, 7, 1024, 1536)))
-def test_block_pricing_equals_one_pair_at_a_time(args, block_pairs):
-    # same pools in the same insertion order, each with the same cost bits,
-    # state and routing index, whatever the block boundaries
-    with mock.patch.object(oracle, "_BLOCK_PAIRS", block_pairs):
-        got = oracle._best_pools(*args)
-    assert list(got.items()) == list(best_pools_one_pair_at_a_time(*args).items())
-
-
-# Pool (1, 0) enters first, from state (0, 0) at cost 1, but reaches the
+# Pool (1, 0) is reached first, from state (0, 0) at cost 1, and reaches the
 # least cost, 0, only from state (1, 0), after pool (1, 1) has from (0, 1).
 CROSS_POOL_TIE = (
     {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0},  # dp: state -> cost
@@ -742,32 +737,61 @@ CROSS_POOL_TIE = (
 )
 
 
+def assert_kept_states_equal_the_walk(args, block_pairs):
+    # same states in the same insertion order, each with the same cost bits
+    # and the same parent pair
+    with mock.patch.object(oracle, "_BLOCK_PAIRS", block_pairs):
+        dp, parent = oracle._kept_states(*args)
+    ref_dp, ref_parent = kept_states_one_pair_at_a_time(*args)
+    assert [(state, cost.hex()) for state, cost in dp.items()] == [
+        (state, cost.hex()) for state, cost in ref_dp.items()
+    ]
+    assert parent == ref_parent
+    if args[0] is CROSS_POOL_TIE[0]:
+        # the earliest pair of least cost wins: from state (0, 1), pair 1,
+        # not the pool (1, 0) reached first
+        assert set(parent.values()) == {1}
+
+
 @settings(max_examples=200, deadline=None)
 @given(args=pricing_inputs(), block_pairs=st.sampled_from((1, 3, 7, 1024, 1536)))
-@example(args=CROSS_POOL_TIE, block_pairs=1536)
-@example(args=CROSS_POOL_TIE, block_pairs=1)
+@example(args=CROSS_POOL_TIE + ([1, 1],), block_pairs=1536)
+@example(args=CROSS_POOL_TIE + ([1, 1],), block_pairs=1)
+def test_block_pricing_equals_one_pair_at_a_time(args, block_pairs):
+    # whatever the block boundaries and however the costs tie
+    assert_kept_states_equal_the_walk(args, block_pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=pricing_inputs(caps=st.just(0)), block_pairs=st.sampled_from((1, 3, 7, 1024, 1536)))
+@example(args=CROSS_POOL_TIE + ([0, 0],), block_pairs=1536)
+@example(args=CROSS_POOL_TIE + ([0, 0],), block_pairs=1)
 def test_cheapest_pool_equals_best_pools_then_destroy(args, block_pairs):
-    # the one item destroying every pool to the zero state keeps: same pool,
-    # cost bits, state and routing index, whatever the block boundaries and
-    # however the costs tie
-    zero = (0,) * len(args[1][0])
-    with mock.patch.object(oracle, "_BLOCK_PAIRS", block_pairs):
-        got = oracle._cheapest_pool(*args)
-        pool_best = oracle._best_pools(*args)
-    if not pool_best:
-        assert got == {}  # no feasible pair
-        return
-    _dp, parent = oracle._destroy(pool_best, [0] * len(zero))
-    [(pool, (cost, prev, aidx))] = got.items()
-    ref_pool, (ref_cost, ref_prev, ref_aidx) = list(pool_best.items())[parent[zero]]
-    assert (pool, cost.hex(), prev, aidx) == (ref_pool, ref_cost.hex(), ref_prev, ref_aidx)
+    # an interval no request follows: every pool is destroyed to the zero
+    # state, the one cell of the lattice, where blocks that cannot lower its
+    # cost are skipped; no feasible pair keeps no state
+    assert_kept_states_equal_the_walk(args, block_pairs)
+    dp, _parent = oracle._kept_states(*args)
+    assert set(dp) <= {(0,) * len(args[-1])}
 
 
-@pytest.mark.parametrize("cpus", [(1.0, 1.0), (1.0, 1.5)])
-def test_trailing_empty_interval_witness_equals_grouped_pools(cpus):
-    # no request after interval 2, so intervals 2 and 3 take the cheapest pool
-    # by a running minimum; equal nodes tie two pools at the optimum, as in
-    # test_oracle.py's cross-node case, and unequal ones do not
+@settings(max_examples=300, deadline=None)
+@given(args=pricing_inputs(caps=st.integers(1, 2)))
+def test_suffix_minimum_destruction_equals_the_walk(args):
+    # every cap at least 1, so every pool keeps a lattice of states above
+    # the zero one, at the default block size
+    assert_kept_states_equal_the_walk(args, oracle._BLOCK_PAIRS)
+
+
+@pytest.mark.parametrize(
+    "cpus, optimum",
+    [((1.0, 1.0), "np.float64(162.55)"), ((1.0, 1.5), "np.float64(117.15833333333335)")],
+    ids=["cpus0", "cpus1"],
+)
+def test_trailing_empty_interval_witness_replays(cpus, optimum):
+    # no request after interval 2, so intervals 2 and 3 keep the zero state
+    # alone; equal nodes tie two pools at the optimum, as in test_oracle.py's
+    # cross-node case, and unequal ones do not
     nodes = [EdgeNode(v, 400.0, cpu) for v, cpu in enumerate(cpus)]
     instance = TinyInstance(
         topology=Topology(nodes=nodes, comm_cost=np.array([[0.0, 5.0], [5.0, 0.0]])),
@@ -776,54 +800,9 @@ def test_trailing_empty_interval_witness_equals_grouped_pools(cpus):
         horizon=3,
         batches=[RequestBatch(1, {(0, 0): 1}), RequestBatch(2, {(1, 0): 1, (0, 1): 1})],
     )
-    with mock.patch.object(oracle, "_cheapest_pool", wraps=oracle._cheapest_pool) as fast:
-        got = solve_exact(instance)
-    assert fast.call_count == 2
-    with mock.patch.object(oracle, "_cheapest_pool", oracle._best_pools):
-        ref = solve_exact(instance)
-    assert (repr(got.cost), got.witness) == (repr(ref.cost), ref.witness)
-
-
-def destroy_one_pool_at_a_time(pool_best, caps):
-    """Reference for `oracle._destroy`: walks every destruction vector of every
-    pool, keeping the first pool of strictly smallest cost per state."""
-    dp, parents = {}, {}
-    for pool, (cost, prev, aidx) in pool_best.items():
-        ranges = [range(min(x, c) + 1) for x, c in zip(pool, caps)]
-        for state in itertools.product(*ranges):
-            if cost < dp.get(state, math.inf):
-                dp[state] = cost
-                parents[state] = (prev, aidx, pool)
-    return dp, parents
-
-
-@st.composite
-def destruction_inputs(draw):
-    """Pools that nest and tie on cost, caps that clip them, 0 included."""
-    size = draw(st.integers(1, 4))
-    vector = st.tuples(*[st.integers(0, 3)] * size)
-    pools = draw(st.lists(vector, min_size=1, max_size=12, unique=True))
-    price = st.sampled_from((0.0, 0.5, 1.0, 2.5))
-    pool_best = {pool: (draw(price), (k,), k) for k, pool in enumerate(pools)}
-    caps = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
-    return pool_best, caps
-
-
-@settings(max_examples=300, deadline=None)
-@given(args=destruction_inputs())
-def test_suffix_minimum_destruction_equals_the_walk(args):
-    # same states in the same insertion order, each with the same cost and
-    # the same parent pool
-    pool_best, caps = args
-    dp, parent = oracle._destroy(pool_best, caps)
-    ref_dp, ref_parents = destroy_one_pool_at_a_time(pool_best, caps)
-    assert list(dp.items()) == list(ref_dp.items())
-    items = list(pool_best.items())
-    parents = {}
-    for state in dp:
-        pool, (_cost, prev, aidx) = items[parent[state]]
-        parents[state] = (prev, aidx, pool)
-    assert parents == ref_parents
+    solution = solve_exact(instance)
+    oracle.check_witness(instance, solution)
+    assert repr(solution.cost) == optimum
 
 
 @SETTINGS

@@ -37,6 +37,13 @@ def test_zipf_zero_beta_rejected():
         zipf_popularity(1.0, 0)
 
 
+@pytest.mark.parametrize("n_types", [2.5, 2.0, True, "2", None])
+def test_zipf_config_rejects_a_type_count_that_is_not_an_int(n_types):
+    # 2.5 types once built a config whose first source ended in numpy's AxisError
+    with pytest.raises(ConfigError, match="n_types must be an int"):
+        ZipfConfig(beta=1.0, n_types=n_types, mean_rate=3.0)
+
+
 def test_zipf_normalized_and_nonincreasing():
     for beta in (0.5, 1.0, 1.5):
         for n in (1, 3, 10, 50):

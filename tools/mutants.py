@@ -106,16 +106,26 @@ MUTANTS = [
            "                if cost + aq > aq + top + 1e-9:",
            "                if cost + aq > aq + top + 1e-9 and alpha == min(check.live):",
            "only the smallest live alpha records its violation"),
-    # oracle block pricing
-    Mutant("pools-keep-later-tie", ORACLE,
-           "if held is None or c < held[0]:", "if held is None or c <= held[0]:",
-           "a later pair of equal cost replaces a pool's earliest pair"),
-    Mutant("pools-ignore-cost", ORACLE,
-           "at_min = np.flatnonzero(costs == cheapest[group])", "at_min = np.arange(len(costs))",
-           "each pool keeps its first pair, not its cheapest"),
-    Mutant("pools-in-key-order", ORACLE,
-           "        best = best[np.argsort(first)]\n", "",
-           "pools enter the dict in key order, not first-pair order"),
+    # oracle block pricing into the keep lattice
+    Mutant("cells-keep-later-tie", ORACLE,
+           "        best[cells[now < held]] = none  # a lower cost: the cell's earlier pairs lose\n"
+           "        at_min = costs == now\n",
+           "        at_min = costs == now\n"
+           "        best[cells[at_min]] = none\n",
+           "a later pair of equal cost replaces a cell's pair from an earlier block"),
+    Mutant("cells-keep-later-tie-in-block", ORACLE,
+           "np.minimum.at(best, cells[at_min], pairs[at_min])",
+           "best[cells[at_min]] = np.minimum(best[cells[at_min]], pairs[at_min])",
+           "the last of a block's pairs of equal cost wins a cell, not the first"),
+    Mutant("cells-ignore-cost", ORACLE,
+           "at_min = costs == now", "at_min = costs == costs",
+           "each cell keeps its block's first pair, not its cheapest"),
+    Mutant("cells-by-last-pair", ORACLE,
+           "np.minimum.at(first, cells, pairs)", "first[cells] = pairs",
+           "kept states enter dp by the last pair that reaches them, not the first"),
+    Mutant("skip-before-every-cell-reached", ORACLE,
+           "ceiling = least.max()", "ceiling = least[first < none].max()",
+           "a block is skipped before every cell has its first pair"),
     Mutant("capacity-any-node", ORACLE,
            "(used > np.reshape(cap, (V, 1, 1))).any(axis=0)", "(used > np.reshape(cap, (V, 1, 1))).all(axis=0)",
            "a pool is infeasible only when every node overflows"),
@@ -187,26 +197,13 @@ MUTANTS = [
     Mutant("fc-ttl-strict", POLICIES,
            "while dq and now - dq[0] >= self.ttl:", "while dq and now - dq[0] > self.ttl:",
            "fc keeps a container one interval past its ttl"),
-    # oracle running minimum where no request follows
-    Mutant("cheapest-no-tie-fallback", ORACLE,
-           "    if tied:\n", "    if False:\n",
-           "a cross-pool tie takes the earliest least-cost pair, whatever its pool"),
-    Mutant("cheapest-keeps-last-tie", ORACLE,
-           "if least is None or c < least[0]:", "if least is None or c <= least[0]:",
-           "the running minimum keeps the last least-cost pair, not the first"),
-    Mutant("cheapest-tie-within-block-unseen", ORACLE,
-           "mixed = (pools != pools[:, :1]).any()", "mixed = False",
-           "pools that tie within one block are taken for one pool"),
-    Mutant("cheapest-tie-across-blocks-unseen", ORACLE,
-           "tied = tied or mixed or (pools[:, 0] != least[3]).any()", "tied = tied or mixed",
-           "pools that tie in different blocks are taken for one pool"),
-    # oracle destruction by suffix minima
-    Mutant("destroy-ties-latest-pool", ORACLE,
-           'by_cost = np.argsort(costs, kind="stable")', "by_cost = np.lexsort((-np.arange(n_pools), costs))",
-           "a state's parent is the latest of its cheapest pools"),
+    # kept states by suffix minima
+    Mutant("suffix-ties-latest-pair", ORACLE,
+           "np.lexsort((best[reached], least[reached]))", "np.lexsort((-best[reached], least[reached]))",
+           "a state's parent is the latest of its cheapest cells' pairs"),
     Mutant("destroy-c-order", ORACLE,
-           'order = reached[np.argsort(first[reached], kind="stable")]', "order = reached",
-           "kept states enter dp in C order, not by their first pool"),
+           '    kept = kept[np.argsort(reach[kept], kind="stable")]\n', "",
+           "kept states enter dp in C order, not by their first pair"),
     # oracle routings as one product
     Mutant("routings-groups-reversed", ORACLE,
            "                m_all = (m_all[:, None] + served).reshape(-1, size)\n"
