@@ -398,45 +398,56 @@ class CompetitiveReport:
 
 
 def competitive_check(records, topology: Topology, catalog, params: CostParams) -> CompetitiveReport:
-    """Verify every logged request against its worst-case cost bound.
+    """Verify every logged request against its route, recomputed from `model`.
 
-    The bound is recomputed independently from the route; the logged marginal
-    cost is the evidence being checked. Remote creations (capacity overflow)
-    sit outside the worst-case analysis and are counted, not ratio-checked;
-    rejected requests carry no cost. Any violation raises with the offending
-    record.
+    The logged marginal cost and bound are the evidence being checked: each
+    must equal, bit for bit, the realized cost and the worst-case bound that
+    `per_request_bound` recomputes from the record's route, and a route whose
+    cost exceeds its bound fails. Remote creations (capacity overflow) sit
+    outside the worst-case analysis: their cost and bound are verified, and
+    they are counted, not ratio-checked. Rejected requests carry no cost. Each
+    route, an (origin, serving node, type, action), is priced once per call.
+    Any violation raises with the offending record.
     """
-    n_checked = 0
+    routes = {}  # route -> whether it is a fallback creation, its realized cost and bound
     n_fallback = 0
     n_rejected = 0
     max_ratio = 0.0
     max_bound_ratio = 0.0
     for rec in records:
-        if rec.action == "reject":
+        action = rec.action
+        if action == "reject":
             n_rejected += 1
             continue
-        if rec.action == "create" and rec.serving_node != rec.origin:
-            n_fallback += 1
-            continue
-        origin = topology.nodes[rec.origin]
-        serving = topology.nodes[rec.serving_node]
-        f = catalog[rec.ftype]
-        _realized, bound = per_request_bound(
-            f, origin, serving, rec.action in ("hit", "offload"), params, topology
-        )
-        if rec.marginal_cost > bound + 1e-9:
+        route = (rec.origin, rec.serving_node, rec.ftype, action)
+        priced = routes.get(route)
+        if priced is None:
+            origin = topology.nodes[rec.origin]
+            f = catalog[rec.ftype]
+            realized, bound = per_request_bound(
+                f, origin, topology.nodes[rec.serving_node], action in ("hit", "offload"), params, topology
+            )
+            fallback = action == "create" and rec.serving_node != rec.origin
+            if not fallback:
+                if realized > bound + 1e-9:
+                    raise CompetitiveBoundError(
+                        rec, f"request exceeds worst-case bound: realized {realized!r} > bound {bound!r} ({rec})"
+                    )
+                opt = per_request_lower_bound(f, origin, params)
+                max_ratio = max(max_ratio, realized / opt)
+                max_bound_ratio = max(max_bound_ratio, bound / opt)
+            priced = routes[route] = (fallback, realized, bound)
+        fallback, realized, bound = priced
+        if rec.marginal_cost != realized or rec.bound != bound:
             raise CompetitiveBoundError(
                 rec,
-                f"request exceeds worst-case bound: realized {rec.marginal_cost!r} "
-                f"> bound {bound!r} ({rec})",
+                f"logged cost {rec.marginal_cost!r} and bound {rec.bound!r} differ from the route's "
+                f"realized {realized!r} and bound {bound!r} ({rec})",
             )
-        opt = per_request_lower_bound(f, origin, params)
-        max_ratio = max(max_ratio, rec.marginal_cost / opt)
-        max_bound_ratio = max(max_bound_ratio, bound / opt)
-        n_checked += 1
+        n_fallback += fallback
     return CompetitiveReport(
         n_records=len(records),
-        n_checked=n_checked,
+        n_checked=len(records) - n_rejected - n_fallback,
         n_fallback_creations=n_fallback,
         n_rejected=n_rejected,
         max_ratio=max_ratio,

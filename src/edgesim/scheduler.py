@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -268,10 +267,27 @@ def end_interval(states: list[NodeState], policy, now: int, catalog) -> list[tup
 
 
 def write_audit_csv(records: list[AuditRecord], path) -> None:
+    """Write one CSV line per record, with csv.writer's bytes: every field is
+    an int, an action word or a float repr, none of which needs quoting.
+
+    The work is done once per run of one shared record: a record that is the
+    previous one reuses its line, and each distinct (marginal_cost, bound)
+    pair formats its tail once. A zero pair is formatted afresh, since
+    -0.0 == 0.0 but their reprs differ.
+    """
+    tails: dict[tuple[float, float], str] = {}
+    prev = line = None
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interval", "origin", "ftype", "action", "serving_node", "marginal_cost", "bound"])
-        writer.writerows(
-            (r.interval, r.origin, r.ftype, r.action, r.serving_node, repr(r.marginal_cost), repr(r.bound))
-            for r in records
-        )
+        write = fh.write
+        write("interval,origin,ftype,action,serving_node,marginal_cost,bound\r\n")
+        for rec in records:
+            if rec is not prev:
+                prev = rec
+                pair = (rec.marginal_cost, rec.bound)
+                tail = tails.get(pair)
+                if tail is None:
+                    tail = f"{rec.marginal_cost!r},{rec.bound!r}\r\n"
+                    if rec.marginal_cost and rec.bound:
+                        tails[pair] = tail
+                line = f"{rec.interval},{rec.origin},{rec.ftype},{rec.action},{rec.serving_node},{tail}"
+            write(line)

@@ -140,7 +140,7 @@ class ListSource:
     def batch(self, interval: int) -> RequestBatch | None:
         if interval > self._last:
             return None
-        return self._by_interval.get(interval, RequestBatch(interval=interval, counts={}))
+        return self._by_interval.get(interval) or RequestBatch(interval=interval, counts={})
 
 
 def read_trace(path) -> list[TraceRecord]:
@@ -197,28 +197,31 @@ def ingest_trace(
     records = read_trace(path)
     rng = np.random.default_rng(seed)
     totals: dict[int, dict[tuple[int, int], int]] = {}
-    for rec in records:
-        node, ftype = rec.node, rec.ftype
+    for interval, node, ftype, count in records:
         if not 0 <= node < n_nodes:
             raise MappingError(f"trace node {node} outside 0..{n_nodes - 1}")
         if not 0 <= ftype < n_types:
             raise MappingError(f"trace ftype {ftype} outside 0..{n_types - 1}")
-        interval = (rec.interval - 1) // bin_width + 1
-        bucket = totals.setdefault(interval, {})
-        bucket[(node, ftype)] = bucket.get((node, ftype), 0) + rec.count
+        interval = (interval - 1) // bin_width + 1
+        bucket = totals.get(interval)
+        if bucket is None:
+            bucket = totals[interval] = {}
+        key = (node, ftype)
+        bucket[key] = bucket.get(key, 0) + count
     batches = []
     for interval in sorted(totals):
-        counts = {}
-        for key in sorted(totals[interval]):
-            raw = totals[interval][key]
-            if downscale == 1:
-                scaled = raw
-            else:
+        bucket = totals[interval]
+        if downscale == 1:
+            counts = {key: raw for key, raw in sorted(bucket.items()) if raw}
+        else:
+            counts = {}
+            for key, raw in sorted(bucket.items()):
                 whole, frac = divmod(raw, downscale)
                 scaled = int(whole)
                 if frac and rng.random() < frac / downscale:
                     scaled += 1
-            if scaled:
-                counts[key] = scaled
-        batches.append(RequestBatch(interval=interval, counts=counts))
+                if scaled:
+                    counts[key] = scaled
+        # sums of parsed ints: int counts >= 1, keyed in ascending order
+        batches.append(RequestBatch._trusted(interval, counts))
     return batches

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -310,6 +313,66 @@ def test_competitive_check_adversarial_log_fails():
     records = [AuditRecord(1, 0, 0, "hit", 0, 999.0, 55.55)]
     with pytest.raises(CompetitiveBoundError):
         competitive_check(records, topo, catalog, params)
+
+
+def _overflow_audit():
+    """An audited run of a 55 MB origin beside a 220 MB node 100 away, beyond
+    the origin's switching cost of 55: it hits, creates at the origin, takes
+    the far node's idle containers, creates there and rejects."""
+    topo = make_topology([55.0, 220.0], comm=[[0, 100], [100, 0]])
+    catalog = (FunctionType(0, 55.0),)
+    params = CostParams(alpha=0.01, run_coeff=1.0)
+    batches = [RequestBatch(1, {(0, 0): 4}), RequestBatch(2, {(0, 0): 7})]
+    config = SimConfig(
+        topology=topo, catalog=catalog, params=params, policy="lru", horizon=2, seed=0,
+        batches=batches, check="full", audit=True,
+    )
+    return run(config).audit, topo, catalog, params
+
+
+def test_competitive_check_verifies_every_channel_of_a_run():
+    audit, topo, catalog, params = _overflow_audit()
+    channels = {(r.action, r.serving_node) for r in audit}
+    assert channels == {("hit", 0), ("create", 0), ("offload", 1), ("create", 1), ("reject", -1)}
+    report = competitive_check(audit, topo, catalog, params)
+    fallbacks = sum(r.action == "create" and r.serving_node == 1 for r in audit)
+    rejects = sum(r.action == "reject" for r in audit)
+    assert (report.n_records, report.n_fallback_creations, report.n_rejected) == (len(audit), fallbacks, rejects)
+    assert report.n_checked == len(audit) - fallbacks - rejects
+
+
+def _doctored(audit, channel, **changes):
+    """The audit with the first record of `channel` (action, serving node) replaced."""
+    i = next(i for i, r in enumerate(audit) if (r.action, r.serving_node) == channel)
+    return audit[:i] + [replace(audit[i], **changes)] + audit[i + 1 :]
+
+
+@pytest.mark.parametrize("channel", [("hit", 0), ("create", 0), ("offload", 1)])
+def test_competitive_check_rejects_an_understated_cost(channel):
+    # one ulp under the realized cost: within the bound, but not what was paid
+    audit, topo, catalog, params = _overflow_audit()
+    cost = next(r.marginal_cost for r in audit if (r.action, r.serving_node) == channel)
+    doctored = _doctored(audit, channel, marginal_cost=math.nextafter(cost, 0.0))
+    with pytest.raises(CompetitiveBoundError, match="logged cost"):
+        competitive_check(doctored, topo, catalog, params)
+
+
+@pytest.mark.parametrize("channel", [("hit", 0), ("create", 0), ("offload", 1), ("create", 1)])
+def test_competitive_check_rejects_an_overstated_bound(channel):
+    audit, topo, catalog, params = _overflow_audit()
+    bound = next(r.bound for r in audit if (r.action, r.serving_node) == channel)
+    doctored = _doctored(audit, channel, bound=math.nextafter(bound, math.inf))
+    with pytest.raises(CompetitiveBoundError, match="logged cost"):
+        competitive_check(doctored, topo, catalog, params)
+
+
+def test_competitive_check_rejects_a_doctored_fallback_creation():
+    # a creation on the far node pays d + p there: logging p at the origin hides it
+    audit, topo, catalog, params = _overflow_audit()
+    rec = next(r for r in audit if (r.action, r.serving_node) == ("create", 1))
+    doctored = _doctored(audit, ("create", 1), marginal_cost=rec.marginal_cost - 100.0)
+    with pytest.raises(CompetitiveBoundError, match="logged cost"):
+        competitive_check(doctored, topo, catalog, params)
 
 
 def _policy_cost(inst, policy, seed=3):

@@ -1,5 +1,12 @@
+import csv
+import os
+import tempfile
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesim.costs import interval_running_cost
 from edgesim.errors import InvariantViolation
@@ -18,6 +25,7 @@ from edgesim.scheduler import (
     RoutingContext,
     distribute_interval,
     end_interval,
+    write_audit_csv,
 )
 
 from conftest import make_stepping_policy, make_topology
@@ -348,3 +356,99 @@ def test_randomized_conservation_capacity_determinism(policy_name):
             assert da.created == db.created
             assert da.destroyed == db.destroyed
             assert da.rejected == db.rejected
+
+
+def reference_audit_bytes(records):
+    """The audit CSV as csv.writer writes it, one row per record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "audit.csv")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["interval", "origin", "ftype", "action", "serving_node", "marginal_cost", "bound"])
+            writer.writerows(
+                (r.interval, r.origin, r.ftype, r.action, r.serving_node, repr(r.marginal_cost), repr(r.bound))
+                for r in records
+            )
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def audit_bytes(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "audit.csv")
+        write_audit_csv(records, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+# floats whose repr needs all 17 significant digits, and both zeros
+COSTS = (0.1 + 0.2, 1 / 3, 55.0 + 0.001 * 55.0, 0.0, -0.0, 2.5)
+
+audit_records = st.builds(
+    AuditRecord,
+    interval=st.integers(1, 3),
+    origin=st.integers(0, 2),
+    ftype=st.integers(0, 1),
+    action=st.sampled_from(("hit", "offload", "create", "reject")),
+    serving_node=st.integers(-1, 2),
+    marginal_cost=st.one_of(st.sampled_from(COSTS), st.floats()),
+    bound=st.one_of(st.sampled_from(COSTS), st.floats()),
+)
+
+
+@st.composite
+def audits(draw):
+    """Runs of one shared record, as `note` appends them; a run's record is
+    new, an equal but distinct copy of the previous one, or that copy one
+    interval on."""
+    records = []
+    for _ in range(draw(st.integers(0, 10))):
+        how = draw(st.sampled_from(("new", "copy", "next interval"))) if records else "new"
+        if how == "new":
+            rec = draw(audit_records)
+        elif how == "copy":
+            rec = replace(records[-1])
+        else:
+            rec = replace(records[-1], interval=records[-1].interval + 1)
+        records += [rec] * draw(st.integers(1, 3))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=audits())
+def test_audit_writer_bytes_equal_csv_writer(records):
+    assert audit_bytes(records) == reference_audit_bytes(records)
+
+
+def test_audit_writer_formats_shared_and_equal_records_apart():
+    hit = AuditRecord(1, 0, 0, "hit", 0, 0.1 + 0.2, 55.0 + 0.1)
+    cheaper_bound = AuditRecord(1, 1, 0, "offload", 0, hit.marginal_cost, 2.5)
+    reject = AuditRecord(1, 1, 0, "reject", -1, 0.0, 0.0)
+    records = [
+        hit, hit, hit,
+        replace(hit),  # equal, not identical
+        replace(hit, interval=2),  # equal but for its interval
+        cheaper_bound,  # the hit's cost with another bound
+        reject, reject,
+        replace(reject, marginal_cost=-0.0, bound=-0.0),  # equal to the reject, printed apart
+        replace(reject, interval=2),
+    ]
+    data = audit_bytes(records)
+    assert data == reference_audit_bytes(records)
+    assert data.split(b"\r\n")[1:] == [
+        b"1,0,0,hit,0,0.30000000000000004,55.1",
+        b"1,0,0,hit,0,0.30000000000000004,55.1",
+        b"1,0,0,hit,0,0.30000000000000004,55.1",
+        b"1,0,0,hit,0,0.30000000000000004,55.1",
+        b"2,0,0,hit,0,0.30000000000000004,55.1",
+        b"1,1,0,offload,0,0.30000000000000004,2.5",
+        b"1,1,0,reject,-1,0.0,0.0",
+        b"1,1,0,reject,-1,0.0,0.0",
+        b"1,1,0,reject,-1,-0.0,-0.0",
+        b"2,1,0,reject,-1,0.0,0.0",
+        b"",
+    ]
+
+
+def test_audit_writer_writes_the_header_alone_for_an_empty_audit():
+    assert audit_bytes([]) == reference_audit_bytes([]) == b"interval,origin,ftype,action,serving_node,marginal_cost,bound\r\n"

@@ -202,12 +202,35 @@ def test_ingest_orders_intervals_and_bins(tmp_path):
     assert binned[1].counts == {(0, 0): 1}
 
 
+@pytest.mark.parametrize("downscale", [1, 3])
+def test_ingest_builds_sorted_batches_of_positive_ints(tmp_path, downscale):
+    # rows out of order, a key repeated within a bin and a zero count
+    path = tmp_path / "trace.csv"
+    path.write_text("interval,node,ftype,count\n3,1,0,5\n1,1,1,4\n1,0,1,2\n2,0,0,0\n1,1,1,3\n4,0,0,7\n")
+    batches = ingest_trace(path, n_nodes=2, n_types=2, downscale=downscale, seed=4, bin_width=2)
+    assert [b.interval for b in batches] == [1, 2]
+    for batch, raw in zip(batches, ({(0, 1): 2, (1, 1): 7}, {(0, 0): 7, (1, 0): 5})):
+        assert list(batch.counts) == sorted(batch.counts) and set(batch.counts) <= set(raw)
+        for key, c in batch.counts.items():
+            assert type(c) is int and 0 < c and raw[key] // downscale <= c <= raw[key] // downscale + 1
+        if downscale == 1:
+            assert batch.counts == raw
+
+
+def test_ingest_raises_every_parse_error_before_a_mapping_error(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("interval,node,ftype,count\n1,9,0,1\n1,0,oops,1\n")
+    with pytest.raises(TraceParseError) as err:
+        ingest_trace(path, n_nodes=2, n_types=1)
+    assert err.value.line_no == 3
+
+
 def test_trace_source_exhaustion(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("interval,node,ftype,count\n1,0,0,1\n3,0,0,1\n")
     source = ListSource(ingest_trace(path, n_nodes=1, n_types=1), n_nodes=1, n_types=1)
     assert source.batch(1).counts == {(0, 0): 1}
-    assert source.batch(2).counts == {}
+    assert source.batch(2).counts == {} and source.batch(2).interval == 2
     assert source.batch(3).counts == {(0, 0): 1}
     assert source.batch(4) is None
 

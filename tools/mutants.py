@@ -217,6 +217,22 @@ MUTANTS = [
     Mutant("huge-count-overflows", ORACLE,
            "    except OverflowError:\n        return math.inf\n", "    except ZeroDivisionError:\n        return math.inf\n",
            "a request count beyond float range ends in a traceback, not a refusal"),
+    # the audit as evidence: what note logs, and the writer's runs
+    Mutant("note-understates-cost", SCHED,
+           "audit.extend([AuditRecord(t, origin, n, action, serving, cost + aq, aq + top)] * count)",
+           "audit.extend([AuditRecord(t, origin, n, action, serving, (cost + aq) * (1 - 1e-12), aq + top)] * count)",
+           "the audit logs a request's cost a hair under what it paid"),
+    Mutant("note-overstates-bound", SCHED,
+           "audit.extend([AuditRecord(t, origin, n, action, serving, cost + aq, aq + top)] * count)",
+           "audit.extend([AuditRecord(t, origin, n, action, serving, cost + aq, (aq + top) * (1 + 1e-12))] * count)",
+           "the audit logs a request's bound a hair over the route's"),
+    Mutant("audit-tail-by-cost", SCHED,
+           "pair = (rec.marginal_cost, rec.bound)", "pair = rec.marginal_cost",
+           "the writer reuses a tail for an equal cost with another bound"),
+    Mutant("audit-line-across-intervals", SCHED,
+           "if rec is not prev:",
+           'if prev is None or vars(rec) | {"interval": 0} != vars(prev) | {"interval": 0}:',
+           "the writer reuses the previous line for an equal record of another interval"),
     # invariants and rules
     Mutant("no-conservation-check", COSTS,
            "            if lam != got:", "            if False:",
