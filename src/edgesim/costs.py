@@ -36,12 +36,18 @@ class IntervalDecision:
         return sum(self.rejected.values())
 
     def check_conservation(self, batch: RequestBatch) -> None:
-        """Every request is served exactly once (or explicitly rejected)."""
+        """Every request is served exactly once (or explicitly rejected).
+
+        One dict compare settles a conserving interval; the key-by-key walk
+        only names the key that breaks, and passes the zero-count batch keys
+        no decision dict holds."""
         served = dict(self.local_served)
         for (v, _v2, n), c in self.offloaded.items():
             served[(v, n)] = served.get((v, n), 0) + c
         for (v, n), c in self.rejected.items():
             served[(v, n)] = served.get((v, n), 0) + c
+        if served == batch.counts:
+            return
         for key in set(batch.counts) | set(served):
             lam = batch.counts.get(key, 0)
             got = served.get(key, 0)

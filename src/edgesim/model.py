@@ -130,8 +130,9 @@ def left_sum(values):
 
 def occupancy(state: NodeState, catalog) -> float:
     """Memory in MB held by this node's alive containers (serving + cached).
-    A left fold from the int 0, as `left_sum` adds, written out for speed: the
-    state check calls it twice per node per interval."""
+    A left fold from the int 0 in catalog order, as `left_sum` adds; the full
+    state check (`sim._check_states`) folds the same terms inline, to the same
+    bits."""
     total = 0
     for f in catalog:
         total += f.mem_mb * (state.active[f.id] + state.cache[f.id])
@@ -254,7 +255,7 @@ class RequestBatch:
             ints = (int, np.integer)
             if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, ints) and not isinstance(x, bool) for x in key)):
                 raise ConfigError(f"request key {key!r} must be a (node, type) pair of ints")
-            if not isinstance(c, ints) or c < 0:
+            if isinstance(c, bool) or not isinstance(c, ints) or c < 0:
                 raise ConfigError(f"request count for node {key[0]}, type {key[1]} must be a non-negative int")
             exact = False
         keys = sorted(counts)

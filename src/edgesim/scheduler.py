@@ -143,11 +143,12 @@ def distribute_interval(
             aq = aq_audit[origin][n]
             audit.extend([AuditRecord(t, origin, n, action, serving, cost + aq, aq + top)] * count)
         if checked and check is not None:
-            for _ in range(count):
-                for alpha, aq_table in check.live.items():
-                    aq = aq_table[origin][n]
-                    if cost + aq > aq + top + 1e-9:
-                        check.fail(alpha, AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
+            # the channel's `count` requests share cost, top and alpha*q, so
+            # one check per alpha judges them all
+            for alpha, aq_table in check.live.items():
+                aq = aq_table[origin][n]
+                if cost + aq > aq + top + 1e-9:
+                    check.fail(alpha, AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
 
     for key, lam in batch.counts.items():
         if not lam:

@@ -18,7 +18,6 @@ from .model import (
     NodeState,
     RequestBatch,
     Topology,
-    occupancy,
     validate_fit,
     validate_setup,
 )
@@ -95,28 +94,43 @@ def _workload_source(config: SimConfig):
 
 
 def _check_states(config: SimConfig, states, interval: int) -> None:
+    """Raise InvariantViolation at the first node, in `states` order, that
+    breaks a state invariant, checked in this order: occupancy within
+    capacity; occupancy within 1e-6 MB of the tracked `used_mb`; then, at the
+    node's first type that breaks either, no cached container of a
+    never-invoked type, and no negative count.
+
+    One indexed pass per node folds the occupancy from the int 0, to the
+    bits of `model.occupancy`, and notes that first type.
+    """
+    mems = [f.mem_mb for f in config.catalog]
+    types = range(len(mems))
+    nodes = config.topology.nodes
     for state in states:
-        node = config.topology.nodes[state.node_id]
-        occ = occupancy(state, config.catalog)
-        if occ > node.capacity_mb + 1e-9:
-            raise InvariantViolation(
-                f"interval {interval}: node {state.node_id} occupancy {occ} MB "
-                f"exceeds capacity {node.capacity_mb} MB"
-            )
+        active = state.active
+        cache = state.cache
+        freq = state.freq
+        occ = 0
+        odd = -1
+        for n in types:
+            a = active[n]
+            k = cache[n]
+            occ += mems[n] * (a + k)
+            if a < 0 or k < 0 or k > 0 and freq[n] < 1:
+                if odd < 0:
+                    odd = n
+        v = state.node_id
+        capacity = nodes[v].capacity_mb
+        if occ > capacity + 1e-9:
+            raise InvariantViolation(f"interval {interval}: node {v} occupancy {occ} MB exceeds capacity {capacity} MB")
         if abs(occ - state.used_mb) > 1e-6:
             raise InvariantViolation(
-                f"interval {interval}: node {state.node_id} occupancy drifted "
-                f"({occ} recomputed vs {state.used_mb} tracked)"
+                f"interval {interval}: node {v} occupancy drifted ({occ} recomputed vs {state.used_mb} tracked)"
             )
-        for n in range(len(config.catalog)):
-            if state.cache[n] > 0 and state.freq[n] < 1:
-                raise InvariantViolation(
-                    f"interval {interval}: node {state.node_id} caches type {n} never invoked"
-                )
-            if state.active[n] < 0 or state.cache[n] < 0:
-                raise InvariantViolation(
-                    f"interval {interval}: node {state.node_id} negative container count"
-                )
+        if odd >= 0:
+            if cache[odd] > 0 and freq[odd] < 1:
+                raise InvariantViolation(f"interval {interval}: node {v} caches type {odd} never invoked")
+            raise InvariantViolation(f"interval {interval}: node {v} negative container count")
 
 
 class _Lane:
@@ -337,6 +351,10 @@ class SweepGrid:
     def __post_init__(self):
         if not (self.alphas and self.betas and self.policies and self.seeds):
             raise ConfigError("sweep grid must have at least one alpha, beta, policy, and seed")
+        for axis in ("alphas", "betas", "policies", "seeds"):
+            values = getattr(self, axis)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"sweep grid {axis} must be distinct, got {values}")
         for p in self.policies:
             if p not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {p!r} in grid; valid policies: {', '.join(POLICY_NAMES)}")

@@ -121,11 +121,14 @@ class ZipfSource:
 
 class ListSource:
     """Replays a fixed batch list (an ingested trace or a hand-built one);
-    returns None past the last interval. Each interval has at most one batch."""
+    returns None past the last interval. Each interval has at most one batch,
+    numbered by an int >= 1, the clock's first interval."""
 
     def __init__(self, batches: list[RequestBatch], n_nodes: int, n_types: int):
         self._by_interval = {}
         for b in batches:
+            if type(b.interval) is not int or b.interval < 1:
+                raise ConfigError(f"batch interval {b.interval!r} must be an int >= 1")
             for v, n in b.counts:
                 if not (0 <= v < n_nodes and 0 <= n < n_types):
                     raise ConfigError(

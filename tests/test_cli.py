@@ -408,6 +408,11 @@ SHARED_SWEEP_INPUT_CASES = {
     "beta_negative": ({"--betas": "-1"}, "zipf beta"),
     "fc_ttl_negative": ({"--policies": "pcache,fc", "--ttl": "-1"}, "fc ttl"),
     "seeds_text": ({"--seeds": "1,a"}, "--seeds: expected comma-separated integers"),
+    # a repeated grid value would write every one of its records twice
+    "alphas_repeated": ({"--alphas": "0.005,0.005"}, "sweep grid alphas must be distinct"),
+    "betas_repeated": ({"--betas": "1.0,0.5,1.0"}, "sweep grid betas must be distinct"),
+    "policies_repeated": ({"--policies": "pcache,lru,pcache"}, "sweep grid policies must be distinct"),
+    "seeds_repeated": ({"--seeds": "1,1"}, "sweep grid seeds must be distinct"),
 }
 
 

@@ -126,6 +126,9 @@ def test_conservation_check():
     assert str(exc.value) == (
         "interval 1: request conservation broken for (node, type) (0, 0): lambda=3, accounted=2"
     )
+    # zero counts on either side fail a dict compare but conserve every request
+    zeros = IntervalDecision(interval=1, local_served={(0, 0): 3}, offloaded={(1, 0, 1): 1}, rejected={(2, 0): 0})
+    zeros.check_conservation(RequestBatch(interval=1, counts={(0, 0): 3, (1, 1): 1, (2, 2): 0}))
 
 
 def test_ledger_csv_roundtrip(tmp_path):

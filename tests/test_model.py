@@ -253,6 +253,13 @@ def test_request_batch_stores_numpy_counts_as_int():
         RequestBatch(interval=1, counts={(0, 0): 2.0})
 
 
+@pytest.mark.parametrize("count", [True, False])
+def test_request_batch_rejects_bool_counts(count):
+    # as it refuses bool keys: True is no request count, though it equals 1
+    with pytest.raises(ConfigError, match="non-negative int"):
+        RequestBatch(interval=1, counts={(0, 0): count})
+
+
 def test_request_batch_orders_keys_ascending():
     counts = {(v, n): np.int64(v + n + 1) for v in range(3) for n in range(4)}
     reversed_counts = dict(reversed(counts.items()))

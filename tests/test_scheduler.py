@@ -300,6 +300,33 @@ def test_bound_checks_trip_on_doctored_cost_at_every_alpha():
     assert list(bounds.live) == [0.001] and list(bounds.failures) == [0.002]
 
 
+def test_bound_checks_judge_a_channel_of_several_requests_once_per_alpha():
+    # every request of a channel shares its cost, top and alpha*q: a doctored
+    # channel of 3 hits fails each alpha once, with the record all 3 share,
+    # and an alpha whose table rounds the doctoring away stays live
+    topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
+    policy = make_policy("pcache", 1)
+    _warm(states, policy, 0, 0, 3, ctx)
+    ctx.p[0][0] = -1.0
+    calls = []
+
+    class RecordingChecks(BoundChecks):
+        def fail(self, alpha, record):
+            calls.append((alpha, record))
+            super().fail(alpha, record)
+
+    bounds = RecordingChecks(ctx, [0.001, 0.002, 0.003])
+    bounds.live[0.003] = [[1e20]]
+    audit = []
+    batch = RequestBatch(interval=2, counts={(0, 0): 3})
+    distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), audit=audit, check=bounds)
+    assert len(audit) == 3 and all(rec is audit[0] for rec in audit)  # one channel
+    assert calls == [
+        (alpha, AuditRecord(2, 0, 0, "hit", 0, 0.0 + alpha * 55.0, alpha * 55.0 - 1.0)) for alpha in (0.001, 0.002)
+    ]
+    assert list(bounds.live) == [0.003] and sorted(bounds.failures) == [0.001, 0.002]
+
+
 def test_bound_checks_fail_ends_only_that_alpha():
     topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
     bounds = BoundChecks(ctx, [0.001, 0.002])

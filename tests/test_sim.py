@@ -281,7 +281,8 @@ def _cell(base, seed, beta, alpha, policy):
 def test_sweep_checks_every_alpha_as_often_as_separate_runs(monkeypatch):
     """One simulation per (seed, beta, policy) keeps the coverage of one run per
     cell: validate_setup once per alpha per group, and the per-request bound at
-    every alpha for every request a separate run would check."""
+    every alpha for every routing channel a separate run would check, once per
+    channel, since a channel's requests share their cost and bound."""
     validated = Counter()
     evaluated = Counter()
     validate_setup = sim.validate_setup
@@ -318,14 +319,15 @@ def test_sweep_checks_every_alpha_as_often_as_separate_runs(monkeypatch):
     swept = dict(evaluated)
 
     evaluated.clear()
-    served = 0
+    channels = 0
     for beta in grid.betas:
         for alpha in alphas:
             for policy in ("nocache", "pcache", "lru", "fc"):
-                summary = run(_cell(base, 3, beta, alpha, policy), baseline_total=1.0).summary
-                served += summary["requests"] - summary["rejections"] - summary["fallback_creations"]
+                audit = run(replace(_cell(base, 3, beta, alpha, policy), audit=True), baseline_total=1.0).audit
+                # a channel's requests share one record; fallback creations go unchecked
+                channels += len({id(rec) for rec in audit if rec.action != "create" or rec.serving_node == rec.origin})
     assert swept == dict(evaluated)
-    assert sum(swept.values()) == served > 0
+    assert sum(swept.values()) == channels > 0
 
 
 def test_sweep_bound_failure_ends_only_its_alpha(monkeypatch):
@@ -373,6 +375,14 @@ def test_sweep_failed_baseline_group_normalizes_per_policy(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("axis", ["alphas", "betas", "policies", "seeds"])
+def test_sweep_grid_rejects_repeated_values(axis):
+    grid = dict(alphas=[0.005, 0.01], betas=[0.5, 1.0], policies=["pcache", "nocache"], seeds=[3, 4])
+    grid[axis] = grid[axis] + grid[axis][:1]
+    with pytest.raises(ConfigError, match=f"sweep grid {axis} must be distinct"):
+        SweepGrid(**grid)
+
+
 def test_sweep_over_replay_naming_unknown_node_raises():
     base = _zipf_config(horizon=4)
     base = replace(base, beta=None, batches=[RequestBatch(1, {(0, 0): 1}), RequestBatch(2, {(99, 0): 1})])
@@ -409,6 +419,11 @@ DOCTORED_STATES = {
     "drifted": (dict(cache=[1, 0, 0, 0], freq=[1, 0, 0, 0], used_mb=56.0), "occupancy drifted"),
     "never_invoked": (dict(cache=[1, 0, 0, 0], used_mb=55.0), "never invoked"),
     "negative": (dict(active=[0, -1, 0, 0], cache=[0, 1, 0, 0], freq=[0, 1, 0, 0], used_mb=0.0), "negative"),
+    # type 1 is never invoked and negative, types 2 and 3 negative: the first
+    # odd type is named, as never invoked
+    "several_faults": (
+        dict(active=[0, -1, -1, 1], cache=[1, 2, 1, -1], freq=[1, 0, 1, 1], used_mb=213.0), "caches type 1 never invoked"
+    ),
 }
 
 

@@ -239,3 +239,12 @@ def test_list_source_rejects_two_batches_for_one_interval():
     batches = [RequestBatch(1, {(0, 0): 1}), RequestBatch(2, {}), RequestBatch(1, {(0, 0): 2})]
     with pytest.raises(ConfigError, match="interval 1"):
         ListSource(batches, n_nodes=1, n_types=1)
+
+
+@pytest.mark.parametrize("interval", [0, -2, True, 1.0, 2.5])
+def test_list_source_rejects_intervals_not_an_int_from_one(interval):
+    # the clock starts at interval 1: a batch numbered 0 would never be
+    # replayed, and a bool or float interval only equals an interval's number
+    batches = [RequestBatch(interval, {(0, 0): 3}), RequestBatch(3, {(0, 0): 1})]
+    with pytest.raises(ConfigError, match=f"batch interval {interval!r} must be an int >= 1"):
+        ListSource(batches, n_nodes=1, n_types=1)

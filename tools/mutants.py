@@ -103,8 +103,8 @@ MUTANTS = [
            '    elif config.policy != "nocache":', "    elif True:",
            "a no-cache run simulates a second no-cache lane as its baseline"),
     Mutant("smallest-alpha-violation-only", SCHED,
-           "                if cost + aq > aq + top + 1e-9:",
-           "                if cost + aq > aq + top + 1e-9 and alpha == min(check.live):",
+           "                aq = aq_table[origin][n]\n                if cost + aq > aq + top + 1e-9:\n",
+           "                aq = aq_table[origin][n]\n                if cost + aq > aq + top + 1e-9 and alpha == min(check.live):\n",
            "only the smallest live alpha records its violation"),
     # oracle block pricing into the keep lattice
     Mutant("cells-keep-later-tie", ORACLE,
@@ -238,8 +238,18 @@ MUTANTS = [
            "            if lam != got:", "            if False:",
            "request conservation is never checked"),
     Mutant("no-capacity-check", SIM,
-           "        if occ > node.capacity_mb + 1e-9:", "        if occ > node.capacity_mb * 2:",
+           "        if occ > capacity + 1e-9:", "        if occ > capacity * 2:",
            "occupancy may exceed capacity up to twice over"),
+    Mutant("check-last-odd-type", SIM,
+           "                if odd < 0:\n                    odd = n\n", "                odd = n\n",
+           "the state check names a node's last odd type, not its first"),
+    Mutant("negative-before-never-invoked", SIM,
+           "            if cache[odd] > 0 and freq[odd] < 1:\n",
+           "            if active[odd] >= 0 and cache[odd] >= 0:\n",
+           "a type both negative and never invoked is reported as negative"),
+    Mutant("conservation-keys-only", COSTS,
+           "        if served == batch.counts:\n", "        if served.keys() == batch.counts.keys():\n",
+           "an interval whose counts differ but whose keys agree passes the conservation check"),
     Mutant("pcache-weight-no-memory", POLICIES,
            "weights[n] = f.mem_mb / denom", "weights[n] = 1.0 / denom",
            "pcache's eviction weight ignores the container's memory"),
