@@ -85,17 +85,19 @@ def interval_running_cost(states, ctx) -> float:
     idles into its node's cache, and the return is one interval of q for
     every container alive, all of which are now cached.
 
-    One walk per node, node-major and type-minor, adding `q * count` terms.
-    Reads q per (node, type) from the run's RoutingContext `ctx`. Returned
-    unweighted; the ledger applies alpha.
+    One indexed pass per node, node-major and type-minor, adding `q * count`
+    terms. Reads q per (node, type) from the run's RoutingContext `ctx`.
+    Returned unweighted; the ledger applies alpha.
     """
     total = 0.0
     q = ctx.q
+    types = range(len(ctx.mem))
     for state in states:
         q_v = q[state.node_id]
         active = state.active
         cache = state.cache
-        for n, alive in enumerate(active):
+        for n in types:
+            alive = active[n]
             if alive:
                 alive += cache[n]
                 cache[n] = alive

@@ -184,7 +184,8 @@ class NodeState:
 
     `active` counts containers currently serving, `cache` idle alive ones.
     `freq` and `last_used` are the per-type invocation statistics the caching
-    policies read. `used_mb` tracks occupancy incrementally.
+    policies read. `used_mb` tracks occupancy incrementally. The router moves
+    containers and keeps the statistics; the state only destroys cached ones.
     """
 
     __slots__ = ("node_id", "active", "cache", "freq", "last_used", "used_mb")
@@ -197,40 +198,12 @@ class NodeState:
         self.last_used = [0] * n_types  # 0 = never invoked (intervals are 1-based)
         self.used_mb = 0.0
 
-    def consume_cache(self, ftype: int, count: int) -> None:
-        """Move cached containers to active (a cache hit); occupancy unchanged."""
-        if count > self.cache[ftype]:
-            raise ValueError(f"node {self.node_id}: cannot consume {count} cached of type {ftype}")
-        self.cache[ftype] -= count
-        self.active[ftype] += count
-
-    def admit(self, ftype: int, mem_mb: float, capacity_mb: float, limit: int) -> int:
-        """Create up to `limit` active containers, one at a time while each
-        fits in `capacity_mb`; returns how many. At least one must fit.
-
-        `used_mb` takes one `+= mem_mb` per container, so it is bit-identical
-        to creating them one by one.
-        """
-        used = self.used_mb
-        k = 0
-        while k < limit and used + mem_mb <= capacity_mb:
-            used += mem_mb
-            k += 1
-        if not k:
-            raise ValueError(f"node {self.node_id}: no room for a container of type {ftype}")
-        self.used_mb = used
-        self.active[ftype] += k
-        return k
-
     def remove_cached(self, ftype: int, mem_mb: float, count: int = 1) -> None:
         """Destroy idle cached containers (eviction or end-of-interval sweep)."""
         if count > self.cache[ftype]:
             raise ValueError(f"node {self.node_id}: cannot destroy {count} cached of type {ftype}")
         self.cache[ftype] -= count
         self.used_mb -= mem_mb * count
-
-    def cache_total(self) -> int:
-        return sum(self.cache)
 
 
 @dataclass

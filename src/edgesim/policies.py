@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, ContractError
 from .model import NodeState, left_sum
 
@@ -88,11 +90,11 @@ def lru_select_victim(state: NodeState, catalog, last_used=None) -> int:
 class EvictionPolicy:
     """Behaviour contract shared by all policies.
 
-    on_invocation keeps the per-type statistics (shared bookkeeping for every
-    policy), select_victim picks a cached type to destroy under capacity
-    pressure, end_of_interval is called once per interval, after service
-    completes, and returns (node, type, count) triples to destroy, node-major
-    and type-minor, each count positive.
+    The router keeps the per-type invocation statistics (the policy's shared
+    `freq`/`last_used` under `global_stats`). select_victim picks a cached
+    type to destroy under capacity pressure, end_of_interval is called once
+    per interval, after service completes, and returns (node, type, count)
+    triples to destroy, node-major and type-minor, each count positive.
 
     holds_idle says whether the policy can keep an idle container into the
     next interval. One that cannot is never asked for a victim or for its
@@ -109,13 +111,6 @@ class EvictionPolicy:
         if global_stats:
             self.freq = [0] * n_types
             self.last_used = [0] * n_types
-
-    def on_invocation(self, state: NodeState, ftype: int, now: int, count: int = 1) -> None:
-        state.freq[ftype] += count
-        state.last_used[ftype] = now
-        if self.global_stats:
-            self.freq[ftype] += count
-            self.last_used[ftype] = now
 
     def _stats(self, state: NodeState):
         if self.global_stats:
@@ -157,8 +152,8 @@ class FixedCaching(EvictionPolicy):
 
     def __init__(self, n_types: int, ttl: int = 10, global_stats: bool = False):
         super().__init__(n_types, global_stats)
-        if ttl < 0:
-            raise ConfigError("fc ttl must be >= 0")
+        if isinstance(ttl, bool) or not isinstance(ttl, (int, np.integer)) or ttl < 0:
+            raise ConfigError(f"fc ttl must be an int >= 0, got {ttl!r}")
         self.ttl = ttl
         self._entries: dict[int, list[deque]] = {}
 

@@ -91,7 +91,7 @@ def _make_room(state, mem_needed, ctx, policy, rng, destroyed):
     """Evict cached containers via the policy until one more container fits."""
     capacity = ctx.capacity[state.node_id]
     while state.used_mb + mem_needed > capacity:
-        if state.cache_total() == 0:
+        if not any(state.cache):
             return False
         victim = policy.select_victim(state, ctx.catalog, rng)
         state.remove_cached(victim, ctx.mem[victim], 1)
@@ -123,7 +123,9 @@ def distribute_interval(
     while requests are routed (`holds_idle` False) has nothing to hit,
     offload to or evict, so its groups go straight to creation. Each request
     is audited at the context's alpha; all but overflow creations are
-    bound-checked by `check`.
+    bound-checked by `check`. Each step moves its containers and keeps the
+    serving node's `freq`/`last_used` itself, and the policy's shared
+    tables too under `global_stats`.
     """
     t = batch.interval
     decision = IntervalDecision(interval=t)
@@ -131,9 +133,16 @@ def distribute_interval(
     offloaded = decision.offloaded
     created = decision.created
     destroyed = decision.destroyed
+    mems = ctx.mem
+    p = ctx.p
+    offload = ctx.offload
     capacity = ctx.capacity
     aq_audit = ctx.aq
     holds_idle = policy.holds_idle
+    shared = policy.global_stats
+    if shared:
+        shared_freq = policy.freq
+        shared_last = policy.last_used
     trace = audit is not None or check is not None
 
     # `count` requests of one channel, each costing cost + alpha*q against the
@@ -155,32 +164,44 @@ def distribute_interval(
             continue
         v, n = key
         state_v = states[v]
-        mem = ctx.mem[n]
-        p_vn = ctx.p[v][n]
+        mem = mems[n]
+        p_vn = p[v][n]
         remaining = lam
         if holds_idle:
             # 1) serve from the origin's own cache
-            hit = min(lam, state_v.cache[n])
+            hit = state_v.cache[n]
             if hit:
-                state_v.consume_cache(n, hit)
-                policy.on_invocation(state_v, n, t, hit)
+                if hit > lam:
+                    hit = lam
+                state_v.cache[n] -= hit
+                state_v.active[n] += hit
+                state_v.freq[n] += hit
+                state_v.last_used[n] = t
+                if shared:
+                    shared_freq[n] += hit
+                    shared_last[n] = t
                 local_served[key] = hit
                 remaining -= hit
                 if trace:
                     note(v, n, "hit", v, 0.0, p_vn, hit)
-            if not remaining:
-                continue
+                if not remaining:
+                    continue
 
             # 2) offload to cached containers at nodes with d <= p, nearest first
-            for v2, d in ctx.offload[v][n]:
+            for v2, d in offload[v][n]:
                 state_2 = states[v2]
                 take = state_2.cache[n]
                 if not take:
                     continue
                 if take > remaining:
                     take = remaining
-                state_2.consume_cache(n, take)
-                policy.on_invocation(state_2, n, t, take)
+                state_2.cache[n] -= take
+                state_2.active[n] += take
+                state_2.freq[n] += take
+                state_2.last_used[n] = t
+                if shared:
+                    shared_freq[n] += take
+                    shared_last[n] = t
                 route = (v, v2, n)
                 offloaded[route] = offloaded.get(route, 0) + take
                 remaining -= take
@@ -189,10 +210,21 @@ def distribute_interval(
                 if not remaining:
                     break
 
-        # 3) create at the origin, every container that fits at once
-        while remaining and (state_v.used_mb + mem <= capacity[v] or _make_room(state_v, mem, ctx, policy, rng, destroyed)):
-            k = state_v.admit(n, mem, capacity[v], remaining)
-            policy.on_invocation(state_v, n, t, k)
+        # 3) create at the origin, every container that fits at once, one `+= mem` each
+        cap = capacity[v]
+        while remaining and (state_v.used_mb + mem <= cap or _make_room(state_v, mem, ctx, policy, rng, destroyed)):
+            used = state_v.used_mb
+            k = 0
+            while k < remaining and used + mem <= cap:
+                used += mem
+                k += 1
+            state_v.used_mb = used
+            state_v.active[n] += k
+            state_v.freq[n] += k
+            state_v.last_used[n] = t
+            if shared:
+                shared_freq[n] += k
+                shared_last[n] = t
             created[key] = created.get(key, 0) + k
             local_served[key] = local_served.get(key, 0) + k
             remaining -= k
@@ -208,22 +240,38 @@ def distribute_interval(
             route = (v, v2, n)
             take = min(remaining, state_2.cache[n])
             if take:
-                state_2.consume_cache(n, take)
-                policy.on_invocation(state_2, n, t, take)
+                state_2.cache[n] -= take
+                state_2.active[n] += take
+                state_2.freq[n] += take
+                state_2.last_used[n] = t
+                if shared:
+                    shared_freq[n] += take
+                    shared_last[n] = t
                 offloaded[route] = offloaded.get(route, 0) + take
                 remaining -= take
                 if trace:
                     note(v, n, "offload", v2, d, max(p_vn, d), take)
-            while remaining and (state_2.used_mb + mem <= capacity[v2] or _make_room(state_2, mem, ctx, policy, rng, destroyed)):
-                k = state_2.admit(n, mem, capacity[v2], remaining)
-                policy.on_invocation(state_2, n, t, k)
+            cap = capacity[v2]
+            while remaining and (state_2.used_mb + mem <= cap or _make_room(state_2, mem, ctx, policy, rng, destroyed)):
+                used = state_2.used_mb
+                k = 0
+                while k < remaining and used + mem <= cap:
+                    used += mem
+                    k += 1
+                state_2.used_mb = used
+                state_2.active[n] += k
+                state_2.freq[n] += k
+                state_2.last_used[n] = t
+                if shared:
+                    shared_freq[n] += k
+                    shared_last[n] = t
                 created[(v2, n)] = created.get((v2, n), 0) + k
                 offloaded[route] = offloaded.get(route, 0) + k
                 decision.fallback_creations += k
                 remaining -= k
                 if trace:
                     # outside the worst-case analysis; not bound-checked
-                    note(v, n, "create", v2, d + ctx.p[v2][n], max(p_vn, d), k, checked=False)
+                    note(v, n, "create", v2, d + p[v2][n], max(p_vn, d), k, checked=False)
             if not remaining:
                 break
         else:

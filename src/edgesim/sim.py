@@ -64,8 +64,8 @@ class SimConfig:
     audit: bool = False
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
+            raise ConfigError(f"horizon must be an int >= 1, got {self.horizon!r}")
         if self.policy not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.policy!r}; valid policies: {', '.join(POLICY_NAMES)}")
         if self.check not in CHECK_LEVELS:
@@ -143,9 +143,9 @@ class _Lane:
     the ledger later.
 
     Building a lane raises what no alpha of its config can run with (an fc
-    ttl below 0). An alpha that fails `validate_setup` is in `failures` from
-    the start, and a bound violation adds its alpha when it happens; both end
-    that alpha only. Any other exception in `step` is the lane's own fault
+    ttl that is not an int >= 0). An alpha that fails `validate_setup` is in
+    `failures` from the start, and a bound violation adds its alpha when it
+    happens; both end that alpha only. Any other exception in `step` is the lane's own fault
     and ends every alpha still running.
     """
 
@@ -230,8 +230,8 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
     A failure ends the simulation in one of three tiers:
     1. what every lane shares raises from here before any lane steps: a
        topology and catalog no alpha can run (`validate_fit`), a lane that
-       cannot be built (an fc ttl below 0) and a source that cannot be
-       built (a malformed replay list, bad Zipf parameters);
+       cannot be built (an fc ttl that is not an int >= 0) and a source that
+       cannot be built (a malformed replay list, bad Zipf parameters);
     2. an alpha that fails `validate_setup` or the per-request bound ends
        that alpha of that lane only;
     3. any other exception in a lane ends that lane only.

@@ -13,6 +13,9 @@ import numpy as np
 from .errors import ConfigError, MappingError, TraceParseError
 from .model import RequestBatch, Topology, open_input
 
+# numpy's Poisson limit: `Generator.poisson` refuses any larger lam
+MAX_MEAN_RATE = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class ZipfConfig:
@@ -28,8 +31,8 @@ class ZipfConfig:
             raise ConfigError("n_types must be >= 1")
         if not 0 < self.beta < math.inf:
             raise ConfigError("zipf beta must be finite and > 0")
-        if not 0 <= self.mean_rate < math.inf:
-            raise ConfigError("mean_rate must be finite and >= 0")
+        if not 0 <= self.mean_rate <= MAX_MEAN_RATE:
+            raise ConfigError(f"mean_rate must be >= 0 and at most numpy's Poisson limit {MAX_MEAN_RATE!r}, got {self.mean_rate!r}")
 
 
 class TraceRecord(NamedTuple):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, Topology
+from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, RequestBatch, Topology
 from edgesim.policies import NoCache, make_policy
+from edgesim.scheduler import distribute_interval
 
 
 def make_topology(capacities, cpus=None, comm=None, coords=None):
@@ -44,6 +45,40 @@ class FlushingNoCache(NoCache):
 
     def end_of_interval(self, states, now):
         return [(state.node_id, n, count) for state in states for n, count in enumerate(state.cache) if count]
+
+
+def create_active(state, n, mem, count=1):
+    """Start `count` serving containers of type n at `state`, with one
+    `used_mb += mem` per container, as the router creates them."""
+    for _ in range(count):
+        state.used_mb += mem
+    state.active[n] += count
+
+
+def take_cached(state, n, count):
+    """Turn `count` of the containers of type n cached at `state` active, as
+    a hit or an offload does."""
+    if count > state.cache[n]:
+        raise ValueError(f"node {state.node_id}: cannot take {count} cached of type {n}")
+    state.cache[n] -= count
+    state.active[n] += count
+
+
+def record_invocations(policy, state, n, now, count=1):
+    """Keep the statistics of `count` requests of type n served at `state` in
+    interval `now`, as the router does: on the node, and on the policy's
+    shared tables under `global_stats`."""
+    state.freq[n] += count
+    state.last_used[n] = now
+    if policy.global_stats:
+        policy.freq[n] += count
+        policy.last_used[n] = now
+
+
+def route(states, ctx, policy, interval, counts, rng=None):
+    """Route one batch of `counts` in `interval` and return its decision."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    return distribute_interval(RequestBatch(interval, counts), states, ctx, policy, rng)
 
 
 def make_stepping_policy(name, n_types, ttl=10, global_stats=False):

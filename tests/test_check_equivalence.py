@@ -1,4 +1,5 @@
-"""The full check's one-pass forms against the code they replaced.
+"""The full check's one-pass forms, and the interval close's, against the
+code they replaced.
 
 `sim._check_states` recomputes each node's occupancy and notes its first odd
 type in one indexed pass, then raises; `IntervalDecision.check_conservation`
@@ -6,15 +7,19 @@ settles a conserving interval with one dict compare. Both must accept what
 the references below accept and raise the same type with the same message
 on everything else: doctored states with several faults on one node,
 fractional container sizes, drift near the 1e-6 tolerance, and batches with
-zero-count keys.
+zero-count keys. `costs.interval_running_cost` takes one indexed pass per
+node; it must return the reference's total to the bit and leave the same
+states.
 """
+
+import copy
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edgesim import sim
-from edgesim.costs import IntervalDecision
+from edgesim.costs import IntervalDecision, interval_running_cost
 from edgesim.errors import InvariantViolation
 from edgesim.model import (
     DEFAULT_CATALOG,
@@ -25,6 +30,7 @@ from edgesim.model import (
     Topology,
     occupancy,
 )
+from edgesim.scheduler import RoutingContext
 
 from test_properties import FRACTIONAL_CATALOG
 
@@ -172,3 +178,56 @@ def test_one_compare_conservation_equals_key_by_key(case):
     decision, batch = case
     assert outcome(decision.check_conservation, batch) == outcome(key_by_key_check_conservation, decision, batch)
 
+
+
+def enumerate_interval_running_cost(states, ctx) -> float:
+    """Reference for `costs.interval_running_cost`: the close before it took
+    one indexed pass per node, verbatim."""
+    total = 0.0
+    q = ctx.q
+    for state in states:
+        q_v = q[state.node_id]
+        active = state.active
+        cache = state.cache
+        for n, alive in enumerate(active):
+            if alive:
+                alive += cache[n]
+                cache[n] = alive
+                active[n] = 0
+                total += q_v[n] * alive
+            elif cache[n]:
+                total += q_v[n] * cache[n]
+    return total
+
+
+@st.composite
+def serving_states(draw):
+    """(ctx, states): nodes of random speed, each type serving, cached,
+    both or neither, on either catalog."""
+    catalog = draw(st.sampled_from((DEFAULT_CATALOG, FRACTIONAL_CATALOG)))
+    n_types = len(catalog)
+    cpus = draw(st.lists(st.sampled_from((1.0, 1.5, 2.0, 2.5)), min_size=1, max_size=5))
+    nodes = [EdgeNode(v, 4000.0, cpu) for v, cpu in enumerate(cpus)]
+    topology = Topology(nodes=nodes, comm_cost=np.zeros((len(nodes), len(nodes))))
+    ctx = RoutingContext(topology, catalog, CostParams(alpha=0.005, run_coeff=draw(st.sampled_from((1.0, 0.37)))))
+    counts = st.lists(st.sampled_from((0, 0, 1, 2, 7)), min_size=n_types, max_size=n_types)
+    states = []
+    for v in range(len(nodes)):
+        state = NodeState(v, n_types)
+        state.active = draw(counts)
+        state.cache = draw(counts)
+        states.append(state)
+    return ctx, states
+
+
+def _close(close, ctx, states):
+    states = [copy.deepcopy(state) for state in states]
+    total = close(states, ctx)
+    return repr(total), [(state.active, state.cache) for state in states]
+
+
+@SETTINGS
+@given(case=serving_states())
+def test_indexed_running_cost_equals_enumerate(case):
+    ctx, states = case
+    assert _close(interval_running_cost, ctx, states) == _close(enumerate_interval_running_cost, ctx, states)

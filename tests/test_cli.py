@@ -352,6 +352,21 @@ def test_console_entry_point(nodes_csv, tmp_path):
     assert (out / "summary.json").exists()
 
 
+def test_run_mean_rate_beyond_numpy_poisson_exits_usage(nodes_csv, tmp_path):
+    # numpy cannot draw a Poisson mean above about 9.22e18; 1e30 once ended in
+    # its "lam value too large" traceback and exit 1, the invariant code
+    out = tmp_path / "out"
+    flags = _run_flags(nodes_csv, out)
+    flags[flags.index("--mean-rate") + 1] = "1e30"
+    src = str(Path(edgesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "edgesim", *flags], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "mean_rate" in proc.stderr and "9.223372006484771e+18" in proc.stderr
+    assert not out.exists()
+
+
 def test_sweep_with_trace(nodes_csv, tmp_path):
     trace = tmp_path / "trace.csv"
     trace.write_text("interval,node,ftype,count\n1,0,0,3\n2,1,2,1\n2,3,3,2\n3,0,0,2\n")
@@ -405,6 +420,7 @@ def test_run_bad_number_exits_usage(case, nodes_csv, tmp_path, capsys):
 
 SHARED_SWEEP_INPUT_CASES = {
     "mean_rate_nan": ({"--mean-rate": "nan"}, "mean_rate"),
+    "mean_rate_beyond_poisson": ({"--mean-rate": "1e30"}, "numpy's Poisson limit"),
     "beta_negative": ({"--betas": "-1"}, "zipf beta"),
     "fc_ttl_negative": ({"--policies": "pcache,fc", "--ttl": "-1"}, "fc ttl"),
     "seeds_text": ({"--seeds": "1,a"}, "--seeds: expected comma-separated integers"),

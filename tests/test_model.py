@@ -18,9 +18,10 @@ from edgesim.model import (
     switching_cost,
     validate_setup,
 )
+from edgesim.policies import make_policy
 from edgesim.scheduler import RoutingContext
 
-from conftest import make_topology
+from conftest import make_topology, route
 
 WEB, FILEPROC, CHECKOUT, IMGREC = DEFAULT_CATALOG
 
@@ -162,19 +163,21 @@ def test_validate_setup_randomized_feasibility():
 
 def test_node_state_transitions_track_occupancy():
     state = NodeState(0, 4)
-    state.admit(WEB.id, WEB.mem_mb, 4000.0, 1)
-    state.admit(CHECKOUT.id, CHECKOUT.mem_mb, 4000.0, 1)
-    assert state.used_mb == occupancy(state, DEFAULT_CATALOG)
     ctx = RoutingContext(make_topology([4000.0]), DEFAULT_CATALOG, CostParams(alpha=0.01))
+    policy = make_policy("pcache", 4)
+    route([state], ctx, policy, 1, {(0, WEB.id): 1, (0, CHECKOUT.id): 1})
+    assert state.active[WEB.id] == state.active[CHECKOUT.id] == 1
+    assert state.used_mb == occupancy(state, DEFAULT_CATALOG)
     interval_running_cost([state], ctx)  # service completes: the actives idle
     assert state.active == [0, 0, 0, 0] and state.cache[WEB.id] == state.cache[CHECKOUT.id] == 1
     assert state.used_mb == occupancy(state, DEFAULT_CATALOG)
-    state.consume_cache(WEB.id, 1)
-    assert state.active[WEB.id] == 1
+    # a hit takes the one cached container; the other two requests are created
+    decision = route([state], ctx, policy, 2, {(0, WEB.id): 3})
+    assert decision.local_served == {(0, WEB.id): 3} and decision.created == {(0, WEB.id): 2}
+    assert state.active[WEB.id] == 3 and state.cache[WEB.id] == 0
+    assert state.used_mb == occupancy(state, DEFAULT_CATALOG)
     state.remove_cached(CHECKOUT.id, CHECKOUT.mem_mb)
-    assert state.used_mb == occupancy(state, DEFAULT_CATALOG) == 55.0
-    with pytest.raises(ValueError):
-        state.consume_cache(WEB.id, 5)
+    assert state.used_mb == occupancy(state, DEFAULT_CATALOG) == 3 * 55.0
     with pytest.raises(ValueError):
         state.remove_cached(WEB.id, WEB.mem_mb, 3)
 
@@ -210,13 +213,18 @@ def test_load_topology_without_nodes(tmp_path):
 
 
 def test_admit_creates_containers_while_they_fit():
-    state = NodeState(0, 4)
-    assert state.admit(2, 332.0, 600.0, 1) == 1
-    # 332 + 2 * 134 = 600 exactly: the second container still fits
-    assert state.admit(1, 134.0, 600.0, 5) == 2
-    assert state.active == [0, 2, 1, 0] and state.used_mb == 600.0
-    with pytest.raises(ValueError):
-        state.admit(0, 55.0, 600.0, 1)
+    catalog = (FunctionType(0, 332.0), FunctionType(1, 134.0), FunctionType(2, 55.0))
+    ctx = RoutingContext(make_topology([600.0]), catalog, CostParams(alpha=0.01))
+    state = NodeState(0, 3)
+    policy = make_policy("pcache", 3)
+    # 332 + 2 * 134 = 600 exactly: the second 134 MB container still fits,
+    # and the requests no container fits for are rejected
+    decision = route([state], ctx, policy, 1, {(0, 0): 1, (0, 1): 5})
+    assert decision.created == {(0, 0): 1, (0, 1): 2} and decision.rejected == {(0, 1): 3}
+    assert state.active == [1, 2, 0] and state.used_mb == 600.0
+    decision = route([state], ctx, policy, 1, {(0, 2): 1})
+    assert decision.created == {} and decision.rejected == {(0, 2): 1}
+    assert state.active == [1, 2, 0] and state.used_mb == 600.0
 
 
 def test_load_topology_missing_file(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from edgesim.costs import interval_running_cost
 from edgesim.errors import ConfigError, ContractError
-from edgesim.model import DEFAULT_CATALOG, FunctionType, NodeState
+from edgesim.model import DEFAULT_CATALOG, CostParams, FunctionType, NodeState
 from edgesim.policies import (
     EvictionDistribution,
     FixedCaching,
@@ -13,8 +14,9 @@ from edgesim.policies import (
     pcache_distribution,
     pcache_select_victim,
 )
+from edgesim.scheduler import RoutingContext
 
-from conftest import FlushingNoCache
+from conftest import FlushingNoCache, make_topology, route
 
 WEB, FILEPROC, CHECKOUT, IMGREC = DEFAULT_CATALOG
 
@@ -224,34 +226,50 @@ def test_nocache_flushes_cache():
     assert policy.end_of_interval([state], now=1) == [(0, WEB.id, 2), (0, CHECKOUT.id, 1)]
 
 
+def _web_stats(state):
+    return state.freq[WEB.id], state.last_used[WEB.id]
+
+
 def test_on_invocation_statistics():
+    # the router keeps the statistics: each request served adds one to its
+    # serving node's freq, and last_used takes the interval of the last one
+    ctx = RoutingContext(make_topology([4000.0, 4000.0], comm=[[0, 1], [1, 0]]), DEFAULT_CATALOG, CostParams(alpha=0.01))
     policy = PCache(n_types=4)
-    state = _state()
-    policy.on_invocation(state, WEB.id, now=4)
-    assert state.freq[WEB.id] == 1
-    assert state.last_used[WEB.id] == 4
-    policy.on_invocation(state, WEB.id, now=4)
-    assert state.freq[WEB.id] == 2
-    for now in (6, 5, 9):
-        policy.on_invocation(state, WEB.id, now=now)
-    assert state.last_used[WEB.id] == 9
-    assert state.freq[WEB.id] == 5
+    a, b = states = [NodeState(v, 4) for v in range(2)]
+    route(states, ctx, policy, 4, {(0, WEB.id): 1})  # created
+    assert _web_stats(a) == (1, 4)
+    route(states, ctx, policy, 4, {(0, WEB.id): 1})  # created: the first is busy
+    assert _web_stats(a) == (2, 4)
+    interval_running_cost(states, ctx)
+    assert route(states, ctx, policy, 6, {(0, WEB.id): 1}).local_served == {(0, WEB.id): 1}  # a hit
+    assert _web_stats(a) == (3, 6)
+    # b's request is offloaded to a's last idle container: a's statistics move
+    assert route(states, ctx, policy, 5, {(1, WEB.id): 1}).offloaded == {(1, 0, WEB.id): 1}
+    assert _web_stats(a) == (4, 5) and _web_stats(b) == (0, 0)
+    assert route(states, ctx, policy, 9, {(0, WEB.id): 1}).created == {(0, WEB.id): 1}
+    assert _web_stats(a) == (5, 9)
 
 
 def test_global_stats_shared_across_nodes():
+    catalog = (FunctionType(0, 100.0), FunctionType(1, 100.0))
+    ctx = RoutingContext(make_topology([4000.0, 4000.0], comm=[[0, 1], [1, 0]]), catalog, CostParams(alpha=0.01))
     policy = PCache(n_types=2, global_stats=True)
-    a, b = NodeState(0, 2), NodeState(1, 2)
-    policy.on_invocation(a, 0, now=2)
-    policy.on_invocation(b, 0, now=5)
-    policy.on_invocation(b, 1, now=5)
-    assert policy.freq[0] == 2 and policy.last_used[0] == 5
+    a, b = states = [NodeState(0, 2), NodeState(1, 2)]
+    route(states, ctx, policy, 2, {(0, 0): 1})
+    route(states, ctx, policy, 5, {(1, 0): 1, (1, 1): 1})  # a's container is busy: b creates
+    assert policy.freq == [2, 1] and policy.last_used == [5, 5]
+    assert a.freq == [1, 0] and b.freq == [1, 1]
+    interval_running_cost(states, ctx)
     # node b caches both types; with global stats type 0 is busier, so under
     # equal sizes type 1 is the likelier victim
-    catalog = (FunctionType(0, 100.0), FunctionType(1, 100.0))
-    b.cache = [1, 1]
+    assert b.cache == [1, 1]
     freq, last = policy._stats(b)
     dist = pcache_distribution(b, catalog, freq=freq, last_used=last)
     assert dist.probs[1] > dist.probs[0]
+    # an offload from a to b's idle container counts in the shared tables too
+    assert route(states, ctx, policy, 6, {(0, 1): 1}).offloaded == {(0, 1, 1): 1}
+    assert policy.freq == [2, 2] and policy.last_used == [5, 6]
+    assert a.freq == [1, 0] and b.freq == [1, 2] and b.last_used == [5, 6]
 
 
 def test_make_policy_names():

@@ -67,7 +67,7 @@ from edgesim.scheduler import (
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 from edgesim.workload import read_trace
 
-from conftest import make_stepping_policy
+from conftest import make_stepping_policy, record_invocations, take_cached
 
 # alpha * q <= p needs alpha <= 1 / cpu^2, so every alpha below is feasible
 CPUS = (1.0, 1.5, 2.0, 2.5)
@@ -154,16 +154,18 @@ def test_sweep_records_equal_direct_runs(config, alphas):
         assert rec == direct
 
 
-def pressure_configs():
+def pressure_configs(catalogs=(DEFAULT_CATALOG,), global_stats=(False,)):
     """1-4 nodes of tight capacity, up to 6 requests per (node, type), any policy."""
-    configs = tiny_configs(max_nodes=4, capacities=TIGHT_CAPACITIES, max_count=6)
+    configs = tiny_configs(
+        max_nodes=4, capacities=TIGHT_CAPACITIES, max_count=6, catalogs=catalogs, global_stats=global_stats,
+    )
     return st.builds(lambda config, policy: replace(config, policy=policy), configs, st.sampled_from(POLICY_NAMES))
 
 
 def _make_room_reference(state, node_id, mem_needed, ctx, policy, rng, destroyed):
     capacity = ctx.capacity[node_id]
     while state.used_mb + mem_needed > capacity:
-        if state.cache_total() == 0:
+        if not any(state.cache):
             return False
         victim = policy.select_victim(state, ctx.catalog, rng)
         state.remove_cached(victim, ctx.mem[victim], 1)
@@ -207,8 +209,8 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
         trace = audit is not None or check is not None
         hit = min(lam, state_v.cache[n])
         if hit:
-            state_v.consume_cache(n, hit)
-            policy.on_invocation(state_v, n, t, count=hit)
+            take_cached(state_v, n, hit)
+            record_invocations(policy, state_v, n, t, count=hit)
             local_served[(v, n)] = local_served.get((v, n), 0) + hit
             if trace:
                 for _ in range(hit):
@@ -223,8 +225,8 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
             state_2 = states[v2]
             take = min(remaining, state_2.cache[n])
             if take:
-                state_2.consume_cache(n, take)
-                policy.on_invocation(state_2, n, t, count=take)
+                take_cached(state_2, n, take)
+                record_invocations(policy, state_2, n, t, count=take)
                 key = (v, v2, n)
                 offloaded[key] = offloaded.get(key, 0) + take
                 remaining -= take
@@ -237,7 +239,7 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
             if _make_room_reference(state_v, v, mem, ctx, policy, rng, destroyed):
                 state_v.active[n] += 1
                 state_v.used_mb += mem
-                policy.on_invocation(state_v, n, t)
+                record_invocations(policy, state_v, n, t)
                 created[(v, n)] = created.get((v, n), 0) + 1
                 local_served[(v, n)] = local_served.get((v, n), 0) + 1
                 remaining -= 1
@@ -249,8 +251,8 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
                 state_2 = states[v2]
                 d = ctx.d[v][v2]
                 if state_2.cache[n] > 0:
-                    state_2.consume_cache(n, 1)
-                    policy.on_invocation(state_2, n, t)
+                    take_cached(state_2, n, 1)
+                    record_invocations(policy, state_2, n, t)
                     key = (v, v2, n)
                     offloaded[key] = offloaded.get(key, 0) + 1
                     remaining -= 1
@@ -261,7 +263,7 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
                 if _make_room_reference(state_2, v2, mem, ctx, policy, rng, destroyed):
                     state_2.active[n] += 1
                     state_2.used_mb += mem
-                    policy.on_invocation(state_2, n, t)
+                    record_invocations(policy, state_2, n, t)
                     created[(v2, n)] = created.get((v2, n), 0) + 1
                     key = (v, v2, n)
                     offloaded[key] = offloaded.get(key, 0) + 1
@@ -296,14 +298,16 @@ def _node_states(states):
 
 
 @SETTINGS
-@given(config=pressure_configs())
+@given(config=pressure_configs(catalogs=(DEFAULT_CATALOG, FRACTIONAL_CATALOG), global_stats=(False, True)))
 def test_table_routing_equals_one_request_at_a_time(config):
+    # fractional sizes leave a residue in `used_mb` that each creation folds
+    # into; shared statistics take every served request's update too
     ctx = RoutingContext(config.topology, config.catalog, config.params)
     n_types = len(config.catalog)
     sides = []
     for route in (distribute_interval, distribute_one_request_at_a_time):
         states = [NodeState(v, n_types) for v in range(ctx.n_nodes)]
-        policy = make_stepping_policy(config.policy, n_types, ttl=config.ttl)
+        policy = make_stepping_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
         sides.append((route, states, policy, np.random.default_rng(config.seed), [], BoundChecks(ctx, [ctx.alpha])))
     for batch in config.batches:
         decisions = [route(batch, states, ctx, policy, rng, audit, check) for route, states, policy, rng, audit, check in sides]

@@ -28,7 +28,7 @@ from edgesim.scheduler import (
     write_audit_csv,
 )
 
-from conftest import make_stepping_policy, make_topology
+from conftest import create_active, make_stepping_policy, make_topology, record_invocations
 
 WEB = DEFAULT_CATALOG[0]
 ONE_TYPE = (FunctionType(0, 55.0, "web-server"),)
@@ -59,9 +59,8 @@ def _close(states, policy, now, ctx):
 
 def _warm(states, policy, v, n, count, ctx, now=1):
     """Put `count` warm containers of type n in node v's cache."""
-    for _ in range(count):
-        states[v].admit(n, ctx.mem[n], ctx.capacity[v], 1)
-        policy.on_invocation(states[v], n, now)
+    create_active(states[v], n, ctx.mem[n], count)
+    record_invocations(policy, states[v], n, now, count)
     interval_running_cost([states[v]], ctx)  # the containers idle
 
 
@@ -155,7 +154,7 @@ def test_fallback_prefers_cheapest_over_nearest():
         [55.0, 4000.0, 4000.0], comm=[[0, 1, 10], [1, 0, 10], [10, 10, 0]], cpus=[1.0, 0.5, 2.0], catalog=ONE_TYPE
     )
     policy = make_policy("pcache", 1)
-    states[0].admit(0, 55.0, 55.0, 1)
+    create_active(states[0], 0, 55.0)
     d = distribute_interval(RequestBatch(interval=1, counts={(0, 0): 2}), states, ctx, policy, np.random.default_rng(0))
     assert ctx.fallback_order(0, 0) == [2, 1]
     assert d.created == {(2, 0): 2}
@@ -171,8 +170,8 @@ def test_origins_compete_for_the_last_room_in_key_order():
     # request is rejected
     topo, params, ctx, states = _setup([55.0, 55.0, 55.0], comm=[[0, 1, 5], [1, 0, 5], [5, 5, 0]], catalog=ONE_TYPE)
     policy = make_policy("pcache", 1)
-    states[0].admit(0, 55.0, 55.0, 1)
-    states[1].admit(0, 55.0, 55.0, 1)
+    create_active(states[0], 0, 55.0)
+    create_active(states[1], 0, 55.0)
     batch = RequestBatch(interval=1, counts={(1, 0): 1, (0, 0): 1})
     d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
     assert d.created == {(2, 0): 1}
@@ -200,7 +199,7 @@ def test_overflow_takes_idle_containers_then_creates_beyond_radius():
     # (d = 100 > p = 55) holds 2 idle containers and room for 2 more
     topo, params, ctx, states = _setup([55.0, 220.0], comm=[[0, 100], [100, 0]], catalog=ONE_TYPE)
     policy = make_policy("lru", 1)
-    states[0].admit(0, 55.0, 55.0, 1)
+    create_active(states[0], 0, 55.0)
     _warm(states, policy, 1, 0, 2, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 4})
     audit = []

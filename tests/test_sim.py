@@ -1,6 +1,7 @@
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import edgesim.sim as sim
@@ -403,6 +404,26 @@ def test_fc_negative_ttl_raises_before_routing(monkeypatch):
     with pytest.raises(ConfigError, match="fc ttl"):
         run(_zipf_config(policy="fc", ttl=-1, horizon=30))
     assert routed == []
+
+
+@pytest.mark.parametrize("horizon", [2.5, 3.0, True, "3"])
+def test_horizon_that_is_not_an_int_is_refused(horizon):
+    # 2.5 once ended in range()'s TypeError mid-run, and True ran one interval
+    with pytest.raises(ConfigError, match="horizon must be an int"):
+        _zipf_config(horizon=horizon)
+
+
+@pytest.mark.parametrize("ttl", [2.5, 3.0, True, "3"])
+def test_fc_ttl_that_is_not_an_int_is_refused(ttl):
+    # fc once ran with ttl 2.5 or True without a word
+    with pytest.raises(ConfigError, match="fc ttl must be an int"):
+        run(_zipf_config(policy="fc", ttl=ttl, horizon=3))
+
+
+def test_numpy_int_horizon_and_ttl_run_as_ints():
+    config = _zipf_config(policy="fc", ttl=3, horizon=12)
+    numpy_config = replace(config, ttl=np.int64(3), horizon=np.int64(12))
+    assert summary_json(run(numpy_config)) == summary_json(run(config))
 
 
 def test_nocache_run_normalizes_by_the_given_baseline():

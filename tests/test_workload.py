@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,18 @@ def test_zipf_config_rejects_a_type_count_that_is_not_an_int(n_types):
     # 2.5 types once built a config whose first source ended in numpy's AxisError
     with pytest.raises(ConfigError, match="n_types must be an int"):
         ZipfConfig(beta=1.0, n_types=n_types, mean_rate=3.0)
+
+
+def test_zipf_config_refuses_a_mean_rate_numpy_cannot_draw():
+    # numpy's Poisson limit: the largest lam `Generator.poisson` accepts
+    limit = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+    assert limit == 9.223372006484771e18
+    cfg = ZipfConfig(beta=1.0, n_types=2, mean_rate=limit, seed=1)
+    batch = ZipfSource(cfg, make_topology([4000.0])).batch(1)
+    assert sum(batch.counts.values()) > 9e18
+    for rate in (math.nextafter(limit, math.inf), 1e30):
+        with pytest.raises(ConfigError, match="9.223372006484771e\\+18"):
+            ZipfConfig(beta=1.0, n_types=2, mean_rate=rate)
 
 
 def test_zipf_normalized_and_nonincreasing():

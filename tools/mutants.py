@@ -14,7 +14,10 @@ the mutant's anchor text (which must occur exactly once in its file) and runs
 there, after checking that the unmutated tree passes. With --no-hashes the run
 also deselects the golden hash comparisons (`-k "not _bytes"`), so a mutant
 must be killed by a test that names what went wrong. A failing run kills the
-mutant; a passing run lets it survive. The fixed hypothesis seed makes every
+mutant; a passing run lets it survive. A run still going after TIMEOUT_S
+seconds is stopped and kills the mutant too: a mutant can make the router
+loop forever (`admit-strict-capacity` creates no container yet never stops
+trying). The fixed hypothesis seed makes every
 verdict reproducible. The exit status is 1 when a mutant survived. A survivor
 calls for a new test, never for dropping the mutant. A refactor that moves an
 anchor updates its entry in the same change.
@@ -40,6 +43,7 @@ PYTEST = [
     "-m", "pytest", "-x", "-q", "--ignore=tests/test_acceptance.py", "--ignore=tests/test_mutants.py",
     "--hypothesis-seed=0", "-p", "no:cacheprovider",
 ]
+TIMEOUT_S = 180  # the unmutated suite takes 20-40 s on a 2-vCPU Xeon
 
 
 class Mutant(NamedTuple):
@@ -62,24 +66,40 @@ WORKLOAD = "src/edgesim/workload.py"
 OVERFLOW_IDLE = (
     "            take = min(remaining, state_2.cache[n])\n"
     "            if take:\n"
-    "                state_2.consume_cache(n, take)\n"
-    "                policy.on_invocation(state_2, n, t, take)\n"
+    "                state_2.cache[n] -= take\n"
+    "                state_2.active[n] += take\n"
+    "                state_2.freq[n] += take\n"
+    "                state_2.last_used[n] = t\n"
+    "                if shared:\n"
+    "                    shared_freq[n] += take\n"
+    "                    shared_last[n] = t\n"
     "                offloaded[route] = offloaded.get(route, 0) + take\n"
     "                remaining -= take\n"
     "                if trace:\n"
     '                    note(v, n, "offload", v2, d, max(p_vn, d), take)\n'
 )
 OVERFLOW_CREATE = (
-    "            while remaining and (state_2.used_mb + mem <= capacity[v2] or _make_room(state_2, mem, ctx, policy, rng, destroyed)):\n"
-    "                k = state_2.admit(n, mem, capacity[v2], remaining)\n"
-    "                policy.on_invocation(state_2, n, t, k)\n"
+    "            cap = capacity[v2]\n"
+    "            while remaining and (state_2.used_mb + mem <= cap or _make_room(state_2, mem, ctx, policy, rng, destroyed)):\n"
+    "                used = state_2.used_mb\n"
+    "                k = 0\n"
+    "                while k < remaining and used + mem <= cap:\n"
+    "                    used += mem\n"
+    "                    k += 1\n"
+    "                state_2.used_mb = used\n"
+    "                state_2.active[n] += k\n"
+    "                state_2.freq[n] += k\n"
+    "                state_2.last_used[n] = t\n"
+    "                if shared:\n"
+    "                    shared_freq[n] += k\n"
+    "                    shared_last[n] = t\n"
     "                created[(v2, n)] = created.get((v2, n), 0) + k\n"
     "                offloaded[route] = offloaded.get(route, 0) + k\n"
     "                decision.fallback_creations += k\n"
     "                remaining -= k\n"
     "                if trace:\n"
     "                    # outside the worst-case analysis; not bound-checked\n"
-    '                    note(v, n, "create", v2, d + ctx.p[v2][n], max(p_vn, d), k, checked=False)\n'
+    '                    note(v, n, "create", v2, d + p[v2][n], max(p_vn, d), k, checked=False)\n'
 )
 
 MUTANTS = [
@@ -130,8 +150,9 @@ MUTANTS = [
            "(used > np.reshape(cap, (V, 1, 1))).any(axis=0)", "(used > np.reshape(cap, (V, 1, 1))).all(axis=0)",
            "a pool is infeasible only when every node overflows"),
     # routing tables
-    Mutant("admit-strict-capacity", MODEL,
-           "while k < limit and used + mem_mb <= capacity_mb:", "while k < limit and used + mem_mb < capacity_mb:",
+    Mutant("admit-strict-capacity", SCHED,
+           "            used = state_v.used_mb\n            k = 0\n            while k < remaining and used + mem <= cap:\n",
+           "            used = state_v.used_mb\n            k = 0\n            while k < remaining and used + mem < cap:\n",
            "a container that fills its node exactly is refused"),
     Mutant("offload-no-clamp", SCHED,
            "                if take > remaining:\n                    take = remaining\n", "",
@@ -167,8 +188,27 @@ MUTANTS = [
            "    for (v, n), count in sorted(decision.created.items()):", "    for (v, n), count in decision.created.items():",
            "the no-cache close prices in insertion order, not node-major"),
     Mutant("fallback-no-invocation", SCHED,
-           "                policy.on_invocation(state_2, n, t, k)\n", "",
+           "                state_2.freq[n] += k\n                state_2.last_used[n] = t\n"
+           "                if shared:\n                    shared_freq[n] += k\n                    shared_last[n] = t\n"
+           "                created[(v2, n)]",
+           "                created[(v2, n)]",
            "a fallback creation updates no invocation statistics"),
+    # statistics kept inline by the router, and the close that idles
+    Mutant("offload-skips-shared-stats", SCHED,
+           "                if shared:\n                    shared_freq[n] += take\n                    shared_last[n] = t\n"
+           "                route = (v, v2, n)\n",
+           "                route = (v, v2, n)\n",
+           "an in-radius offload leaves the policy's shared statistics untouched"),
+    Mutant("hit-keeps-last-used", SCHED,
+           "                state_v.freq[n] += hit\n                state_v.last_used[n] = t\n",
+           "                state_v.freq[n] += hit\n",
+           "a cache hit counts the invocation but keeps the old last_used"),
+    Mutant("create-counts-one-invocation", SCHED,
+           "            state_v.freq[n] += k\n", "            state_v.freq[n] += 1\n",
+           "a batch of creations at the origin counts as one invocation"),
+    Mutant("running-cost-skips-cache-only-cell", COSTS,
+           "            elif cache[n]:\n                total += q_v[n] * cache[n]\n", "",
+           "the interval close prices no idle container of a type with none serving"),
     Mutant("fallback-credits-origin", SCHED,
            "created[(v2, n)] = created.get((v2, n), 0) + k", "created[key] = created.get(key, 0) + k",
            "a fallback creation is booked at the origin, not where it happened"),
@@ -292,7 +332,12 @@ def run_one(mutant: Mutant | None, pytest_args: list[str]) -> tuple[bool, float,
             apply(mutant, root)
         env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, *pytest_args], cwd=root, env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *pytest_args], cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return True, time.perf_counter() - start, f"timed out after {TIMEOUT_S} s"
         seconds = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     failed = [line for line in lines if line.startswith(("FAILED ", "ERROR "))]
