@@ -18,7 +18,9 @@ class IntervalDecision:
     (origin, server, type). created counts true instantiations at the node
     where they happened, destroyed the containers evicted under capacity
     pressure (not the end-of-interval sweep's), rejected the requests no node
-    could host.
+    could host. closed marks a no-cache interval the router closed as it
+    routed it: every request was created at its origin, and none of those
+    containers is alive any more (`scheduler.distribute_interval`).
     """
 
     interval: int
@@ -28,6 +30,7 @@ class IntervalDecision:
     destroyed: dict[tuple[int, int], int] = field(default_factory=dict)
     rejected: dict[tuple[int, int], int] = field(default_factory=dict)
     fallback_creations: int = 0
+    closed: bool = False
 
     def total_created(self) -> int:
         return sum(self.created.values())

@@ -99,7 +99,8 @@ class EvictionPolicy:
     holds_idle says whether the policy can keep an idle container into the
     next interval. One that cannot is never asked for a victim or for its
     end_of_interval sweep: routing only creates for it, and the interval
-    closes by destroying what it created.
+    closes by destroying what it created, unless routing closed it already
+    (`scheduler.distribute_interval`).
     """
 
     name = "?"
@@ -207,7 +208,9 @@ class NoCache(EvictionPolicy):
     Its caches are empty whenever requests are routed, so it holds no idle
     container: a run routes its requests by creation alone and closes each
     interval by destroying the created containers (`scheduler.close_created`),
-    never through an end-of-interval sweep.
+    never through an end-of-interval sweep. An unaudited, unchecked interval
+    that fits at every origin comes back from the router closed already, and
+    the close only prices it.
     """
 
     name = "nocache"

@@ -30,6 +30,11 @@ class RoutingContext:
     does not exceed the origin's switching cost p[v][n], as (v2, d) pairs in
     ascending (d, id) order. An origin's lists are prefixes of its one sorted
     neighbour list.
+
+    `whole_mem` holds the container sizes as ints when every size is a whole
+    number of MB and every capacity is below 2**53 MB, and is None otherwise:
+    only then is a no-cache interval that fits closed as it is routed
+    (`distribute_interval`).
     """
 
     def __init__(self, topology: Topology, catalog, params: CostParams):
@@ -39,6 +44,8 @@ class RoutingContext:
         self.alpha = params.alpha
         self.mem = [f.mem_mb for f in catalog]
         self.capacity = [node.capacity_mb for node in topology.nodes]
+        whole = all(float(m).is_integer() for m in self.mem) and max(self.capacity) < 2**53
+        self.whole_mem = [int(m) for m in self.mem] if whole else None
         self.d = [[float(x) for x in row] for row in topology.comm_cost]
         self.p = [
             [switching_cost(node, f, params) for f in catalog] for node in topology.nodes
@@ -100,6 +107,49 @@ def _make_room(state, mem_needed, ctx, policy, rng, destroyed):
     return True
 
 
+def _close_if_fits(batch: RequestBatch, states: list[NodeState], ctx: RoutingContext, policy) -> IntervalDecision | None:
+    """Route and close one interval of a policy that holds no idle container
+    by one fit test and one fold over its keys, when every origin can host
+    its own requests; None, with nothing changed, when one cannot. The keys
+    ascend, so each origin's requests are one run of them.
+
+    Sizes are whole MB and capacities below 2**53 MB (`ctx.whole_mem`), so
+    every occupancy the router forms container by container, `used + mem`,
+    is an exact integer: it creates every request at its origin exactly when
+    used_mb + Σ mem·count <= capacity there. The fit test takes Σ mem·count
+    in ints and compares it with capacity - used_mb, which is exact as well,
+    since `used_mb` is a sum of whole sizes. The close would then destroy
+    every container routing created, so `active` and `used_mb` would end at
+    their own bits: they are left alone, and only the statistics move. The
+    batch's counts are read, never written: every lane shares them.
+    """
+    mems = ctx.whole_mem
+    capacity = ctx.capacity
+    created = {}
+    origin = -1
+    for key, c in batch.counts.items():
+        if c:
+            created[key] = c
+            v, n = key
+            if v != origin:
+                origin = v
+                room = capacity[v] - states[v].used_mb
+                need = 0
+            need += mems[n] * c
+            if need > room:
+                return None
+    t = batch.interval
+    shared = policy.global_stats
+    for (v, n), c in created.items():
+        state = states[v]
+        state.freq[n] += c
+        state.last_used[n] = t
+        if shared:
+            policy.freq[n] += c
+            policy.last_used[n] = t
+    return IntervalDecision(interval=t, local_served=dict(created), created=created, closed=True)
+
+
 def distribute_interval(
     batch: RequestBatch,
     states: list[NodeState],
@@ -126,7 +176,18 @@ def distribute_interval(
     bound-checked by `check`. Each step moves its containers and keeps the
     serving node's `freq`/`last_used` itself, and the policy's shared
     tables too under `global_stats`.
+
+    An interval of such a policy that is neither audited nor bound-checked,
+    with whole-MB sizes (`ctx.whole_mem`) and every origin able to host its
+    own requests, is closed as it is routed: its decision comes back
+    `closed`, every request created at its origin, with no container left
+    alive and `used_mb` at its own bits (`_close_if_fits`). Every other
+    interval is routed step by step as above.
     """
+    if not policy.holds_idle and audit is None and check is None and ctx.whole_mem is not None:
+        decision = _close_if_fits(batch, states, ctx, policy)
+        if decision is not None:
+            return decision
     t = batch.interval
     decision = IntervalDecision(interval=t)
     local_served = decision.local_served
@@ -218,6 +279,8 @@ def distribute_interval(
             while k < remaining and used + mem <= cap:
                 used += mem
                 k += 1
+            if not k:
+                raise ContractError(f"node {v}: a creation step for type {n} created nothing")
             state_v.used_mb = used
             state_v.active[n] += k
             state_v.freq[n] += k
@@ -258,6 +321,8 @@ def distribute_interval(
                 while k < remaining and used + mem <= cap:
                     used += mem
                     k += 1
+                if not k:
+                    raise ContractError(f"node {v2}: a creation step for type {n} created nothing")
                 state_2.used_mb = used
                 state_2.active[n] += k
                 state_2.freq[n] += k
@@ -290,9 +355,15 @@ def close_created(decision: IntervalDecision, states: list[NodeState], ctx: Rout
     Every cache was empty when the interval started, so the created
     containers are all that is alive; this prices and destroys exactly what
     `interval_running_cost` followed by `end_interval` would, to the bit.
+    A `closed` decision's containers are gone already: it is priced in batch
+    order, which is node-major and type-minor too, and nothing is destroyed.
     """
     running = 0.0
     q = ctx.q
+    if decision.closed:
+        for (v, n), count in decision.created.items():
+            running += q[v][n] * count
+        return running
     mems = ctx.mem
     for (v, n), count in sorted(decision.created.items()):
         running += q[v][n] * count

@@ -179,7 +179,8 @@ class _Lane:
         communication and append the ledger row. A caching policy closes by
         idling the active containers while pricing the running cost, then
         running its sweep; a policy that holds no idle container closes by
-        pricing and destroying the containers it created.
+        pricing and destroying the containers it created, or only pricing
+        them where the router closed the interval as it routed it.
         """
         t = batch.interval
         ctx = self.ctx

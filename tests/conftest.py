@@ -41,7 +41,14 @@ def desk_topology(n_nodes=25, capacity=4000.0, seed=1234, box=100.0, scale=0.35)
 class FlushingNoCache(NoCache):
     """No-cache with the end-of-interval sweep a step-by-step close needs: it
     destroys every cached container, node-major and type-minor. A run never
-    sweeps a no-cache lane; it closes one by `scheduler.close_created`."""
+    sweeps a no-cache lane; it closes one by `scheduler.close_created`.
+
+    It declares `holds_idle` as a caching policy does, so the router leaves
+    every interval open for that sweep. Its caches are empty whenever
+    requests are routed, so the hit and offload steps take nothing and
+    `_make_room` gives up at once: it routes as `NoCache` does."""
+
+    holds_idle = True
 
     def end_of_interval(self, states, now):
         return [(state.node_id, n, count) for state in states for n, count in enumerate(state.cache) if count]

@@ -55,7 +55,7 @@ from edgesim.model import (
     validate_setup,
 )
 from edgesim.oracle import MAX_ENUM_OPS, MAX_INTERVALS, TinyInstance, random_tiny_instance, solve_exact
-from edgesim.policies import POLICY_NAMES, EvictionPolicy, FixedCaching, make_policy
+from edgesim.policies import POLICY_NAMES, EvictionPolicy, FixedCaching, NoCache, make_policy
 from edgesim.scheduler import (
     AuditRecord,
     BoundChecks,
@@ -67,7 +67,7 @@ from edgesim.scheduler import (
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 from edgesim.workload import read_trace
 
-from conftest import make_stepping_policy, record_invocations, take_cached
+from conftest import FlushingNoCache, make_stepping_policy, record_invocations, take_cached
 
 # alpha * q <= p needs alpha <= 1 / cpu^2, so every alpha below is feasible
 CPUS = (1.0, 1.5, 2.0, 2.5)
@@ -350,13 +350,14 @@ def test_routing_conserves_requests_within_capacity(config):
 ))
 def test_admission_step_equals_full_routing(config):
     # a no-cache lane's caches are empty at every interval start, so routing
-    # by creation alone and closing by destroying what was created decide,
-    # price and close as full routing and the step-by-step close do
+    # by creation alone, or closing an interval that fits as it is routed,
+    # and closing by destroying what was created decide, price and close as
+    # full routing and the step-by-step close do
     ctx = RoutingContext(config.topology, config.catalog, config.params)
     n_types = len(config.catalog)
     sides = [
-        ([NodeState(v, n_types) for v in range(ctx.n_nodes)], make_stepping_policy("nocache", n_types, global_stats=config.global_stats))
-        for _ in range(2)
+        ([NodeState(v, n_types) for v in range(ctx.n_nodes)], make(n_types, global_stats=config.global_stats))
+        for make in (NoCache, FlushingNoCache)
     ]
     (states, policy), (ref_states, ref_policy) = sides
     rng = np.random.default_rng(config.seed)
@@ -372,6 +373,66 @@ def test_admission_step_equals_full_routing(config):
         assert running.hex() == ref_running.hex()
         assert _node_states(states) == _node_states(ref_states)
         assert vars(policy) == vars(ref_policy)
+
+
+# The requests of each type that fill a node of each tight capacity exactly.
+EXACT_FILLS = {332.0: {2: 1}, 387.0: {0: 1, 2: 1}, 490.0: {1: 1, 2: 1}, 600.0: {0: 2, 1: 1, 2: 1}}
+
+
+@st.composite
+def streams_with_zero_counts(draw):
+    """Tight no-cache streams on either catalog. In each batch, some nodes
+    ask for exactly what fills them on the default catalog, and up to three
+    zero-count keys are added."""
+    config = draw(tiny_configs(
+        max_nodes=4, capacities=TIGHT_CAPACITIES, max_count=2, max_horizon=10,
+        catalogs=(DEFAULT_CATALOG, FRACTIONAL_CATALOG), global_stats=(False, True),
+    ))
+    nodes = config.topology.nodes
+    keys = st.sampled_from([(v, n) for v in range(len(nodes)) for n in range(len(config.catalog))])
+    batches = []
+    for b in config.batches:
+        counts = dict.fromkeys(draw(st.lists(keys, max_size=3)), 0)
+        filled = draw(st.sets(st.sampled_from(range(len(nodes)))))
+        counts.update({key: c for key, c in b.counts.items() if key[0] not in filled})
+        for v in filled:
+            counts.update({(v, n): c for n, c in EXACT_FILLS[nodes[v].capacity_mb].items()})
+        batches.append(RequestBatch(b.interval, counts))
+    return replace(config, batches=batches)
+
+
+def _state_bits(states):
+    return [(s.node_id, s.active, s.cache, s.freq, s.last_used, s.used_mb.hex()) for s in states]
+
+
+@settings(SETTINGS, max_examples=100)
+@given(config=streams_with_zero_counts())
+def test_nocache_closed_as_routed_equals_open_routing(config):
+    # a lone NoCache lane closes each interval that fits as it routes it;
+    # FlushingNoCache holds idle containers as far as the router knows, so
+    # every interval of it is routed open. close_created closes both.
+    ctx = RoutingContext(config.topology, config.catalog, config.params)
+    n_types = len(config.catalog)
+    lane, ref = (
+        ([NodeState(v, n_types) for v in range(ctx.n_nodes)], make(n_types, global_stats=config.global_stats))
+        for make in (NoCache, FlushingNoCache)
+    )
+    rng = np.random.default_rng(config.seed)
+    for batch in config.batches:
+        counts = list(batch.counts.items())
+        (decision, running), (ref_decision, ref_running) = [
+            (d := distribute_interval(batch, states, ctx, policy, rng), close_created(d, states, ctx))
+            for states, policy in (lane, ref)
+        ]
+        assert list(batch.counts.items()) == counts  # every lane shares the batch
+        assert not ref_decision.closed
+        assert _decision_items(decision) == _decision_items(ref_decision)
+        assert decision.total_created() == ref_decision.total_created()
+        assert repr(interval_switching_cost(decision, ctx)) == repr(interval_switching_cost(ref_decision, ctx))
+        assert repr(interval_comm_cost(decision, config.topology)) == repr(interval_comm_cost(ref_decision, config.topology))
+        assert repr(running) == repr(ref_running)
+        assert _state_bits(lane[0]) == _state_bits(ref[0])
+        assert vars(lane[1]) == vars(ref[1])
 
 
 class TwoPassFixedCaching(EvictionPolicy):

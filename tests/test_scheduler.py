@@ -1,6 +1,8 @@
 import csv
 import os
+import signal
 import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesim.costs import interval_running_cost
-from edgesim.errors import InvariantViolation
+from edgesim.errors import ContractError, InvariantViolation
 from edgesim.model import (
     DEFAULT_CATALOG,
     CostParams,
@@ -23,12 +25,14 @@ from edgesim.scheduler import (
     AuditRecord,
     BoundChecks,
     RoutingContext,
+    close_created,
     distribute_interval,
     end_interval,
     write_audit_csv,
 )
 
 from conftest import create_active, make_stepping_policy, make_topology, record_invocations
+from test_properties import FRACTIONAL_CATALOG
 
 WEB = DEFAULT_CATALOG[0]
 ONE_TYPE = (FunctionType(0, 55.0, "web-server"),)
@@ -251,6 +255,97 @@ def test_end_interval_nocache_destroys_everything():
     destroyed = _close(states, policy, 1, ctx)
     assert destroyed == [(0, 0, 3)]
     assert states[0].cache[0] == 0 and states[0].used_mb == 0
+
+
+def _nocache_route(capacities, counts, catalog=ONE_TYPE, audit=None, bounds=False, global_stats=False):
+    """Route one interval of a lone `NoCache` lane and close it; the decision,
+    the running cost and the states."""
+    topo, params, ctx, states = _setup(capacities, catalog=catalog)
+    policy = make_policy("nocache", len(catalog), global_stats=global_stats)
+    check = BoundChecks(ctx, [ctx.alpha]) if bounds else None
+    decision = distribute_interval(RequestBatch(1, counts), states, ctx, policy, np.random.default_rng(0), audit=audit, check=check)
+    return decision, close_created(decision, states, ctx), states, policy
+
+
+def test_nocache_exact_fill_closes_as_routed():
+    # 2 x 55 MB fill 110 MB exactly: the fit test is <=, as the router's
+    decision, running, states, policy = _nocache_route([110.0], {(0, 0): 2}, global_stats=True)
+    assert decision.closed
+    assert decision.created == decision.local_served == {(0, 0): 2}
+    assert decision.offloaded == decision.destroyed == decision.rejected == {}
+    assert running == 2 * 55.0
+    state = states[0]
+    assert (state.active, state.cache, state.freq, state.last_used) == ([0], [0], [2], [1])
+    assert state.used_mb.hex() == (0.0).hex()
+    assert (policy.freq, policy.last_used) == ([2], [1])
+
+
+def test_nocache_one_mb_over_stays_open():
+    decision, running, states, _ = _nocache_route([109.0], {(0, 0): 2})
+    assert not decision.closed
+    assert decision.created == {(0, 0): 1} and decision.rejected == {(0, 0): 1}
+    assert running == 55.0 and states[0].used_mb == 0.0
+
+
+@pytest.mark.parametrize("case", ["fractional", "audit", "bounds"])
+def test_nocache_audited_checked_or_fractional_interval_stays_open(case):
+    catalog = (FRACTIONAL_CATALOG[0],) if case == "fractional" else ONE_TYPE
+    audit = [] if case == "audit" else None
+    decision, _, states, _ = _nocache_route([4000.0], {(0, 0): 3}, catalog=catalog, audit=audit, bounds=case == "bounds")
+    assert not decision.closed
+    assert decision.created == decision.local_served == {(0, 0): 3}
+    assert states[0].active == [0] and states[0].freq == [3]
+    if audit is not None:
+        assert [r.action for r in audit] == ["create"] * 3
+
+
+def test_nocache_zero_count_key_keeps_its_statistics():
+    counts = {(0, 0): 0, (0, 1): 2, (1, 3): 0}
+    decision, running, states, _ = _nocache_route([4000.0, 4000.0], counts, catalog=DEFAULT_CATALOG)
+    assert decision.closed
+    assert decision.created == decision.local_served == {(0, 1): 2}
+    assert states[0].freq == [0, 2, 0, 0] and states[0].last_used == [0, 1, 0, 0]
+    assert states[1].freq == [0] * 4 and states[1].last_used == [0] * 4
+    assert running == 2 * 158.0
+
+
+def test_nocache_count_beyond_float_range_stays_open():
+    decision, running, _, _ = _nocache_route([110.0], {(0, 0): 10**400})
+    assert not decision.closed
+    assert decision.created == {(0, 0): 2} and decision.rejected == {(0, 0): 10**400 - 2}
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still routing after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("policy_name", ["pcache", "nocache"])
+@pytest.mark.parametrize("where", ["origin", "overflow"])
+def test_creation_step_that_creates_nothing_raises(policy_name, where):
+    # a state doctored to carry another node's id: `_make_room` reads that
+    # node's roomy capacity and reports room the step then cannot use
+    if where == "origin":
+        topo, params, ctx, states = _setup([100.0, 4000.0], catalog=ONE_TYPE)
+        states[0].node_id, states[0].used_mb = 1, 50.0
+    else:
+        topo, params, ctx, states = _setup([60.0, 100.0, 4000.0], catalog=ONE_TYPE)
+        states[0].used_mb = 60.0
+        states[1].node_id, states[1].used_mb = 2, 50.0
+    batch = RequestBatch(interval=1, counts={(0, 0): 1})
+    node = 0 if where == "origin" else 1
+    with _time_limit(10), pytest.raises(ContractError, match=f"node {node}: a creation step for type 0 created nothing"):
+        distribute_interval(batch, states, ctx, make_policy(policy_name, 1), np.random.default_rng(0))
 
 
 def test_end_interval_fc_ttl_sweep():

@@ -15,12 +15,12 @@ there, after checking that the unmutated tree passes. With --no-hashes the run
 also deselects the golden hash comparisons (`-k "not _bytes"`), so a mutant
 must be killed by a test that names what went wrong. A failing run kills the
 mutant; a passing run lets it survive. A run still going after TIMEOUT_S
-seconds is stopped and kills the mutant too: a mutant can make the router
-loop forever (`admit-strict-capacity` creates no container yet never stops
-trying). The fixed hypothesis seed makes every
-verdict reproducible. The exit status is 1 when a mutant survived. A survivor
-calls for a new test, never for dropping the mutant. A refactor that moves an
-anchor updates its entry in the same change.
+seconds is stopped and kills the mutant too, as a last resort: a router
+step that creates nothing raises ContractError rather than loop, so no
+mutant in the catalogue is known to run that long. The fixed hypothesis
+seed makes every verdict reproducible. The exit status is 1 when a mutant
+survived. A survivor calls for a new test, never for dropping the mutant. A
+refactor that moves an anchor updates its entry in the same change.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ OVERFLOW_CREATE = (
     "                while k < remaining and used + mem <= cap:\n"
     "                    used += mem\n"
     "                    k += 1\n"
+    "                if not k:\n"
+    '                    raise ContractError(f"node {v2}: a creation step for type {n} created nothing")\n'
     "                state_2.used_mb = used\n"
     "                state_2.active[n] += k\n"
     "                state_2.freq[n] += k\n"
@@ -212,6 +214,29 @@ MUTANTS = [
     Mutant("fallback-credits-origin", SCHED,
            "created[(v2, n)] = created.get((v2, n), 0) + k", "created[key] = created.get(key, 0) + k",
            "a fallback creation is booked at the origin, not where it happened"),
+    # a no-cache interval that fits, closed as it is routed
+    Mutant("fit-test-strict", SCHED,
+           "            if need > room:\n", "            if need >= room:\n",
+           "an origin that its requests fill exactly is routed open"),
+    Mutant("fold-keeps-zero-counts", SCHED,
+           "    for key, c in batch.counts.items():\n        if c:\n", "    for key, c in batch.counts.items():\n        if True:\n",
+           "a zero-count key is created and stamps its type's last_used"),
+    Mutant("fold-skips-shared-stats", SCHED,
+           "        if shared:\n            policy.freq[n] += c\n            policy.last_used[n] = t\n", "",
+           "a closed interval leaves the policy's shared statistics untouched"),
+    Mutant("fold-fractional-sizes", SCHED,
+           "        whole = all(float(m).is_integer() for m in self.mem) and", "        whole = True and",
+           "an interval of fractional sizes is closed as routed, with `used_mb` left at other bits"),
+    Mutant("fold-under-bound-checks", SCHED,
+           "audit is None and check is None and ctx.whole_mem", "audit is None and ctx.whole_mem",
+           "a bound-checked no-cache interval skips its checks"),
+    Mutant("closed-still-destroys", SCHED,
+           "    if decision.closed:\n", "    if False:\n",
+           "the close destroys a closed decision's containers a second time"),
+    Mutant("closed-priced-by-p", SCHED,
+           "            running += q[v][n] * count\n        return running\n",
+           "            running += ctx.p[v][n] * count\n        return running\n",
+           "a closed interval's running cost is priced with p"),
     # batched overflow
     Mutant("overflow-creates-before-idle", SCHED,
            OVERFLOW_IDLE + OVERFLOW_CREATE, OVERFLOW_CREATE + OVERFLOW_IDLE,
