@@ -92,9 +92,13 @@ class EvictionPolicy:
 
     The router keeps the per-type invocation statistics (the policy's shared
     `freq`/`last_used` under `global_stats`). select_victim picks a cached
-    type to destroy under capacity pressure, end_of_interval is called once
-    per interval, after service completes, and returns (node, type, count)
-    triples to destroy, node-major and type-minor, each count positive.
+    type to destroy under capacity pressure. end_of_interval is called once
+    per interval, after service completes and the active containers have
+    idled into the cache, with every node's state (`states[v]` is node v)
+    and the interval's `IntervalDecision`, which names the cells (node, type)
+    the interval created containers in and the nodes it evicted at. It
+    returns (node, type, count) triples to destroy, node-major and
+    type-minor, each count positive.
 
     holds_idle says whether the policy can keep an idle container into the
     next interval. One that cannot is never asked for a victim or for its
@@ -121,7 +125,7 @@ class EvictionPolicy:
     def select_victim(self, state: NodeState, catalog, rng) -> int:
         raise NotImplementedError
 
-    def end_of_interval(self, states: list[NodeState], now: int) -> list[tuple[int, int, int]]:
+    def end_of_interval(self, states: list[NodeState], now: int, decision) -> list[tuple[int, int, int]]:
         return []
 
 
@@ -144,9 +148,12 @@ class LRU(EvictionPolicy):
 class FixedCaching(EvictionPolicy):
     """Keeps a container alive for a fixed number of idle intervals.
 
-    Tracks per-container cache-entry timestamps (oldest first); hits and
+    Tracks per-container cache-entry timestamps (oldest first), one log per
+    cell (node, type), allocated per node when first visited; hits and
     pressure evictions retire the oldest entries, the end-of-interval sweep
-    destroys entries whose idle age reached the ttl.
+    destroys entries whose idle age reached the ttl. The sweep visits only
+    the cells whose log can change: those the interval's decision names and
+    those a timer wheel (`_due`, interval -> cells) says fall due.
     """
 
     name = "fc"
@@ -155,8 +162,9 @@ class FixedCaching(EvictionPolicy):
         super().__init__(n_types, global_stats)
         if isinstance(ttl, bool) or not isinstance(ttl, (int, np.integer)) or ttl < 0:
             raise ConfigError(f"fc ttl must be an int >= 0, got {ttl!r}")
-        self.ttl = ttl
+        self.ttl = int(ttl)
         self._entries: dict[int, list[deque]] = {}
+        self._due: dict[int, list[tuple[int, int]]] = {}
 
     def _node_entries(self, state: NodeState) -> list[deque]:
         entries = self._entries.get(state.node_id)
@@ -180,25 +188,58 @@ class FixedCaching(EvictionPolicy):
             raise ContractError(f"node {state.node_id}: no cached containers to evict")
         return best[1]
 
-    def end_of_interval(self, states, now):
+    def end_of_interval(self, states, now, decision):
+        # A log holds one entry per container cached at the interval start.
+        # `interval_running_cost` has put the served containers back in the
+        # cache, so a served cell ends at cache_start - evictions + created
+        # and its log is unchanged: a hit does not renew its container's
+        # entry (the keep-alive defect, ROADMAP item 1). A log changes only
+        # where the interval created containers (fallback creations
+        # included), at a node where `select_victim` re-synced every log for
+        # a pressure eviction, or where its oldest entries reach the ttl.
+        # Once item 1 retires the consumed entries before the flush, the
+        # served cells (keys of `local_served`, (server, type) of
+        # `offloaded`) must join them.
+        cells = set(decision.created)
+        if decision.destroyed:
+            types = range(self.n_types)
+            for v in {v for v, _n in decision.destroyed}:
+                cells.update([(v, n) for n in types])
+        due = self._due.pop(now, None)
+        if due:
+            cells.update(due)
         # One pass per log: retire consumed entries, log the containers cached
-        # after serving this interval, expire those idle for the ttl. The caches
-        # already hold this interval's served containers again, so a hit does
-        # not renew its container's entry.
+        # after serving this interval, expire those idle for the ttl. Entries
+        # logged at `now` fall due at now + ttl; with ttl 0 they expire in
+        # this pass. Each log is visited once, so the visit order is free:
+        # only the triples are sorted, node-major and type-minor.
+        ttl = self.ttl
+        expired = now - ttl
+        entries = self._entries
+        logged = []
         destroy = []
-        for state in states:
-            for n, dq in enumerate(self._node_entries(state)):
-                cached = state.cache[n]
-                while len(dq) > cached:
-                    dq.popleft()
-                if len(dq) < cached:
-                    dq.extend([now] * (cached - len(dq)))
-                count = 0
-                while dq and now - dq[0] >= self.ttl:
-                    dq.popleft()
-                    count += 1
-                if count:
-                    destroy.append((state.node_id, n, count))
+        for cell in cells:
+            v, n = cell
+            state = states[v]
+            cached = state.cache[n]
+            logs = entries.get(v)
+            if logs is None:
+                logs = self._node_entries(state)
+            dq = logs[n]
+            while len(dq) > cached:
+                dq.popleft()
+            if len(dq) < cached:
+                dq.extend([now] * (cached - len(dq)))
+                logged.append(cell)
+            count = 0
+            while dq and dq[0] <= expired:
+                dq.popleft()
+                count += 1
+            if count:
+                destroy.append((v, n, count))
+        if ttl and logged:
+            self._due.setdefault(now + ttl, []).extend(logged)
+        destroy.sort()
         return destroy
 
 

@@ -373,12 +373,16 @@ def close_created(decision: IntervalDecision, states: list[NodeState], ctx: Rout
     return running
 
 
-def end_interval(states: list[NodeState], policy, now: int, catalog) -> list[tuple[int, int, int]]:
-    """Run the policy's end-of-interval sweep (TTL expiry for fc) over every
-    node, once the active containers have idled into the cache, and destroy
-    what it returns: (node, type, count) triples, node-major and type-minor.
-    A no-cache lane closes by `close_created` instead."""
-    destructions = policy.end_of_interval(states, now)
+def end_interval(
+    states: list[NodeState], policy, now: int, catalog, decision: IntervalDecision
+) -> list[tuple[int, int, int]]:
+    """Run the policy's end-of-interval sweep (TTL expiry for fc), once the
+    active containers have idled into the cache, and destroy what it
+    returns: (node, type, count) triples, node-major and type-minor.
+    `decision` is the interval's routing decision; fc visits only the cells
+    it names and those that fall due. A no-cache lane closes by
+    `close_created` instead."""
+    destructions = policy.end_of_interval(states, now, decision)
     for v, ftype, count in destructions:
         if not 0 <= ftype < len(catalog):
             raise ContractError(f"policy returned unknown type {ftype}")

@@ -27,6 +27,9 @@ from .workload import ListSource, ZipfConfig, ZipfSource
 
 CHECK_LEVELS = ("off", "sample", "full")
 
+# An audited run keeps one record reference per request in memory.
+MAX_AUDIT_RECORDS = 10**8
+
 
 def derive_seed(*parts) -> int:
     """Stable 63-bit seed from a mixed tuple of ints, floats, and strings."""
@@ -91,6 +94,21 @@ def _workload_source(config: SimConfig):
         seed=derive_seed(config.seed, "workload"),
     )
     return ZipfSource(zipf, config.topology, global_ranking=config.zipf_global)
+
+
+def _check_audit_size(config: SimConfig) -> None:
+    """Refuse an audited run whose requests can outnumber MAX_AUDIT_RECORDS:
+    mean_rate x nodes x horizon for a Zipf source, the summed counts of the
+    batches within the horizon for a batch list."""
+    if config.batches is None:
+        requests = config.mean_rate * config.topology.n_nodes * config.horizon
+    else:
+        requests = sum(b.total() for b in config.batches if b.interval <= config.horizon)
+    if requests > MAX_AUDIT_RECORDS:
+        raise ConfigError(
+            f"an audited run keeps one record per request, at most {MAX_AUDIT_RECORDS}; "
+            f"this one can make {requests:.4g}"
+        )
 
 
 def _check_states(config: SimConfig, states, interval: int) -> None:
@@ -178,9 +196,10 @@ class _Lane:
         Route, check, close, check again, then price switching and
         communication and append the ledger row. A caching policy closes by
         idling the active containers while pricing the running cost, then
-        running its sweep; a policy that holds no idle container closes by
-        pricing and destroying the containers it created, or only pricing
-        them where the router closed the interval as it routed it.
+        running its sweep, which reads the interval's decision; a policy
+        that holds no idle container closes by pricing and destroying the
+        containers it created, or only pricing them where the router closed
+        the interval as it routed it.
         """
         t = batch.interval
         ctx = self.ctx
@@ -197,7 +216,7 @@ class _Lane:
                 _check_states(self.config, states, t)
             if policy.holds_idle:
                 running = interval_running_cost(states, ctx)
-                end_interval(states, policy, t, ctx.catalog)
+                end_interval(states, policy, t, ctx.catalog, decision)
             else:
                 running = close_created(decision, states, ctx)
             if check_now:
@@ -231,8 +250,9 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
     A failure ends the simulation in one of three tiers:
     1. what every lane shares raises from here before any lane steps: a
        topology and catalog no alpha can run (`validate_fit`), a lane that
-       cannot be built (an fc ttl that is not an int >= 0) and a source that
-       cannot be built (a malformed replay list, bad Zipf parameters);
+       cannot be built (an fc ttl that is not an int >= 0), a source that
+       cannot be built (a malformed replay list, bad Zipf parameters) and an
+       audit that can outgrow MAX_AUDIT_RECORDS (`_check_audit_size`);
     2. an alpha that fails `validate_setup` or the per-request bound ends
        that alpha of that lane only;
     3. any other exception in a lane ends that lane only.
@@ -242,6 +262,8 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
     ctx = RoutingContext(config.topology, config.catalog, config.params)
     lanes = [_Lane(c, params, ctx) for c in configs]
     source = _workload_source(config)
+    if any(c.audit for c in configs):
+        _check_audit_size(config)
     running = [lane for lane in lanes if lane.bounds.live]
     for t in range(1, config.horizon + 1):
         if not running:

@@ -50,7 +50,7 @@ class FlushingNoCache(NoCache):
 
     holds_idle = True
 
-    def end_of_interval(self, states, now):
+    def end_of_interval(self, states, now, decision):
         return [(state.node_id, n, count) for state in states for n, count in enumerate(state.cache) if count]
 
 

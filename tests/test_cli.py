@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import edgesim
-from edgesim import cli
+from edgesim import cli, sim
 from edgesim.cli import main
 
 SUMMARY_KEYS = {
@@ -365,6 +365,40 @@ def test_run_mean_rate_beyond_numpy_poisson_exits_usage(nodes_csv, tmp_path):
     assert "Traceback" not in proc.stderr
     assert "mean_rate" in proc.stderr and "9.223372006484771e+18" in proc.stderr
     assert not out.exists()
+
+
+def test_run_audit_beyond_record_limit_exits_usage(tmp_path, capsys):
+    # 9.2e18 requests per node once ended in MemoryError at the audit's
+    # extend and exit 1, the invariant code
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("id,capacity_mb,cpu_ghz,x,y\n0,2500,1.0,0,0\n1,2500,1.5,5,0\n")
+    out = tmp_path / "out"
+    code = main([
+        "run", "--policy", "pcache", "--alpha", "0.01", "--zipf-beta", "1", "--mean-rate", "9.2e18",
+        "--horizon", "1", "--audit", "--nodes", str(nodes), "--output", str(out),
+    ])
+    assert code == 2
+    assert "at most 100000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("last_count, code", [(3, 0), (4, 2)])
+def test_run_audit_record_limit_counts_the_trace_within_the_horizon(nodes_csv, tmp_path, monkeypatch, last_count, code):
+    # 2 + last_count requests within the horizon of 3, against a limit of 5;
+    # the 50 at interval 4 lie beyond it
+    monkeypatch.setattr(sim, "MAX_AUDIT_RECORDS", 5)
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"interval,node,ftype,count\n1,0,0,2\n2,1,1,{last_count}\n4,0,0,50\n")
+    out = tmp_path / "out"
+    flags = [
+        "run", "--policy", "fc", "--alpha", "0.01", "--trace", str(trace), "--horizon", "3",
+        "--audit", "--nodes", str(nodes_csv), "--output", str(out),
+    ]
+    assert main(flags) == code
+    if code == 0:
+        assert len((out / "audit.csv").read_text().splitlines()) == 1 + 5
+    else:
+        assert not out.exists()
 
 
 def test_sweep_with_trace(nodes_csv, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgesim.costs import interval_running_cost
+from edgesim.costs import IntervalDecision, interval_running_cost
 from edgesim.errors import ConfigError, ContractError
 from edgesim.model import DEFAULT_CATALOG, CostParams, FunctionType, NodeState
 from edgesim.policies import (
@@ -14,7 +14,7 @@ from edgesim.policies import (
     pcache_distribution,
     pcache_select_victim,
 )
-from edgesim.scheduler import RoutingContext
+from edgesim.scheduler import RoutingContext, end_interval
 
 from conftest import FlushingNoCache, make_topology, route
 
@@ -167,21 +167,29 @@ def test_lru_empty_cache_rejected():
         lru_select_victim(_state(), DEFAULT_CATALOG)
 
 
+def _decision(now, created=(), destroyed=()):
+    """The decision of an interval at node 0 that created one container of
+    each type in `created` and evicted one of each type in `destroyed`."""
+    return IntervalDecision(
+        interval=now, created={(0, n): 1 for n in created}, destroyed={(0, n): 1 for n in destroyed}
+    )
+
+
 def test_fc_fresh_container_survives():
     fc = FixedCaching(n_types=4, ttl=10)
     state = _state()
     state.cache[WEB.id] = 1
     state.freq[WEB.id] = 1
-    assert fc.end_of_interval([state], now=5) == []  # entered at 5, age 0
+    assert fc.end_of_interval([state], 5, _decision(5, [WEB.id])) == []  # entered at 5, age 0
 
 
 def test_fc_destroys_at_exact_ttl():
     fc = FixedCaching(n_types=4, ttl=10)
     state = _state(cache={WEB.id: 1}, freq={WEB.id: 1})
-    assert fc.end_of_interval([state], now=1) == []
+    assert fc.end_of_interval([state], 1, _decision(1, [WEB.id])) == []
     for now in range(2, 11):
-        assert fc.end_of_interval([state], now=now) == []
-    assert fc.end_of_interval([state], now=11) == [(0, WEB.id, 1)]
+        assert fc.end_of_interval([state], now, _decision(now)) == []
+    assert fc.end_of_interval([state], 11, _decision(11)) == [(0, WEB.id, 1)]
 
 
 def test_fc_mixed_ages():
@@ -189,12 +197,12 @@ def test_fc_mixed_ages():
     fc = FixedCaching(n_types=4, ttl=10)
     state = _state(freq={WEB.id: 3})
     state.cache[WEB.id] = 1
-    fc.end_of_interval([state], now=1)  # entered at 1
+    fc.end_of_interval([state], 1, _decision(1, [WEB.id]))  # entered at 1
     state.cache[WEB.id] = 2
-    fc.end_of_interval([state], now=3)  # second entered at 3
+    fc.end_of_interval([state], 3, _decision(3, [WEB.id]))  # second entered at 3
     state.cache[WEB.id] = 3
-    fc.end_of_interval([state], now=10)  # third entered at 10
-    destroy = fc.end_of_interval([state], now=13)  # ages 12, 10, 3
+    fc.end_of_interval([state], 10, _decision(10, [WEB.id]))  # third entered at 10
+    destroy = fc.end_of_interval([state], 13, _decision(13))  # ages 12, 10, 3
     assert destroy == [(0, WEB.id, 2)]
 
 
@@ -202,9 +210,9 @@ def test_fc_victim_is_oldest_entry():
     fc = FixedCaching(n_types=4, ttl=100)
     state = _state(freq={WEB.id: 1, CHECKOUT.id: 1})
     state.cache[CHECKOUT.id] = 1
-    fc.end_of_interval([state], now=1)
+    fc.end_of_interval([state], 1, _decision(1, [CHECKOUT.id]))
     state.cache[WEB.id] = 1
-    fc.end_of_interval([state], now=4)
+    fc.end_of_interval([state], 4, _decision(4, [WEB.id]))
     rng = np.random.default_rng(0)
     assert fc.select_victim(state, DEFAULT_CATALOG, rng) == CHECKOUT.id
 
@@ -212,7 +220,8 @@ def test_fc_victim_is_oldest_entry():
 def test_fc_ttl_zero_flushes_everything():
     fc = FixedCaching(n_types=4, ttl=0)
     state = _state(cache={WEB.id: 2, IMGREC.id: 1}, freq={WEB.id: 2, IMGREC.id: 1})
-    assert fc.end_of_interval([state], now=3) == [(0, WEB.id, 2), (0, IMGREC.id, 1)]
+    decision = IntervalDecision(interval=3, created={(0, WEB.id): 2, (0, IMGREC.id): 1})
+    assert fc.end_of_interval([state], 3, decision) == [(0, WEB.id, 2), (0, IMGREC.id, 1)]
 
 
 def test_fc_negative_ttl_rejected():
@@ -220,10 +229,77 @@ def test_fc_negative_ttl_rejected():
         FixedCaching(n_types=4, ttl=-1)
 
 
+def _fc_node(capacity, ttl):
+    """One node of `capacity` MB under fc, and a step that routes one
+    interval's requests there and closes it as a run does."""
+    ctx = RoutingContext(make_topology([capacity]), DEFAULT_CATALOG, CostParams(alpha=0.01))
+    fc = FixedCaching(n_types=4, ttl=ttl)
+    states = [NodeState(0, 4)]
+
+    def step(t, counts):
+        decision = route(states, ctx, fc, t, counts)
+        interval_running_cost(states, ctx)
+        return end_interval(states, fc, t, ctx.catalog, decision)
+
+    return fc, states, step
+
+
+def test_fc_untouched_cell_falls_due_at_ttl():
+    # nothing touches WEB's cell after t=1: the timer wheel alone brings it
+    # back, at 1 + ttl exactly
+    fc, _, step = _fc_node(4000.0, ttl=3)
+    assert step(1, {(0, WEB.id): 1}) == []
+    assert step(2, {(0, FILEPROC.id): 1}) == []
+    assert step(3, {}) == []
+    assert step(4, {}) == [(0, WEB.id, 1)]
+    assert step(5, {}) == [(0, FILEPROC.id, 1)]
+
+
+def test_fc_eviction_relogs_the_hit_type_at_its_node():
+    # at t=3 a WEB hit empties WEB's cache, then an IMGREC creation evicts
+    # FILEPROC: select_victim retires WEB's consumed entry, so the flushed
+    # WEB container is logged again at 3, as the full scan logs it
+    fc, states, step = _fc_node(300.0, ttl=4)
+    assert step(1, {(0, WEB.id): 1, (0, FILEPROC.id): 1}) == []
+    assert step(3, {(0, WEB.id): 1, (0, IMGREC.id): 1}) == []
+    assert states[0].cache == [1, 0, 0, 1]
+    assert [list(dq) for dq in fc._entries[0]] == [[3], [], [], [3]]
+    assert step(5, {}) == []  # the cells logged at 1 fall due, and keep their entries
+    assert step(7, {}) == [(0, WEB.id, 1), (0, IMGREC.id, 1)]
+
+
+def test_fc_due_cell_retired_by_eviction_destroys_nothing():
+    fc, states, step = _fc_node(350.0, ttl=3)
+    assert step(1, {(0, WEB.id): 1}) == []
+    assert step(2, {(0, CHECKOUT.id): 1}) == []  # evicts the WEB container logged at 1
+    assert fc._due[4] == [(0, WEB.id)]
+    assert step(4, {}) == []
+    assert 4 not in fc._due
+    assert step(5, {}) == [(0, CHECKOUT.id, 1)]
+    assert states[0].cache == [0, 0, 0, 0]
+
+
+def test_fc_ttl_zero_registers_nothing():
+    fc, states, step = _fc_node(4000.0, ttl=0)
+    assert step(1, {(0, WEB.id): 2}) == [(0, WEB.id, 2)]
+    assert step(2, {(0, WEB.id): 1, (0, IMGREC.id): 1}) == [(0, WEB.id, 1), (0, IMGREC.id, 1)]
+    assert fc._due == {}
+    assert states[0].cache == [0, 0, 0, 0]
+
+
+def test_fc_ttl_at_horizon_destroys_nothing():
+    horizon = 5
+    _, states, step = _fc_node(4000.0, ttl=horizon)
+    for t in range(1, horizon + 1):
+        assert step(t, {(0, WEB.id): t}) == []  # every cached one hit, one more created
+    assert states[0].cache == [horizon, 0, 0, 0]
+
+
 def test_nocache_flushes_cache():
     policy = FlushingNoCache(n_types=4)
     state = _state(cache={WEB.id: 2, CHECKOUT.id: 1}, freq={WEB.id: 2, CHECKOUT.id: 1})
-    assert policy.end_of_interval([state], now=1) == [(0, WEB.id, 2), (0, CHECKOUT.id, 1)]
+    decision = IntervalDecision(interval=1, created={(0, WEB.id): 2, (0, CHECKOUT.id): 1})
+    assert policy.end_of_interval([state], 1, decision) == [(0, WEB.id, 2), (0, CHECKOUT.id, 1)]
 
 
 def _web_stats(state):

@@ -318,9 +318,9 @@ def test_table_routing_equals_one_request_at_a_time(config):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert audit == ref_audit
         assert list(map(str, check.failures.items())) == list(map(str, ref_check.failures.items()))
-        for _, states, policy, *_ in sides:
+        for (_, states, policy, *_), decision in zip(sides, decisions):
             interval_running_cost(states, ctx)
-            end_interval(states, policy, batch.interval, config.catalog)
+            end_interval(states, policy, batch.interval, config.catalog, decision)
 
 
 @SETTINGS
@@ -340,7 +340,7 @@ def test_routing_conserves_requests_within_capacity(config):
                 assert occ <= ctx.capacity[state.node_id]
                 assert state.used_mb == occ  # the catalog's sizes are whole MB: sums are exact
             interval_running_cost(states, ctx)
-            end_interval(states, policy, batch.interval, config.catalog)
+            end_interval(states, policy, batch.interval, config.catalog, decision)
 
 
 @SETTINGS
@@ -366,7 +366,7 @@ def test_admission_step_equals_full_routing(config):
         running = close_created(decision, states, ctx)
         ref = distribute_one_request_at_a_time(batch, ref_states, ctx, ref_policy, rng)
         ref_running = interval_running_cost(ref_states, ctx)
-        end_interval(ref_states, ref_policy, batch.interval, config.catalog)
+        end_interval(ref_states, ref_policy, batch.interval, config.catalog, ref)
         decision.check_conservation(batch)
         # insertion order fixes the float sums of the switching and communication costs
         assert _decision_items(decision) == _decision_items(ref)
@@ -437,7 +437,9 @@ def test_nocache_closed_as_routed_equals_open_routing(config):
 
 class TwoPassFixedCaching(EvictionPolicy):
     """Reference for `policies.FixedCaching`: the class before each entry log
-    took one pass per method, verbatim."""
+    took one pass per method and before the sweep visited only the cells an
+    interval touched or that fall due, verbatim but for the decision its
+    sweep now takes and ignores: it scans every log of every node."""
 
     name = "fc"
 
@@ -478,7 +480,7 @@ class TwoPassFixedCaching(EvictionPolicy):
             raise ContractError(f"node {state.node_id}: no cached containers to evict")
         return best[1]
 
-    def end_of_interval(self, states, now):
+    def end_of_interval(self, states, now, decision):
         destroy = []
         for state in states:
             entries = self._node_entries(state)
@@ -499,9 +501,10 @@ class TwoPassFixedCaching(EvictionPolicy):
 
 @st.composite
 def fc_configs(draw):
-    """Pressure configs under fc with a ttl of 0, 1, or at least the horizon."""
+    """Pressure configs under fc with any ttl from 0 to two past the horizon:
+    between 2 and horizon - 1 the timer wheel's due cells meet evictions."""
     config = draw(tiny_configs(max_nodes=4, capacities=TIGHT_CAPACITIES, max_count=6, max_horizon=10))
-    ttl = draw(st.one_of(st.sampled_from((0, 1)), st.integers(config.horizon, config.horizon + 2)))
+    ttl = draw(st.integers(0, config.horizon + 2))
     return replace(config, policy="fc", ttl=ttl)
 
 
@@ -537,17 +540,21 @@ def test_one_pass_fc_equals_two_pass(config):
         t = batch.interval
         sweeps = []
         for side_states, side_policy, rng in sides:
-            distribute_interval(batch, side_states, ctx, side_policy, rng)
+            decision = distribute_interval(batch, side_states, ctx, side_policy, rng)
             interval_running_cost(side_states, ctx)
-            sweeps.append(end_interval(side_states, side_policy, t, config.catalog))
+            sweeps.append(end_interval(side_states, side_policy, t, config.catalog, decision))
         assert victims == ref_victims
         assert sweeps[0] == sweeps[1]
         assert _node_states(states) == _node_states(ref_states)
-        logs = {v: [list(dq) for dq in entries] for v, entries in policy._entries.items()}
-        assert logs == {v: [list(dq) for dq in entries] for v, entries in ref_policy._entries.items()}
-        # one entry per cached container, so a cached type's log is never empty
+        # the sweep allocates a node's logs when it first visits the node: a
+        # node without logs holds empty ones
+        empty = [[] for _ in range(n_types)]
         for state in states:
-            assert [len(dq) for dq in logs[state.node_id]] == state.cache
+            v = state.node_id
+            logs = [list(dq) for dq in policy._entries[v]] if v in policy._entries else empty
+            assert logs == [list(dq) for dq in ref_policy._entries[v]]
+            # one entry per cached container, so a cached type's log is never empty
+            assert [len(log) for log in logs] == state.cache
 
 
 @SETTINGS
@@ -585,7 +592,8 @@ def idle(state):
 def simulate_alone(config, params, check_states):
     """Reference for `sim._simulate`'s lanes: the loop that simulated one
     trajectory from a source of its own, priced the running cost before the
-    flush and called the policy's end-of-interval hook once per node."""
+    flush, idled every node and called the policy's end-of-interval hook
+    with the interval's decision."""
     failures = {}
     for p in params:
         try:
@@ -624,9 +632,8 @@ def simulate_alone(config, params, check_states):
                 check_states(config, states, t)
             for state in states:
                 idle(state)
-                for v, n, count in policy.end_of_interval([state], t):
-                    assert v == state.node_id
-                    state.remove_cached(n, config.catalog[n].mem_mb, count)
+            for v, n, count in policy.end_of_interval(states, t, decision):
+                states[v].remove_cached(n, config.catalog[n].mem_mb, count)
             if check_now:
                 check_states(config, states, t)
             out.ledger.append_interval(

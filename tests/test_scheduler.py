@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesim.costs import interval_running_cost
+from edgesim.costs import IntervalDecision, interval_running_cost
 from edgesim.errors import ContractError, InvariantViolation
 from edgesim.model import (
     DEFAULT_CATALOG,
@@ -54,11 +54,11 @@ def _checked(batch, states, ctx, policy, rng, audit=None):
     return decision
 
 
-def _close(states, policy, now, ctx):
-    """End an interval as a run does: the actives idle while the running cost
-    is priced, then the policy's sweep runs."""
+def _close(states, policy, decision, ctx):
+    """End the interval `decision` routed as a run does: the actives idle
+    while the running cost is priced, then the policy's sweep runs."""
     interval_running_cost(states, ctx)
-    return end_interval(states, policy, now, ctx.catalog)
+    return end_interval(states, policy, decision.interval, ctx.catalog, decision)
 
 
 def _warm(states, policy, v, n, count, ctx, now=1):
@@ -241,8 +241,8 @@ def test_end_interval_actives_idle_into_cache():
     topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
     policy = make_policy("pcache", 1)
     batch = RequestBatch(interval=1, counts={(0, 0): 3})
-    distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
-    destroyed = _close(states, policy, 1, ctx)
+    decision = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
+    destroyed = _close(states, policy, decision, ctx)
     assert destroyed == []
     assert states[0].cache[0] == 3 and states[0].active[0] == 0
 
@@ -251,8 +251,8 @@ def test_end_interval_nocache_destroys_everything():
     topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
     policy = make_stepping_policy("nocache", 1)
     batch = RequestBatch(interval=1, counts={(0, 0): 3})
-    distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
-    destroyed = _close(states, policy, 1, ctx)
+    decision = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
+    destroyed = _close(states, policy, decision, ctx)
     assert destroyed == [(0, 0, 3)]
     assert states[0].cache[0] == 0 and states[0].used_mb == 0
 
@@ -352,10 +352,10 @@ def test_end_interval_fc_ttl_sweep():
     topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
     policy = make_policy("fc", 1, ttl=2)
     batch = RequestBatch(interval=1, counts={(0, 0): 1})
-    distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
-    assert _close(states, policy, 1, ctx) == []
-    assert _close(states, policy, 2, ctx) == []
-    assert _close(states, policy, 3, ctx) == [(0, 0, 1)]
+    decision = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0))
+    assert _close(states, policy, decision, ctx) == []
+    assert _close(states, policy, IntervalDecision(interval=2), ctx) == []
+    assert _close(states, policy, IntervalDecision(interval=3), ctx) == [(0, 0, 1)]
 
 
 def test_bound_check_raises_on_violation():
@@ -461,7 +461,7 @@ def _random_roundtrip(seed, policy_name):
         for state in states:
             assert occupancy(state, DEFAULT_CATALOG) <= caps[state.node_id] + 1e-9
             assert occupancy(state, DEFAULT_CATALOG) == pytest.approx(state.used_mb)
-        _close(states, policy, t, ctx)
+        _close(states, policy, d, ctx)
         decisions.append(d)
     return decisions
 

@@ -246,22 +246,40 @@ MUTANTS = [
            "overflow takes at most one idle container per node"),
     # fc entry logs
     Mutant("fc-sync-after-expiry", POLICIES,
-           "                while len(dq) > cached:\n                    dq.popleft()\n"
-           "                if len(dq) < cached:\n                    dq.extend([now] * (cached - len(dq)))\n"
-           "                count = 0\n                while dq and now - dq[0] >= self.ttl:\n"
-           "                    dq.popleft()\n                    count += 1\n",
-           "                if len(dq) < cached:\n                    dq.extend([now] * (cached - len(dq)))\n"
-           "                count = 0\n                while dq and now - dq[0] >= self.ttl:\n"
-           "                    dq.popleft()\n                    count += 1\n"
-           "                while len(dq) > cached:\n                    dq.popleft()\n",
+           "            while len(dq) > cached:\n                dq.popleft()\n"
+           "            if len(dq) < cached:\n                dq.extend([now] * (cached - len(dq)))\n"
+           "                logged.append(cell)\n"
+           "            count = 0\n            while dq and dq[0] <= expired:\n"
+           "                dq.popleft()\n                count += 1\n",
+           "            if len(dq) < cached:\n                dq.extend([now] * (cached - len(dq)))\n"
+           "                logged.append(cell)\n"
+           "            count = 0\n            while dq and dq[0] <= expired:\n"
+           "                dq.popleft()\n                count += 1\n"
+           "            while len(dq) > cached:\n                dq.popleft()\n",
            "fc retires consumed entries after expiring, so it expires the wrong containers"),
     Mutant("fc-victim-no-sync", POLICIES,
            "            while len(dq) > cached:\n                dq.popleft()\n            if cached and",
            "            if cached and",
            "fc picks its pressure victim from stale entry logs"),
     Mutant("fc-ttl-strict", POLICIES,
-           "while dq and now - dq[0] >= self.ttl:", "while dq and now - dq[0] > self.ttl:",
+           "while dq and dq[0] <= expired:", "while dq and dq[0] < expired:",
            "fc keeps a container one interval past its ttl"),
+    # fc's sparse sweep: the touched cells and the timer wheel
+    Mutant("fc-evicted-nodes-untouched", POLICIES,
+           "            for v in {v for v, _n in decision.destroyed}:\n                cells.update([(v, n) for n in types])\n", "",
+           "fc skips the other logs of a node with a pressure eviction, so a hit type there is not logged again"),
+    Mutant("fc-touched-by-served", POLICIES,
+           "cells = set(decision.created)", "cells = set(decision.local_served)",
+           "fc takes the touched cells from local_served, so it misses fallback creations"),
+    Mutant("fc-no-due-cells", POLICIES,
+           "        if due:\n            cells.update(due)\n", "",
+           "fc never visits a cell that falls due, so an untouched container outlives its ttl"),
+    Mutant("fc-due-one-late", POLICIES,
+           "self._due.setdefault(now + ttl, [])", "self._due.setdefault(now + ttl + 1, [])",
+           "fc registers a logged cell one interval past its due time"),
+    Mutant("fc-triples-unsorted", POLICIES,
+           "        destroy.sort()\n", "",
+           "fc returns its destruction triples in visit order, not node-major and type-minor"),
     # kept states by suffix minima
     Mutant("suffix-ties-latest-pair", ORACLE,
            "np.lexsort((best[reached], least[reached]))", "np.lexsort((-best[reached], least[reached]))",
