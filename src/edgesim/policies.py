@@ -90,9 +90,9 @@ def lru_select_victim(state: NodeState, catalog, last_used=None) -> int:
 class EvictionPolicy:
     """Behaviour contract shared by all policies.
 
-    The router keeps the per-type invocation statistics (the policy's shared
-    `freq`/`last_used` under `global_stats`). select_victim picks a cached
-    type to destroy under capacity pressure. end_of_interval is called once
+    The router keeps each node's invocation statistics. select_victim picks
+    a cached type to destroy at `state`, one of the lane's `states`, under
+    capacity pressure. end_of_interval is called once
     per interval, after service completes and the active containers have
     idled into the cache, with every node's state (`states[v]` is node v)
     and the interval's `IntervalDecision`, which names the cells (node, type)
@@ -113,16 +113,17 @@ class EvictionPolicy:
     def __init__(self, n_types: int, global_stats: bool = False):
         self.n_types = n_types
         self.global_stats = global_stats
-        if global_stats:
-            self.freq = [0] * n_types
-            self.last_used = [0] * n_types
 
-    def _stats(self, state: NodeState):
-        if self.global_stats:
-            return self.freq, self.last_used
-        return state.freq, state.last_used
+    def _stats(self, state: NodeState, states: list[NodeState]):
+        """(freq, last_used) per type: the node's own or, under `global_stats`,
+        the count summed over the lane's nodes and the latest interval at any
+        of them, as tables kept request by request would hold them."""
+        if not self.global_stats:
+            return state.freq, state.last_used
+        freq = [sum(c) for c in zip(*(s.freq for s in states))]
+        return freq, [max(c) for c in zip(*(s.last_used for s in states))]
 
-    def select_victim(self, state: NodeState, catalog, rng) -> int:
+    def select_victim(self, state: NodeState, catalog, rng, states: list[NodeState]) -> int:
         raise NotImplementedError
 
     def end_of_interval(self, states: list[NodeState], now: int, decision) -> list[tuple[int, int, int]]:
@@ -132,16 +133,16 @@ class EvictionPolicy:
 class PCache(EvictionPolicy):
     name = "pcache"
 
-    def select_victim(self, state, catalog, rng):
-        freq, last_used = self._stats(state)
+    def select_victim(self, state, catalog, rng, states):
+        freq, last_used = self._stats(state, states)
         return pcache_select_victim(state, catalog, rng, freq, last_used)
 
 
 class LRU(EvictionPolicy):
     name = "lru"
 
-    def select_victim(self, state, catalog, rng):
-        _, last_used = self._stats(state)
+    def select_victim(self, state, catalog, rng, states):
+        _, last_used = self._stats(state, states)
         return lru_select_victim(state, catalog, last_used)
 
 
@@ -173,7 +174,7 @@ class FixedCaching(EvictionPolicy):
             self._entries[state.node_id] = entries
         return entries
 
-    def select_victim(self, state, catalog, rng):
+    def select_victim(self, state, catalog, rng, states):
         # Caches only shrink mid-interval, so each log still holds an entry
         # per container cached at the interval start: retire the oldest
         # entries, consumed by hits or destroyed by evictions, then compare.

@@ -94,20 +94,20 @@ class BoundChecks:
         self.live = {a: table for a, table in self.live.items() if a != alpha}
 
 
-def _make_room(state, mem_needed, ctx, policy, rng, destroyed):
+def _make_room(state, mem_needed, ctx, policy, rng, destroyed, states):
     """Evict cached containers via the policy until one more container fits."""
     capacity = ctx.capacity[state.node_id]
     while state.used_mb + mem_needed > capacity:
         if not any(state.cache):
             return False
-        victim = policy.select_victim(state, ctx.catalog, rng)
+        victim = policy.select_victim(state, ctx.catalog, rng, states)
         state.remove_cached(victim, ctx.mem[victim], 1)
         key = (state.node_id, victim)
         destroyed[key] = destroyed.get(key, 0) + 1
     return True
 
 
-def _close_if_fits(batch: RequestBatch, states: list[NodeState], ctx: RoutingContext, policy) -> IntervalDecision | None:
+def _close_if_fits(batch: RequestBatch, states: list[NodeState], ctx: RoutingContext) -> IntervalDecision | None:
     """Route and close one interval of a policy that holds no idle container
     by one fit test and one fold over its keys, when every origin can host
     its own requests; None, with nothing changed, when one cannot. The keys
@@ -139,14 +139,10 @@ def _close_if_fits(batch: RequestBatch, states: list[NodeState], ctx: RoutingCon
             if need > room:
                 return None
     t = batch.interval
-    shared = policy.global_stats
     for (v, n), c in created.items():
         state = states[v]
         state.freq[n] += c
         state.last_used[n] = t
-        if shared:
-            policy.freq[n] += c
-            policy.last_used[n] = t
     return IntervalDecision(interval=t, local_served=dict(created), created=created, closed=True)
 
 
@@ -174,8 +170,7 @@ def distribute_interval(
     offload to or evict, so its groups go straight to creation. Each request
     is audited at the context's alpha; all but overflow creations are
     bound-checked by `check`. Each step moves its containers and keeps the
-    serving node's `freq`/`last_used` itself, and the policy's shared
-    tables too under `global_stats`.
+    serving node's `freq`/`last_used` itself.
 
     An interval of such a policy that is neither audited nor bound-checked,
     with whole-MB sizes (`ctx.whole_mem`) and every origin able to host its
@@ -185,7 +180,7 @@ def distribute_interval(
     interval is routed step by step as above.
     """
     if not policy.holds_idle and audit is None and check is None and ctx.whole_mem is not None:
-        decision = _close_if_fits(batch, states, ctx, policy)
+        decision = _close_if_fits(batch, states, ctx)
         if decision is not None:
             return decision
     t = batch.interval
@@ -200,10 +195,6 @@ def distribute_interval(
     capacity = ctx.capacity
     aq_audit = ctx.aq
     holds_idle = policy.holds_idle
-    shared = policy.global_stats
-    if shared:
-        shared_freq = policy.freq
-        shared_last = policy.last_used
     trace = audit is not None or check is not None
 
     # `count` requests of one channel, each costing cost + alpha*q against the
@@ -238,9 +229,6 @@ def distribute_interval(
                 state_v.active[n] += hit
                 state_v.freq[n] += hit
                 state_v.last_used[n] = t
-                if shared:
-                    shared_freq[n] += hit
-                    shared_last[n] = t
                 local_served[key] = hit
                 remaining -= hit
                 if trace:
@@ -260,9 +248,6 @@ def distribute_interval(
                 state_2.active[n] += take
                 state_2.freq[n] += take
                 state_2.last_used[n] = t
-                if shared:
-                    shared_freq[n] += take
-                    shared_last[n] = t
                 route = (v, v2, n)
                 offloaded[route] = offloaded.get(route, 0) + take
                 remaining -= take
@@ -273,7 +258,7 @@ def distribute_interval(
 
         # 3) create at the origin, every container that fits at once, one `+= mem` each
         cap = capacity[v]
-        while remaining and (state_v.used_mb + mem <= cap or _make_room(state_v, mem, ctx, policy, rng, destroyed)):
+        while remaining and (state_v.used_mb + mem <= cap or _make_room(state_v, mem, ctx, policy, rng, destroyed, states)):
             used = state_v.used_mb
             k = 0
             while k < remaining and used + mem <= cap:
@@ -285,9 +270,6 @@ def distribute_interval(
             state_v.active[n] += k
             state_v.freq[n] += k
             state_v.last_used[n] = t
-            if shared:
-                shared_freq[n] += k
-                shared_last[n] = t
             created[key] = created.get(key, 0) + k
             local_served[key] = local_served.get(key, 0) + k
             remaining -= k
@@ -307,15 +289,12 @@ def distribute_interval(
                 state_2.active[n] += take
                 state_2.freq[n] += take
                 state_2.last_used[n] = t
-                if shared:
-                    shared_freq[n] += take
-                    shared_last[n] = t
                 offloaded[route] = offloaded.get(route, 0) + take
                 remaining -= take
                 if trace:
                     note(v, n, "offload", v2, d, max(p_vn, d), take)
             cap = capacity[v2]
-            while remaining and (state_2.used_mb + mem <= cap or _make_room(state_2, mem, ctx, policy, rng, destroyed)):
+            while remaining and (state_2.used_mb + mem <= cap or _make_room(state_2, mem, ctx, policy, rng, destroyed, states)):
                 used = state_2.used_mb
                 k = 0
                 while k < remaining and used + mem <= cap:
@@ -327,9 +306,6 @@ def distribute_interval(
                 state_2.active[n] += k
                 state_2.freq[n] += k
                 state_2.last_used[n] = t
-                if shared:
-                    shared_freq[n] += k
-                    shared_last[n] = t
                 created[(v2, n)] = created.get((v2, n), 0) + k
                 offloaded[route] = offloaded.get(route, 0) + k
                 decision.fallback_creations += k

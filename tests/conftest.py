@@ -71,15 +71,25 @@ def take_cached(state, n, count):
     state.active[n] += count
 
 
-def record_invocations(policy, state, n, now, count=1):
+class MirroredStats:
+    """A lane's invocation statistics kept request by request: per type, the
+    count summed over every node and the interval of the latest invocation
+    at any node. The reference for the tables `EvictionPolicy._stats`
+    derives from the node states under `global_stats`."""
+
+    def __init__(self, n_types):
+        self.freq = [0] * n_types
+        self.last_used = [0] * n_types
+
+
+def record_invocations(state, n, now, count=1, mirror=None):
     """Keep the statistics of `count` requests of type n served at `state` in
-    interval `now`, as the router does: on the node, and on the policy's
-    shared tables under `global_stats`."""
+    interval `now`, as the router does, and on `mirror` too when given."""
     state.freq[n] += count
     state.last_used[n] = now
-    if policy.global_stats:
-        policy.freq[n] += count
-        policy.last_used[n] = now
+    if mirror is not None:
+        mirror.freq[n] += count
+        mirror.last_used[n] = now
 
 
 def route(states, ctx, policy, interval, counts, rng=None):

@@ -26,6 +26,7 @@ import edgesim
 from edgesim import cli, sim
 from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, FunctionType, RequestBatch, Topology
 from edgesim.oracle import TinyInstance, check_witness, instance_to_json, random_tiny_instance, solve_exact
+from edgesim.policies import make_policy
 from edgesim.sim import SimConfig, run, summary_json
 
 from conftest import desk_topology
@@ -43,6 +44,16 @@ DESK_GOLDEN = {
     ("nocache", "off"): "3e59a3582c62ab23e1281614e7c023aa1d95d34ff5fb5287a5f9ce7a80222024",
     ("nocache", "full"): "3e59a3582c62ab23e1281614e7c023aa1d95d34ff5fb5287a5f9ce7a80222024",
     ("nocache", "sample"): "3e59a3582c62ab23e1281614e7c023aa1d95d34ff5fb5287a5f9ce7a80222024",
+}
+# The pressured desk run under --global-stats, where pcache and lru weigh
+# their victims by the statistics of every node. Pinned while the router still
+# mirrored each invocation into tables of the policy's own, before the
+# policy derived those tables from the node states at eviction.
+GLOBAL_STATS_GOLDEN = {
+    ("pcache", "off"): "9dec34beea2e890adb87447442106656a2e9e797f1fa57ea4a2b315059456147",
+    ("pcache", "full"): "9dec34beea2e890adb87447442106656a2e9e797f1fa57ea4a2b315059456147",
+    ("lru", "off"): "986491e394c21e11705f76022fbb8d008f998ea3ca0b9849b58a5febff6c0d66",
+    ("lru", "full"): "986491e394c21e11705f76022fbb8d008f998ea3ca0b9849b58a5febff6c0d66",
 }
 PRESSURE_AUDIT_GOLDEN = {
     "pcache": "893cc034ae0fd32a5af131c69e88ecce49f23ade327846b07fce392c6f536057",
@@ -78,7 +89,7 @@ def _sha(*blobs: bytes) -> str:
     return h.hexdigest()
 
 
-def desk_digest(policy, check, tmp_path):
+def desk_digest(policy, check, tmp_path, global_stats=False):
     # capacity 1000 MB at rate 1.2 keeps the caches under eviction pressure
     config = SimConfig(
         topology=desk_topology(n_nodes=12, capacity=1000.0, seed=5, scale=8.0),
@@ -91,6 +102,7 @@ def desk_digest(policy, check, tmp_path):
         mean_rate=1.2,
         ttl=4,
         check=check,
+        global_stats=global_stats,
     )
     result = run(config)
     path = tmp_path / f"{policy}-{check}.csv"
@@ -285,6 +297,11 @@ def test_desk_run_bytes(policy, check, tmp_path):
     assert desk_digest(policy, check, tmp_path) == DESK_GOLDEN[(policy, check)]
 
 
+@pytest.mark.parametrize("policy,check", sorted(GLOBAL_STATS_GOLDEN))
+def test_desk_global_stats_run_bytes(policy, check, tmp_path):
+    assert desk_digest(policy, check, tmp_path, global_stats=True) == GLOBAL_STATS_GOLDEN[(policy, check)]
+
+
 def test_trace_audit_run_bytes(tmp_path):
     assert trace_audit_digest(tmp_path) == AUDIT_GOLDEN
 
@@ -366,9 +383,29 @@ def test_pressure_inputs_exercise_every_path(policy, tmp_path, monkeypatch):
     assert (sum(evictions) > 0) == caching
 
 
+@pytest.mark.parametrize("policy", sorted({p for p, _c in GLOBAL_STATS_GOLDEN}))
+def test_global_stats_inputs_evict(policy, tmp_path, monkeypatch):
+    """The pinned global-stats desk runs evict under pressure, so their
+    hashes cover victims chosen by the network-wide statistics, and those
+    choices differ from the per-node statistics' ones."""
+    cls = type(make_policy(policy, 1))
+    select_victim = cls.select_victim
+    calls = []
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.global_stats)
+        return select_victim(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "select_victim", spy)
+    desk_digest(policy, "off", tmp_path, global_stats=True)
+    assert calls and all(calls)
+    assert GLOBAL_STATS_GOLDEN[(policy, "off")] != DESK_GOLDEN[(policy, "off")]
+
+
 def golden_cases():
     """(name, digest of a fresh directory) for every case above."""
     cases = [(f"desk {p} {c}", partial(desk_digest, p, c)) for p, c in sorted(DESK_GOLDEN)]
+    cases += [(f"desk {p} {c} global stats", partial(desk_digest, p, c, global_stats=True)) for p, c in sorted(GLOBAL_STATS_GOLDEN)]
     cases.append(("trace audit", trace_audit_digest))
     cases += [(f"pressure {p}", lambda tmp, p=p: audit_digest(pressure_run(tmp, p))) for p in sorted(PRESSURE_AUDIT_GOLDEN)]
     cases += [

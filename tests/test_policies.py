@@ -214,7 +214,7 @@ def test_fc_victim_is_oldest_entry():
     state.cache[WEB.id] = 1
     fc.end_of_interval([state], 4, _decision(4, [WEB.id]))
     rng = np.random.default_rng(0)
-    assert fc.select_victim(state, DEFAULT_CATALOG, rng) == CHECKOUT.id
+    assert fc.select_victim(state, DEFAULT_CATALOG, rng, [state]) == CHECKOUT.id
 
 
 def test_fc_ttl_zero_flushes_everything():
@@ -333,18 +333,18 @@ def test_global_stats_shared_across_nodes():
     a, b = states = [NodeState(0, 2), NodeState(1, 2)]
     route(states, ctx, policy, 2, {(0, 0): 1})
     route(states, ctx, policy, 5, {(1, 0): 1, (1, 1): 1})  # a's container is busy: b creates
-    assert policy.freq == [2, 1] and policy.last_used == [5, 5]
+    assert policy._stats(a, states) == policy._stats(b, states) == ([2, 1], [5, 5])
     assert a.freq == [1, 0] and b.freq == [1, 1]
     interval_running_cost(states, ctx)
     # node b caches both types; with global stats type 0 is busier, so under
     # equal sizes type 1 is the likelier victim
     assert b.cache == [1, 1]
-    freq, last = policy._stats(b)
+    freq, last = policy._stats(b, states)
     dist = pcache_distribution(b, catalog, freq=freq, last_used=last)
     assert dist.probs[1] > dist.probs[0]
-    # an offload from a to b's idle container counts in the shared tables too
+    # an offload from a to b's idle container counts in the global statistics too
     assert route(states, ctx, policy, 6, {(0, 1): 1}).offloaded == {(0, 1, 1): 1}
-    assert policy.freq == [2, 2] and policy.last_used == [5, 6]
+    assert policy._stats(a, states) == ([2, 2], [5, 6])
     assert a.freq == [1, 0] and b.freq == [1, 2] and b.last_used == [5, 6]
 
 

@@ -23,6 +23,7 @@ import math
 import tempfile
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -67,7 +68,7 @@ from edgesim.scheduler import (
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 from edgesim.workload import read_trace
 
-from conftest import FlushingNoCache, make_stepping_policy, record_invocations, take_cached
+from conftest import FlushingNoCache, MirroredStats, make_stepping_policy, record_invocations, take_cached
 
 # alpha * q <= p needs alpha <= 1 / cpu^2, so every alpha below is feasible
 CPUS = (1.0, 1.5, 2.0, 2.5)
@@ -162,22 +163,23 @@ def pressure_configs(catalogs=(DEFAULT_CATALOG,), global_stats=(False,)):
     return st.builds(lambda config, policy: replace(config, policy=policy), configs, st.sampled_from(POLICY_NAMES))
 
 
-def _make_room_reference(state, node_id, mem_needed, ctx, policy, rng, destroyed):
+def _make_room_reference(state, node_id, mem_needed, ctx, policy, rng, destroyed, states):
     capacity = ctx.capacity[node_id]
     while state.used_mb + mem_needed > capacity:
         if not any(state.cache):
             return False
-        victim = policy.select_victim(state, ctx.catalog, rng)
+        victim = policy.select_victim(state, ctx.catalog, rng, states)
         state.remove_cached(victim, ctx.mem[victim], 1)
         key = (node_id, victim)
         destroyed[key] = destroyed.get(key, 0) + 1
     return True
 
 
-def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None, check=None):
+def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None, check=None, mirror=None):
     """Reference for `scheduler.distribute_interval`: the loop it replaced,
     which scans every other node by (distance, id) until one is beyond the
-    switching cost, and creates one container per pass."""
+    switching cost, and creates one container per pass. It records every
+    invocation on `mirror` too, when given."""
     t = batch.interval
     decision = IntervalDecision(interval=t)
     local_served = decision.local_served
@@ -210,7 +212,7 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
         hit = min(lam, state_v.cache[n])
         if hit:
             take_cached(state_v, n, hit)
-            record_invocations(policy, state_v, n, t, count=hit)
+            record_invocations(state_v, n, t, count=hit, mirror=mirror)
             local_served[(v, n)] = local_served.get((v, n), 0) + hit
             if trace:
                 for _ in range(hit):
@@ -226,7 +228,7 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
             take = min(remaining, state_2.cache[n])
             if take:
                 take_cached(state_2, n, take)
-                record_invocations(policy, state_2, n, t, count=take)
+                record_invocations(state_2, n, t, count=take, mirror=mirror)
                 key = (v, v2, n)
                 offloaded[key] = offloaded.get(key, 0) + take
                 remaining -= take
@@ -236,10 +238,10 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
                 if remaining == 0:
                     break
         while remaining:
-            if _make_room_reference(state_v, v, mem, ctx, policy, rng, destroyed):
+            if _make_room_reference(state_v, v, mem, ctx, policy, rng, destroyed, states):
                 state_v.active[n] += 1
                 state_v.used_mb += mem
-                record_invocations(policy, state_v, n, t)
+                record_invocations(state_v, n, t, mirror=mirror)
                 created[(v, n)] = created.get((v, n), 0) + 1
                 local_served[(v, n)] = local_served.get((v, n), 0) + 1
                 remaining -= 1
@@ -252,7 +254,7 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
                 d = ctx.d[v][v2]
                 if state_2.cache[n] > 0:
                     take_cached(state_2, n, 1)
-                    record_invocations(policy, state_2, n, t)
+                    record_invocations(state_2, n, t, mirror=mirror)
                     key = (v, v2, n)
                     offloaded[key] = offloaded.get(key, 0) + 1
                     remaining -= 1
@@ -260,10 +262,10 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
                     if trace:
                         note(v, n, "offload", v2, d, max(p_vn, d))
                     break
-                if _make_room_reference(state_2, v2, mem, ctx, policy, rng, destroyed):
+                if _make_room_reference(state_2, v2, mem, ctx, policy, rng, destroyed, states):
                     state_2.active[n] += 1
                     state_2.used_mb += mem
-                    record_invocations(policy, state_2, n, t)
+                    record_invocations(state_2, n, t, mirror=mirror)
                     created[(v2, n)] = created.get((v2, n), 0) + 1
                     key = (v, v2, n)
                     offloaded[key] = offloaded.get(key, 0) + 1
@@ -301,11 +303,13 @@ def _node_states(states):
 @given(config=pressure_configs(catalogs=(DEFAULT_CATALOG, FRACTIONAL_CATALOG), global_stats=(False, True)))
 def test_table_routing_equals_one_request_at_a_time(config):
     # fractional sizes leave a residue in `used_mb` that each creation folds
-    # into; shared statistics take every served request's update too
+    # into; under global statistics every eviction derives its tables from
+    # the node states, which the reference mirrors request by request
     ctx = RoutingContext(config.topology, config.catalog, config.params)
     n_types = len(config.catalog)
+    mirror = MirroredStats(n_types)
     sides = []
-    for route in (distribute_interval, distribute_one_request_at_a_time):
+    for route in (distribute_interval, partial(distribute_one_request_at_a_time, mirror=mirror)):
         states = [NodeState(v, n_types) for v in range(ctx.n_nodes)]
         policy = make_stepping_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
         sides.append((route, states, policy, np.random.default_rng(config.seed), [], BoundChecks(ctx, [ctx.alpha])))
@@ -318,6 +322,9 @@ def test_table_routing_equals_one_request_at_a_time(config):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert audit == ref_audit
         assert list(map(str, check.failures.items())) == list(map(str, ref_check.failures.items()))
+        if config.global_stats:
+            for state in states:
+                assert policy._stats(state, states) == (mirror.freq, mirror.last_used)
         for (_, states, policy, *_), decision in zip(sides, decisions):
             interval_running_cost(states, ctx)
             end_interval(states, policy, batch.interval, config.catalog, decision)
@@ -331,16 +338,20 @@ def test_routing_conserves_requests_within_capacity(config):
     states = [NodeState(v, n_types) for v in range(ctx.n_nodes)]
     policy = make_stepping_policy(config.policy, n_types, ttl=config.ttl)
     rng = np.random.default_rng(config.seed)
+
+    def check_occupancy():
+        for state in states:
+            occ = occupancy(state, config.catalog)
+            assert occ <= ctx.capacity[state.node_id]
+            assert state.used_mb == occ  # the catalog's sizes are whole MB: sums are exact
+
     for batch in config.batches:
         decision = distribute_interval(batch, states, ctx, policy, rng)
         decision.check_conservation(batch)
-        for _ in range(2):  # after routing, and after the end-of-interval sweep
-            for state in states:
-                occ = occupancy(state, config.catalog)
-                assert occ <= ctx.capacity[state.node_id]
-                assert state.used_mb == occ  # the catalog's sizes are whole MB: sums are exact
-            interval_running_cost(states, ctx)
-            end_interval(states, policy, batch.interval, config.catalog, decision)
+        check_occupancy()
+        interval_running_cost(states, ctx)
+        end_interval(states, policy, batch.interval, config.catalog, decision)
+        check_occupancy()
 
 
 @SETTINGS
@@ -519,12 +530,12 @@ def test_one_pass_fc_equals_two_pass(config):
     t = 0
 
     # record each victim; the reference also gets the interval it asks for
-    def select_victim(state, catalog, rng):
-        victim = FixedCaching.select_victim(policy, state, catalog, rng)
+    def select_victim(state, catalog, rng, states):
+        victim = FixedCaching.select_victim(policy, state, catalog, rng, states)
         victims.append((state.node_id, victim))
         return victim
 
-    def ref_select_victim(state, catalog, rng):
+    def ref_select_victim(state, catalog, rng, states):
         victim = TwoPassFixedCaching.select_victim(ref_policy, state, catalog, rng, t)
         ref_victims.append((state.node_id, victim))
         return victim

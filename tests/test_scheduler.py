@@ -61,17 +61,17 @@ def _close(states, policy, decision, ctx):
     return end_interval(states, policy, decision.interval, ctx.catalog, decision)
 
 
-def _warm(states, policy, v, n, count, ctx, now=1):
+def _warm(states, v, n, count, ctx, now=1):
     """Put `count` warm containers of type n in node v's cache."""
     create_active(states[v], n, ctx.mem[n], count)
-    record_invocations(policy, states[v], n, now, count)
+    record_invocations(states[v], n, now, count)
     interval_running_cost([states[v]], ctx)  # the containers idle
 
 
 def test_local_cache_serves_everything():
     topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
     policy = make_policy("pcache", 1)
-    _warm(states, policy, 0, 0, 3, ctx)
+    _warm(states, 0, 0, 3, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 2})
     d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
     assert d.local_served == {(0, 0): 2}
@@ -83,7 +83,7 @@ def test_offload_to_cached_neighbor_within_radius():
     # d = 3 < p = 55 and the neighbor holds the only warm container
     topo, params, ctx, states = _setup([4000.0, 4000.0], comm=[[0, 3], [3, 0]], catalog=ONE_TYPE)
     policy = make_policy("pcache", 1)
-    _warm(states, policy, 1, 0, 1, ctx)
+    _warm(states, 1, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 1})
     d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
     assert d.offloaded == {(0, 1, 0): 1}
@@ -105,7 +105,7 @@ def test_offload_skipped_when_distance_exceeds_switching_cost():
     # neighbor has a warm container but d = 100 > p = 55: create locally
     topo, params, ctx, states = _setup([4000.0, 4000.0], comm=[[0, 100], [100, 0]], catalog=ONE_TYPE)
     policy = make_policy("lru", 1)
-    _warm(states, policy, 1, 0, 1, ctx)
+    _warm(states, 1, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 1})
     d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
     assert d.created == {(0, 0): 1}
@@ -118,7 +118,7 @@ def test_nearest_neighbor_consumed_first_with_tiebreak():
     topo, params, ctx, states = _setup([4000.0] * 4, comm=comm, catalog=ONE_TYPE)
     policy = make_policy("lru", 1)
     for v in (1, 2, 3):
-        _warm(states, policy, v, 0, 1, ctx)
+        _warm(states, v, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 2})
     d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
     # node 3 is nearest (d=2); then the tie between 1 and 2 at d=5 goes to 1
@@ -129,7 +129,7 @@ def test_capacity_pressure_evicts_via_policy():
     catalog = (FunctionType(0, 55.0), FunctionType(1, 332.0))
     topo, params, ctx, states = _setup([400.0], catalog=catalog)
     policy = make_policy("lru", 2)
-    _warm(states, policy, 0, 1, 1, ctx)  # 332 MB cached checkout
+    _warm(states, 0, 1, 1, ctx)  # 332 MB cached checkout
     batch = RequestBatch(interval=2, counts={(0, 0): 2})  # needs 110 MB
     d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
     assert d.created == {(0, 0): 2}
@@ -187,7 +187,7 @@ def test_fallback_prefers_remote_cache_beyond_radius():
     # origin full of actives; the only cache sits beyond the d <= p radius
     topo, params, ctx, states = _setup([160.0, 4000.0], comm=[[0, 100], [100, 0]], catalog=ONE_TYPE)
     policy = make_policy("lru", 1)
-    _warm(states, policy, 1, 0, 1, ctx)
+    _warm(states, 1, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 3})
     audit = []
     d = _checked(batch, states, ctx, policy, np.random.default_rng(0), audit=audit)
@@ -204,7 +204,7 @@ def test_overflow_takes_idle_containers_then_creates_beyond_radius():
     topo, params, ctx, states = _setup([55.0, 220.0], comm=[[0, 100], [100, 0]], catalog=ONE_TYPE)
     policy = make_policy("lru", 1)
     create_active(states[0], 0, 55.0)
-    _warm(states, policy, 1, 0, 2, ctx)
+    _warm(states, 1, 0, 2, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 4})
     audit = []
     bounds = BoundChecks(ctx, [0.001, 0.002])
@@ -277,7 +277,7 @@ def test_nocache_exact_fill_closes_as_routed():
     state = states[0]
     assert (state.active, state.cache, state.freq, state.last_used) == ([0], [0], [2], [1])
     assert state.used_mb.hex() == (0.0).hex()
-    assert (policy.freq, policy.last_used) == ([2], [1])
+    assert policy._stats(state, states) == ([2], [1])
 
 
 def test_nocache_one_mb_over_stays_open():
@@ -374,7 +374,7 @@ def test_bound_checks_trip_on_doctored_cost_at_every_alpha():
     # a negative switching cost puts a warm hit's realized cost above its bound
     topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
     policy = make_policy("pcache", 1)
-    _warm(states, policy, 0, 0, 2, ctx)
+    _warm(states, 0, 0, 2, ctx)
     ctx.p[0][0] = -1.0
     bounds = BoundChecks(ctx, [0.001, 0.002])
     batch = RequestBatch(interval=2, counts={(0, 0): 2})
@@ -386,7 +386,7 @@ def test_bound_checks_trip_on_doctored_cost_at_every_alpha():
     assert sorted(bounds.failures) == [0.001, 0.002]
 
     # each alpha is judged on its own table: at 1e20 the doctored cost rounds away
-    _warm(states, policy, 0, 0, 1, ctx, now=2)
+    _warm(states, 0, 0, 1, ctx, now=2)
     bounds = BoundChecks(ctx, [0.001, 0.002])
     bounds.live[0.001] = [[1e20]]
     batch = RequestBatch(interval=3, counts={(0, 0): 1})
@@ -400,7 +400,7 @@ def test_bound_checks_judge_a_channel_of_several_requests_once_per_alpha():
     # and an alpha whose table rounds the doctoring away stays live
     topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
     policy = make_policy("pcache", 1)
-    _warm(states, policy, 0, 0, 3, ctx)
+    _warm(states, 0, 0, 3, ctx)
     ctx.p[0][0] = -1.0
     calls = []
 

@@ -70,9 +70,6 @@ OVERFLOW_IDLE = (
     "                state_2.active[n] += take\n"
     "                state_2.freq[n] += take\n"
     "                state_2.last_used[n] = t\n"
-    "                if shared:\n"
-    "                    shared_freq[n] += take\n"
-    "                    shared_last[n] = t\n"
     "                offloaded[route] = offloaded.get(route, 0) + take\n"
     "                remaining -= take\n"
     "                if trace:\n"
@@ -80,7 +77,7 @@ OVERFLOW_IDLE = (
 )
 OVERFLOW_CREATE = (
     "            cap = capacity[v2]\n"
-    "            while remaining and (state_2.used_mb + mem <= cap or _make_room(state_2, mem, ctx, policy, rng, destroyed)):\n"
+    "            while remaining and (state_2.used_mb + mem <= cap or _make_room(state_2, mem, ctx, policy, rng, destroyed, states)):\n"
     "                used = state_2.used_mb\n"
     "                k = 0\n"
     "                while k < remaining and used + mem <= cap:\n"
@@ -92,9 +89,6 @@ OVERFLOW_CREATE = (
     "                state_2.active[n] += k\n"
     "                state_2.freq[n] += k\n"
     "                state_2.last_used[n] = t\n"
-    "                if shared:\n"
-    "                    shared_freq[n] += k\n"
-    "                    shared_last[n] = t\n"
     "                created[(v2, n)] = created.get((v2, n), 0) + k\n"
     "                offloaded[route] = offloaded.get(route, 0) + k\n"
     "                decision.fallback_creations += k\n"
@@ -191,16 +185,10 @@ MUTANTS = [
            "the no-cache close prices in insertion order, not node-major"),
     Mutant("fallback-no-invocation", SCHED,
            "                state_2.freq[n] += k\n                state_2.last_used[n] = t\n"
-           "                if shared:\n                    shared_freq[n] += k\n                    shared_last[n] = t\n"
            "                created[(v2, n)]",
            "                created[(v2, n)]",
            "a fallback creation updates no invocation statistics"),
     # statistics kept inline by the router, and the close that idles
-    Mutant("offload-skips-shared-stats", SCHED,
-           "                if shared:\n                    shared_freq[n] += take\n                    shared_last[n] = t\n"
-           "                route = (v, v2, n)\n",
-           "                route = (v, v2, n)\n",
-           "an in-radius offload leaves the policy's shared statistics untouched"),
     Mutant("hit-keeps-last-used", SCHED,
            "                state_v.freq[n] += hit\n                state_v.last_used[n] = t\n",
            "                state_v.freq[n] += hit\n",
@@ -221,9 +209,6 @@ MUTANTS = [
     Mutant("fold-keeps-zero-counts", SCHED,
            "    for key, c in batch.counts.items():\n        if c:\n", "    for key, c in batch.counts.items():\n        if True:\n",
            "a zero-count key is created and stamps its type's last_used"),
-    Mutant("fold-skips-shared-stats", SCHED,
-           "        if shared:\n            policy.freq[n] += c\n            policy.last_used[n] = t\n", "",
-           "a closed interval leaves the policy's shared statistics untouched"),
     Mutant("fold-fractional-sizes", SCHED,
            "        whole = all(float(m).is_integer() for m in self.mem) and", "        whole = True and",
            "an interval of fractional sizes is closed as routed, with `used_mb` left at other bits"),
@@ -333,6 +318,13 @@ MUTANTS = [
     Mutant("conservation-keys-only", COSTS,
            "        if served == batch.counts:\n", "        if served.keys() == batch.counts.keys():\n",
            "an interval whose counts differ but whose keys agree passes the conservation check"),
+    # global statistics derived from the node states at eviction
+    Mutant("global-freq-own-node", POLICIES,
+           "        freq = [sum(c) for c in zip(*(s.freq for s in states))]\n", "        freq = state.freq\n",
+           "global statistics count the evicting node's invocations only"),
+    Mutant("global-last-used-summed", POLICIES,
+           "[max(c) for c in zip(*(s.last_used for s in states))]", "[sum(c) for c in zip(*(s.last_used for s in states))]",
+           "global statistics sum the nodes' last-invocation intervals instead of taking the latest"),
     Mutant("pcache-weight-no-memory", POLICIES,
            "weights[n] = f.mem_mb / denom", "weights[n] = 1.0 / denom",
            "pcache's eviction weight ignores the container's memory"),
