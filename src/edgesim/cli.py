@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import sys
+from functools import partial
 
 from .errors import ConfigError, InvariantViolation
 from .model import DEFAULT_CATALOG, CostParams, left_sum, load_catalog, load_topology, open_input
@@ -125,19 +126,39 @@ def _check_output(path):
         raise ConfigError(f"--output {path}: {probe} is not a directory")
 
 
-def _make_output_dir(path):
+def _write_outputs(outdir, files):
+    """Create `outdir` and call each (file name, writer) pair's writer with the
+    file's path, in order. When a writer raises, every file the call created or
+    truncated is removed, the one being written included, and an OSError
+    becomes a ConfigError naming the file."""
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"--output {path}: cannot create the output directory: {exc.strerror}") from None
+        raise ConfigError(f"--output {outdir}: cannot create the output directory: {exc.strerror}") from None
+    opened = []
+    try:
+        for name, write in files:
+            path = os.path.join(outdir, name)
+            # opened before its writer opens it: a file that existed and could
+            # not be opened is not the call's to remove
+            open(path, "w").close()
+            opened.append(path)
+            write(path)
+    except BaseException as exc:
+        for path in opened:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise ConfigError(f"--output {outdir}: cannot write {name}: {exc.strerror or exc}") from None
+        raise
 
 
-def _cleanup(paths):
-    for path in paths:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
+def _write_jsonl(records, path):
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -147,23 +168,10 @@ def cmd_run(args) -> int:
     topology, catalog = _load_inputs(args)
     config = _base_config(args, topology, catalog, args.alpha, args.policy, args.zipf_beta)
     result = run(config)
-    _make_output_dir(args.output)
-    written = []
-    try:
-        ledger_path = os.path.join(args.output, "ledger.csv")
-        result.ledger.write_csv(ledger_path)
-        written.append(ledger_path)
-        summary_path = os.path.join(args.output, "summary.json")
-        with open(summary_path, "w") as fh:
-            fh.write(summary_json(result) + "\n")
-        written.append(summary_path)
-        if result.audit is not None:
-            audit_path = os.path.join(args.output, "audit.csv")
-            write_audit_csv(result.audit, audit_path)
-            written.append(audit_path)
-    except Exception:
-        _cleanup(written)
-        raise
+    files = [("ledger.csv", result.ledger.write_csv), ("summary.json", partial(_write_jsonl, [result.summary]))]
+    if result.audit is not None:
+        files.append(("audit.csv", partial(write_audit_csv, result.audit)))
+    _write_outputs(args.output, files)
     print(summary_json(result))
     return EXIT_OK
 
@@ -183,24 +191,11 @@ def cmd_sweep(args) -> int:
     base = _base_config(args, topology, catalog, alphas[0], policies[0], betas[0])
     records, errors = sweep(grid, base, jobs=args.jobs)
 
-    _make_output_dir(args.output)
-    written = []
-    try:
-        results_path = os.path.join(args.output, "results.jsonl")
-        with open(results_path, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        written.append(results_path)
-        if errors:
-            errors_path = os.path.join(args.output, "errors.jsonl")
-            with open(errors_path, "w") as fh:
-                for rec in errors:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            written.append(errors_path)
-        _write_figure_csvs(args.output, records, written)
-    except Exception:
-        _cleanup(written)
-        raise
+    files = [("results.jsonl", partial(_write_jsonl, records))]
+    if errors:
+        files.append(("errors.jsonl", partial(_write_jsonl, errors)))
+    files += [(name, partial(_write_figure_csv, records, keys, column)) for name, keys, column in FIGURE_CSVS]
+    _write_outputs(args.output, files)
     print(f"{len(records)} runs, {len(errors)} failures -> {args.output}")
     return EXIT_OK
 
@@ -217,22 +212,19 @@ FIGURE_CSVS = (
 )
 
 
-def _write_figure_csvs(outdir, records, written):
-    """One row per group of records sharing a figure's key fields: the keys
+def _write_figure_csv(records, keys, column, path):
+    """One row per group of records sharing the figure's key fields: the keys
     and the group's mean of the averaged field as a plain number, empty when
     it has none."""
-    for name, keys, column in FIGURE_CSVS:
-        groups = {}
-        for rec in records:
-            groups.setdefault(tuple(rec[k] for k in keys), []).append(rec[column])
-        path = os.path.join(outdir, name)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([*keys, column])
-            for key in sorted(groups, key=lambda k: (k[0] or 0, *k[1:])):
-                m = _mean(groups[key])
-                writer.writerow([*key, "" if m is None else repr(float(m))])
-        written.append(path)
+    groups = {}
+    for rec in records:
+        groups.setdefault(tuple(rec[k] for k in keys), []).append(rec[column])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*keys, column])
+        for key in sorted(groups, key=lambda k: (k[0] or 0, *k[1:])):
+            m = _mean(groups[key])
+            writer.writerow([*key, "" if m is None else repr(float(m))])
 
 
 def cmd_oracle(args) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,22 +164,15 @@ class FixedCaching(EvictionPolicy):
         if isinstance(ttl, bool) or not isinstance(ttl, (int, np.integer)) or ttl < 0:
             raise ConfigError(f"fc ttl must be an int >= 0, got {ttl!r}")
         self.ttl = int(ttl)
-        self._entries: dict[int, list[deque]] = {}
+        self._entries: defaultdict[int, list[deque]] = defaultdict(lambda: [deque() for _ in range(n_types)])
         self._due: dict[int, list[tuple[int, int]]] = {}
-
-    def _node_entries(self, state: NodeState) -> list[deque]:
-        entries = self._entries.get(state.node_id)
-        if entries is None:
-            entries = [deque() for _ in range(self.n_types)]
-            self._entries[state.node_id] = entries
-        return entries
 
     def select_victim(self, state, catalog, rng, states):
         # Caches only shrink mid-interval, so each log still holds an entry
         # per container cached at the interval start: retire the oldest
         # entries, consumed by hits or destroyed by evictions, then compare.
         best = None
-        for n, dq in enumerate(self._node_entries(state)):
+        for n, dq in enumerate(self._entries[state.node_id]):
             cached = state.cache[n]
             while len(dq) > cached:
                 dq.popleft()
@@ -221,12 +214,8 @@ class FixedCaching(EvictionPolicy):
         destroy = []
         for cell in cells:
             v, n = cell
-            state = states[v]
-            cached = state.cache[n]
-            logs = entries.get(v)
-            if logs is None:
-                logs = self._node_entries(state)
-            dq = logs[n]
+            cached = states[v].cache[n]
+            dq = entries[v][n]
             while len(dq) > cached:
                 dq.popleft()
             if len(dq) < cached:

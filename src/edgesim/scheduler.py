@@ -60,18 +60,13 @@ class RoutingContext:
             dists = [d for d, _ in near]
             pairs = [(v2, d) for d, v2 in near]
             self.offload.append([pairs[: bisect_right(dists, p)] for p in self.p[v]])
-        self._fallback_order: dict[tuple[int, int], list[int]] = {}
 
     def fallback_order(self, v: int, n: int) -> list[int]:
         """All other nodes by ascending (d + p at the candidate), for overflow."""
-        order = self._fallback_order.get((v, n))
-        if order is None:
-            order = sorted(
-                (v2 for v2 in range(self.n_nodes) if v2 != v),
-                key=lambda v2: (self.d[v][v2] + self.p[v2][n], v2),
-            )
-            self._fallback_order[(v, n)] = order
-        return order
+        return sorted(
+            (v2 for v2 in range(self.n_nodes) if v2 != v),
+            key=lambda v2: (self.d[v][v2] + self.p[v2][n], v2),
+        )
 
 
 class BoundChecks:

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -542,6 +543,63 @@ def test_bad_output_exits_usage_before_simulating(command, under_a_file, nodes_c
     assert main(flags) == 2
     assert f"--output {out}" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == sorted([nodes_csv, blocker])
+
+
+def _assert_write_refused(flags, name, capsys):
+    """Exit 2 with one error line that names the output file, no traceback."""
+    assert main(flags) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: --output ") and name in line
+
+
+def test_run_output_file_that_is_a_directory_exits_usage(nodes_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)
+    _assert_write_refused(_run_flags(nodes_csv, out, extra=("--audit",)), "summary.json", capsys)
+    assert os.listdir(out) == ["summary.json"]  # ledger.csv, written first, is removed
+
+
+def _audit_header_then(exc):
+    def write_audit_csv(records, path):
+        with open(path, "w", newline="") as fh:
+            fh.write("interval,origin,ftype,action,serving_node,marginal_cost,bound\r\n")
+            raise exc
+
+    return write_audit_csv
+
+
+def test_run_failing_audit_write_leaves_no_partial_file(nodes_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "write_audit_csv", _audit_header_then(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))))
+    out = tmp_path / "out"
+    _assert_write_refused(_run_flags(nodes_csv, out, extra=("--audit",)), "audit.csv", capsys)
+    assert os.listdir(out) == []
+
+
+def test_run_writer_error_other_than_oserror_is_raised_after_cleanup(nodes_csv, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "write_audit_csv", _audit_header_then(RuntimeError("writer bug")))
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="writer bug"):
+        main(_run_flags(nodes_csv, out, extra=("--audit",)))
+    assert os.listdir(out) == []
+
+
+def test_sweep_output_file_that_is_a_directory_exits_usage(nodes_csv, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    (out / "cold_start_by_beta.csv").mkdir(parents=True)
+    _assert_write_refused(_sweep_flags(nodes_csv, out), "cold_start_by_beta.csv", capsys)
+    assert os.listdir(out) == ["cold_start_by_beta.csv"]
+
+
+def test_failed_write_keeps_what_it_could_not_open_and_removes_what_it_truncated(nodes_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)
+    (out / "summary.json" / "keep.txt").write_text("kept\n")
+    (out / "ledger.csv").write_text("an earlier ledger\n")
+    _assert_write_refused(_run_flags(nodes_csv, out), "summary.json", capsys)
+    assert os.listdir(out) == ["summary.json"]
+    assert (out / "summary.json" / "keep.txt").read_text() == "kept\n"
 
 
 def test_trace_with_negative_seed_exits_usage(nodes_csv, tmp_path, capsys):

@@ -61,6 +61,7 @@ POLICIES = "src/edgesim/policies.py"
 COSTS = "src/edgesim/costs.py"
 MODEL = "src/edgesim/model.py"
 WORKLOAD = "src/edgesim/workload.py"
+CLI = "src/edgesim/cli.py"
 
 # the two steps an overflow node serves by, in order
 OVERFLOW_IDLE = (
@@ -246,6 +247,10 @@ MUTANTS = [
            "            while len(dq) > cached:\n                dq.popleft()\n            if cached and",
            "            if cached and",
            "fc picks its pressure victim from stale entry logs"),
+    Mutant("fc-one-shared-log-list", POLICIES,
+           "defaultdict(lambda: [deque() for _ in range(n_types)])",
+           "defaultdict(lambda logs=[deque() for _ in range(n_types)]: logs)",
+           "every fc node shares one list of entry logs"),
     Mutant("fc-ttl-strict", POLICIES,
            "while dq and dq[0] <= expired:", "while dq and dq[0] < expired:",
            "fc keeps a container one interval past its ttl"),
@@ -301,6 +306,14 @@ MUTANTS = [
            "if rec is not prev:",
            'if prev is None or vars(rec) | {"interval": 0} != vars(prev) | {"interval": 0}:',
            "the writer reuses the previous line for an equal record of another interval"),
+    # the CLI's output writer
+    Mutant("output-cleanup-skips-failing-file", CLI,
+           "            opened.append(path)\n            write(path)\n",
+           "            write(path)\n            opened.append(path)\n",
+           "a failed write removes the files before it but leaves the partly written one"),
+    Mutant("output-oserror-unconverted", CLI,
+           "        if isinstance(exc, OSError):\n", "        if False:\n",
+           "an output file that cannot be written ends in a traceback, not exit 2"),
     # invariants and rules
     Mutant("no-conservation-check", COSTS,
            "            if lam != got:", "            if False:",
