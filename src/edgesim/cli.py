@@ -128,9 +128,13 @@ def _check_output(path):
 
 def _write_outputs(outdir, files):
     """Create `outdir` and call each (file name, writer) pair's writer with the
-    file's path, in order. When a writer raises, every file the call created or
-    truncated is removed, the one being written included, and an OSError
-    becomes a ConfigError naming the file."""
+    file's path, in order. When a writer raises, the call removes every file it
+    created or truncated, the one being written included, then every directory
+    it created, and an OSError becomes a ConfigError naming the file."""
+    made, head = [], os.path.abspath(outdir)  # what makedirs creates: outdir and its missing ancestors
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -145,11 +149,12 @@ def _write_outputs(outdir, files):
             opened.append(path)
             write(path)
     except BaseException as exc:
-        for path in opened:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        for remove, paths in ((os.remove, opened), (os.rmdir, made)):
+            for path in paths:
+                try:
+                    remove(path)
+                except OSError:
+                    pass
         if isinstance(exc, OSError):
             raise ConfigError(f"--output {outdir}: cannot write {name}: {exc.strerror or exc}") from None
         raise

@@ -117,7 +117,6 @@ class LedgerRow:
     switching: float
     communication: float
     running: float
-    total: float
     cold_starts: int
     requests: int
 
@@ -132,14 +131,12 @@ class CostLedger:
     def append_interval(self, interval, switching, communication, running, cold_starts, requests):
         if min(switching, communication, running) < 0:
             raise InvariantViolation(f"interval {interval}: negative cost component")
-        total = switching + communication + self.alpha * running
-        self.rows.append(
-            LedgerRow(interval, switching, communication, running, total, cold_starts, requests)
-        )
+        self.rows.append(LedgerRow(interval, switching, communication, running, cold_starts, requests))
 
     def total_cost(self, alpha: float | None = None) -> float:
-        """Sum of the row totals at `alpha` (default: the ledger's), recomputed
-        from the unweighted components with the same per-row expression."""
+        """Sum of the row totals at `alpha` (default: the ledger's): a left
+        fold of switching + communication + alpha * running, the expression
+        `write_csv` writes each row's total with."""
         alpha = self.alpha if alpha is None else alpha
         return left_sum(r.switching + r.communication + alpha * r.running for r in self.rows)
 
@@ -154,5 +151,6 @@ class CostLedger:
             writer = csv.writer(fh)
             writer.writerow(["interval", "switching", "communication", "running", "total", "cold_starts", "requests"])
             for r in self.rows:
-                writer.writerow([r.interval, repr(r.switching), repr(r.communication), repr(r.running), repr(r.total), r.cold_starts, r.requests])
+                total = r.switching + r.communication + self.alpha * r.running
+                writer.writerow([r.interval, repr(r.switching), repr(r.communication), repr(r.running), repr(total), r.cold_starts, r.requests])
 

@@ -220,20 +220,13 @@ class RequestBatch:
 
     def __post_init__(self):
         counts = self.counts
-        exact = True  # Python int keys and counts only
+        ints = (int, np.integer)
         for key, c in counts.items():
-            # plain type tests pass Python int keys and counts without the checks below
-            if type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is type(c) is int and c >= 0:
-                continue
-            ints = (int, np.integer)
             if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, ints) and not isinstance(x, bool) for x in key)):
                 raise ConfigError(f"request key {key!r} must be a (node, type) pair of ints")
             if isinstance(c, bool) or not isinstance(c, ints) or c < 0:
                 raise ConfigError(f"request count for node {key[0]}, type {key[1]} must be a non-negative int")
-            exact = False
-        keys = sorted(counts)
-        if not exact or keys != list(counts):
-            self.counts = {key: int(counts[key]) for key in keys}
+        self.counts = {key: int(counts[key]) for key in sorted(counts)}
 
     @classmethod
     def _trusted(cls, interval: int, counts: dict[tuple[int, int], int]) -> RequestBatch:

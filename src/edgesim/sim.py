@@ -161,13 +161,13 @@ class _Lane:
     the ledger later.
 
     Building a lane raises what no alpha of its config can run with (an fc
-    ttl that is not an int >= 0). An alpha that fails `validate_setup` is in
-    `failures` from the start, and a bound violation adds its alpha when it
-    happens; both end that alpha only. Any other exception in `step` is the lane's own fault
-    and ends every alpha still running.
+    ttl that is not an int >= 0). `failures` starts as the lane's own copy of
+    the alphas that failed `validate_setup`, and a bound violation adds its
+    alpha when it happens; both end that alpha only. Any other exception in
+    `step` is the lane's own fault and ends every alpha still running.
     """
 
-    def __init__(self, config: SimConfig, params: list[CostParams], ctx: RoutingContext):
+    def __init__(self, config: SimConfig, params: list[CostParams], ctx: RoutingContext, failures: dict):
         n_types = len(config.catalog)
         self.config = config
         self.ctx = ctx
@@ -176,19 +176,12 @@ class _Lane:
         self.rng = np.random.default_rng(derive_seed(config.seed, "policy", config.policy))
         self.ledger = CostLedger(config.params.alpha)
         self.audit = [] if config.audit else None
-        self.failures = {}
-        for p in params:
-            try:
-                validate_setup(config.topology, config.catalog, p)
-            except ConfigError as exc:
-                self.failures[p.alpha] = exc
-        self.bounds = BoundChecks(ctx, [p.alpha for p in params if p.alpha not in self.failures])
-        self.bounds.failures = self.failures  # bound violations land in the same map
+        self.failures = failures
+        self.bounds = BoundChecks(ctx, [p.alpha for p in params if p.alpha not in failures])
+        self.bounds.failures = failures  # bound violations land in the same map
         self.check_every = {"off": 0, "sample": 10, "full": 1}[config.check]
         self.rejections = 0
         self.fallback_creations = 0
-        self.intervals = 0
-        self.truncated = False
 
     def step(self, batch: RequestBatch) -> bool:
         """Simulate one interval; False once the lane has ended.
@@ -229,7 +222,6 @@ class _Lane:
             )
             self.rejections += decision.total_rejected()
             self.fallback_creations += decision.fallback_creations
-            self.intervals = t
             return True
         except Exception as exc:  # the lane's own fault: ends its alphas still running
             for alpha in self.bounds.live:
@@ -253,14 +245,20 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
        cannot be built (an fc ttl that is not an int >= 0), a source that
        cannot be built (a malformed replay list, bad Zipf parameters) and an
        audit that can outgrow MAX_AUDIT_RECORDS (`_check_audit_size`);
-    2. an alpha that fails `validate_setup` or the per-request bound ends
-       that alpha of that lane only;
+    2. an alpha that fails `validate_setup` (checked once, here) ends in
+       every lane; one that fails the per-request bound, in its lane only;
     3. any other exception in a lane ends that lane only.
     """
     config = configs[0]
     validate_fit(config.topology, config.catalog)
+    failures = {}
+    for p in params:
+        try:
+            validate_setup(config.topology, config.catalog, p)
+        except ConfigError as exc:
+            failures[p.alpha] = exc
     ctx = RoutingContext(config.topology, config.catalog, config.params)
-    lanes = [_Lane(c, params, ctx) for c in configs]
+    lanes = [_Lane(c, params, ctx, dict(failures)) for c in configs]
     source = _workload_source(config)
     if any(c.audit for c in configs):
         _check_audit_size(config)
@@ -270,8 +268,6 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
             break
         batch = source.batch(t)
         if batch is None:
-            for lane in running:
-                lane.truncated = True
             break
         if batch.interval != t:
             raise InvariantViolation(f"workload produced interval {batch.interval} for clock {t}")
@@ -292,6 +288,7 @@ def _summaries(lane: _Lane, params: list[CostParams], baselines: dict) -> dict:
     no-cache lane that is its own baseline gets exactly 1.0.
     """
     config = lane.config
+    intervals = len(lane.ledger.rows)  # one row a step, up to the horizon or a replay's end
     requests = lane.ledger.total_requests()
     cold_starts = lane.ledger.total_cold_starts()
     summaries = {}
@@ -306,55 +303,49 @@ def _summaries(lane: _Lane, params: list[CostParams], baselines: dict) -> dict:
             "cold_start_frequency": (cold_starts / requests) if requests else None,
             "rejections": lane.rejections,
             "fallback_creations": lane.fallback_creations,
-            "intervals": lane.intervals,
+            "intervals": intervals,
             "requests": requests,
             "cold_starts": cold_starts,
-            "truncated": lane.truncated,
+            "truncated": bool(intervals < config.horizon),  # a numpy-int horizon would give np.bool_
         }
     return summaries
 
 
-def _run_lanes(configs: list[SimConfig], params: list[CostParams], baselines: dict | None = None) -> list:
+def _run_lanes(configs: list[SimConfig], params: list[CostParams]) -> list:
     """Simulate `configs` on one request stream; (lane, summaries) per config.
 
-    Unless `baselines` (alpha -> no-cache total) is given, configs[0] is the
-    no-cache lane that normalizes the others, and an alpha it failed at fails
-    them too. A checked no-cache lane that failed at an alpha another lane
-    still needs is replaced there by one unchecked no-cache run, the baseline
-    a lone `run()` normalizes by.
+    configs[0] is the no-cache lane that normalizes the others, and an alpha
+    it failed at fails them too. A checked no-cache lane that failed at an
+    alpha another lane still needs is replaced there by one unchecked
+    no-cache run, the baseline a lone `run()` normalizes by.
     """
     lanes = _simulate(configs, params)
-    if baselines is None:
-        base, others = lanes[0], lanes[1:]
-        baselines = _totals(base, params)
-        failed = base.failures
-        missing = [p for p in params if p.alpha in failed and any(p.alpha not in lane.failures for lane in others)]
-        if missing and base.config.check != "off":
-            [spare] = _simulate([replace(base.config, check="off")], missing)
-            baselines.update(_totals(spare, missing))
-            failed = spare.failures
-        for lane in others:
-            for alpha, exc in failed.items():
-                lane.failures.setdefault(alpha, exc)
+    base, others = lanes[0], lanes[1:]
+    baselines = _totals(base, params)
+    failed = base.failures
+    missing = [p for p in params if p.alpha in failed and any(p.alpha not in lane.failures for lane in others)]
+    if missing and base.config.check != "off":
+        [spare] = _simulate([replace(base.config, check="off")], missing)
+        baselines.update(_totals(spare, missing))
+        failed = spare.failures
+    for lane in others:
+        for alpha, exc in failed.items():
+            lane.failures.setdefault(alpha, exc)
     return [(lane, _summaries(lane, params, baselines)) for lane in lanes]
 
 
-def run(config: SimConfig, baseline_total: float | None = None) -> RunResult:
+def run(config: SimConfig) -> RunResult:
     """Execute one simulation; deterministic for a fixed config.
 
     The summary's normalized cost divides by the no-cache policy on the
-    identical workload and seed: `baseline_total` when supplied, otherwise a
-    no-cache lane simulated beside this one from the same request stream (a
-    no-cache config is its own baseline).
+    identical workload and seed: a no-cache lane simulated beside this one
+    from the same request stream (a no-cache config is its own baseline).
     """
     alpha = config.params.alpha
     configs = [config]
-    baselines = None
-    if baseline_total is not None:
-        baselines = {alpha: baseline_total}
-    elif config.policy != "nocache":
+    if config.policy != "nocache":
         configs.insert(0, replace(config, policy="nocache", audit=False, check="off"))
-    lane, summaries = _run_lanes(configs, [config.params], baselines)[-1]
+    lane, summaries = _run_lanes(configs, [config.params])[-1]
     if alpha in lane.failures:
         raise lane.failures[alpha]
     return RunResult(ledger=lane.ledger, summary=summaries[alpha], audit=lane.audit)

@@ -85,20 +85,13 @@ def generate_batch(
     topology: Topology,
     interval: int,
     rng: np.random.Generator,
-    rank_maps: list[np.ndarray] | None = None,
-    pop: np.ndarray | None = None,
-    table: tuple[np.ndarray, list[tuple[int, int]]] | None = None,
+    pop: np.ndarray,
+    table: tuple[np.ndarray, list[tuple[int, int]]],
 ) -> RequestBatch:
     """Draw one interval of requests: Poisson totals per node, split across
-    types by the (per-node permuted) Zipf popularity `pop`, computed from cfg
-    when not given. The batch's keys come in ascending (node, type) order,
-    read through the `zipf_key_table` of `rank_maps`, built when not given."""
-    if table is None:
-        if rank_maps is None:
-            rank_maps = node_rank_maps(cfg, topology.n_nodes)
-        table = zipf_key_table(rank_maps, cfg.n_types)
-    if pop is None:
-        pop = zipf_popularity(cfg.beta, cfg.n_types)
+    popularity ranks by `pop` (`zipf_popularity` of cfg), then mapped to
+    each node's types through `table` (the `zipf_key_table` of the node rank
+    maps). The batch's keys come in ascending (node, type) order."""
     gather, keys = table
     totals = rng.poisson(cfg.mean_rate, size=topology.n_nodes)
     # one call draws every node's split, from the same stream as per-node calls

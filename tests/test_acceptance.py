@@ -87,7 +87,7 @@ def test_criterion_1_theorem_bound():
                     check="full",
                     audit=True,
                 )
-                result = run(cfg, baseline_total=1.0)
+                result = run(cfg)
                 report = competitive_check(result.audit, topo, DEFAULT_CATALOG, cfg.params)
                 requests += result.summary["requests"]
                 checked += report.n_checked

@@ -574,7 +574,7 @@ def test_run_failing_audit_write_leaves_no_partial_file(nodes_csv, tmp_path, cap
     monkeypatch.setattr(cli, "write_audit_csv", _audit_header_then(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))))
     out = tmp_path / "out"
     _assert_write_refused(_run_flags(nodes_csv, out, extra=("--audit",)), "audit.csv", capsys)
-    assert os.listdir(out) == []
+    assert not out.exists()  # nor the directory the run created
 
 
 def test_run_writer_error_other_than_oserror_is_raised_after_cleanup(nodes_csv, tmp_path, monkeypatch):
@@ -582,7 +582,20 @@ def test_run_writer_error_other_than_oserror_is_raised_after_cleanup(nodes_csv, 
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="writer bug"):
         main(_run_flags(nodes_csv, out, extra=("--audit",)))
-    assert os.listdir(out) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_removes_the_directories_it_created_only(existing, nodes_csv, tmp_path, capsys, monkeypatch):
+    # an empty directory that was there before the run is not the run's to remove
+    monkeypatch.setattr(cli, "write_audit_csv", _audit_header_then(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))))
+    if existing:
+        (tmp_path / "a").mkdir()
+    out = tmp_path / "a" / "b" / "c"
+    _assert_write_refused(_run_flags(nodes_csv, out, extra=("--audit",)), "audit.csv", capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([nodes_csv.name] + (["a"] if existing else []))
+    if existing:
+        assert os.listdir(tmp_path / "a") == []
 
 
 def test_sweep_output_file_that_is_a_directory_exits_usage(nodes_csv, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from edgesim.costs import (
@@ -92,15 +94,17 @@ def test_total_cost_single_interval_hand_sum():
     assert ledger.total_cost() == pytest.approx(70.0092, abs=1e-12)
 
 
-def test_total_cost_matches_row_recomputation():
+def test_total_cost_matches_row_recomputation(tmp_path):
     ledger = CostLedger(alpha=0.005)
     rows = [(1, 10.0, 2.0, 40.0, 3, 9), (2, 0.0, 1.5, 42.0, 0, 7)]
     for r in rows:
         ledger.append_interval(*r[:4], cold_starts=r[4], requests=r[5])
     expect = sum(s + c + 0.005 * r for (_, s, c, r, _, _) in rows)
     assert ledger.total_cost() == pytest.approx(expect, rel=1e-15)
-    for row, (_, s, c, r, _, _) in zip(ledger.rows, rows):
-        assert row.total == pytest.approx(s + c + 0.005 * r, rel=1e-15)
+    ledger.write_csv(tmp_path / "ledger.csv")
+    with open(tmp_path / "ledger.csv", newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert [float(row["total"]) for row in written] == [s + c + 0.005 * r for (_, s, c, r, _, _) in rows]
 
 
 def test_negative_component_rejected():

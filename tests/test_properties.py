@@ -666,7 +666,7 @@ def _trajectory(lane):
         lane.ledger.rows,
         lane.audit,
         {alpha: f"{type(exc).__name__}: {exc}" for alpha, exc in lane.failures.items()},
-        (lane.rejections, lane.fallback_creations, lane.intervals, lane.truncated),
+        (lane.rejections, lane.fallback_creations),
         _node_states(lane.states) if lane.states else None,
         vars(lane.policy) if lane.policy else None,
         lane.rng.bit_generator.state if lane.rng else None,

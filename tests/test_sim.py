@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -281,7 +282,8 @@ def _cell(base, seed, beta, alpha, policy):
 
 def test_sweep_checks_every_alpha_as_often_as_separate_runs(monkeypatch):
     """One simulation per (seed, beta, policy) keeps the coverage of one run per
-    cell: validate_setup once per alpha per group, and the per-request bound at
+    cell: validate_setup once per alpha per (seed, beta) point, since every
+    lane of a point shares its inputs, and the per-request bound at
     every alpha for every routing channel a separate run would check, once per
     channel, since a channel's requests share their cost and bound."""
     validated = Counter()
@@ -315,7 +317,7 @@ def test_sweep_checks_every_alpha_as_often_as_separate_runs(monkeypatch):
     grid = SweepGrid(alphas=alphas, betas=[0.5, 1.5], policies=["pcache", "lru", "fc"], seeds=[3])
     records, errors = sweep(grid, base)
     assert errors == [] and len(records) == 18
-    groups = 2 * (3 + 1)  # betas x (policies + the nocache baseline)
+    groups = 2  # betas; the policies and the nocache baseline of a point share one check
     assert validated == {alpha: groups for alpha in alphas}
     swept = dict(evaluated)
 
@@ -324,7 +326,7 @@ def test_sweep_checks_every_alpha_as_often_as_separate_runs(monkeypatch):
     for beta in grid.betas:
         for alpha in alphas:
             for policy in ("nocache", "pcache", "lru", "fc"):
-                audit = run(replace(_cell(base, 3, beta, alpha, policy), audit=True), baseline_total=1.0).audit
+                audit = run(replace(_cell(base, 3, beta, alpha, policy), audit=True)).audit
                 # a channel's requests share one record; fallback creations go unchecked
                 channels += len({id(rec) for rec in audit if rec.action != "create" or rec.serving_node == rec.origin})
     assert swept == dict(evaluated)
@@ -424,13 +426,11 @@ def test_numpy_int_horizon_and_ttl_run_as_ints():
     config = _zipf_config(policy="fc", ttl=3, horizon=12)
     numpy_config = replace(config, ttl=np.int64(3), horizon=np.int64(12))
     assert summary_json(run(numpy_config)) == summary_json(run(config))
-
-
-def test_nocache_run_normalizes_by_the_given_baseline():
-    config = _zipf_config(policy="nocache")
-    total = run(config).summary["total_cost"]
-    assert total > 0
-    assert run(config, baseline_total=2 * total).summary["normalized_cost"] == 0.5
+    # a replay that ends before the horizon is truncated, as a Python bool
+    replay = replace(numpy_config, beta=None, batches=[RequestBatch(1, {(0, 0): 2}), RequestBatch(2, {(1, 1): 1})])
+    result = run(replay)
+    assert result.summary["truncated"] is True and result.summary["intervals"] == 2
+    assert json.loads(summary_json(result))["truncated"] is True
 
 
 # (node 0's doctored state, the message _check_states must raise): DEFAULT_CATALOG

@@ -69,7 +69,8 @@ def test_zipf_normalized_and_nonincreasing():
 def test_generate_batch_zero_rate():
     topo = make_topology([4000.0, 4000.0])
     cfg = ZipfConfig(beta=1.0, n_types=4, mean_rate=0.0, seed=3)
-    batch = generate_batch(cfg, topo, 1, np.random.default_rng(3))
+    table = zipf_key_table(node_rank_maps(cfg, 2), 4)
+    batch = generate_batch(cfg, topo, 1, np.random.default_rng(3), zipf_popularity(1.0, 4), table)
     assert batch.total() == 0
 
 
@@ -87,7 +88,8 @@ def test_generate_batch_shares_match_popularity():
     topo = make_topology([4000.0])
     cfg = ZipfConfig(beta=1.0, n_types=4, mean_rate=40000.0, seed=5)
     pop = zipf_popularity(1.0, 4)
-    batch = generate_batch(cfg, topo, 1, np.random.default_rng(5), rank_maps=node_rank_maps(cfg, 1, global_ranking=True))
+    table = zipf_key_table(node_rank_maps(cfg, 1, global_ranking=True), 4)
+    batch = generate_batch(cfg, topo, 1, np.random.default_rng(5), pop, table)
     total = batch.total()
     for n in range(4):
         share = batch.counts.get((0, n), 0) / total
@@ -127,7 +129,7 @@ def test_key_table_batches_equal_nonzero_batches(n_nodes, n_types, beta, rate, g
     rng_old, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
     for t in range(1, 5):
         old = _nonzero_batch(cfg, topo, t, rng_old, maps, pop)
-        new = generate_batch(cfg, topo, t, rng_new, maps, pop, table if t % 2 else None)
+        new = generate_batch(cfg, topo, t, rng_new, pop, table)
         assert new.counts == old.counts
         assert list(new.counts) == sorted(new.counts)
         assert all(type(c) is int and c > 0 for c in new.counts.values())

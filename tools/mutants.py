@@ -105,8 +105,11 @@ MUTANTS = [
            "for alpha in alphas}", "for alpha in alphas[:1]}",
            "per-request bounds checked at the first alpha only"),
     Mutant("validate-first-alpha-only", SIM,
-           "        for p in params:\n            try:\n", "        for p in params[:1]:\n            try:\n",
+           "    for p in params:\n        try:\n", "    for p in params[:1]:\n        try:\n",
            "alpha*q <= p checked at the first alpha only"),
+    Mutant("lanes-share-failure-map", SIM,
+           "_Lane(c, params, ctx, dict(failures))", "_Lane(c, params, ctx, failures)",
+           "every lane of a stream shares one failure map, so one lane's bound violation fails the others"),
     Mutant("drop-bound-failures", SCHED,
            "        self.failures[alpha] = InvariantViolation(", "        InvariantViolation(",
            "a bound violation ends the alpha's checks but is never reported"),
@@ -114,10 +117,10 @@ MUTANTS = [
            "{p.alpha: lane.ledger.total_cost(p.alpha)", "{p.alpha: lane.ledger.total_cost()",
            "every alpha priced at the first alpha's weight"),
     Mutant("skip-shared-input-check", SIM,
-           "    validate_fit(config.topology, config.catalog)\n    ctx =", "    ctx =",
+           "    validate_fit(config.topology, config.catalog)\n    failures = {}\n", "    failures = {}\n",
            "an input every lane shares fails cell by cell instead of raising"),
     Mutant("nocache-not-own-baseline", SIM,
-           '    elif config.policy != "nocache":', "    elif True:",
+           '    if config.policy != "nocache":', "    if True:",
            "a no-cache run simulates a second no-cache lane as its baseline"),
     Mutant("smallest-alpha-violation-only", SCHED,
            "                aq = aq_table[origin][n]\n                if cost + aq > aq + top + 1e-9:\n",
@@ -155,7 +158,7 @@ MUTANTS = [
            "                if take > remaining:\n                    take = remaining\n", "",
            "an offload consumes more cached containers than requests remain"),
     Mutant("batch-keeps-caller-order", MODEL,
-           "        keys = sorted(counts)\n", "        keys = list(counts)\n",
+           "for key in sorted(counts)}", "for key in counts}",
            "a hand-built batch routes in its caller's key order, not ascending (node, type)"),
     Mutant("zipf-keys-by-rank", WORKLOAD,
            "gather[row + np.asarray(types)] = np.arange(row, row + n_types)",
@@ -311,6 +314,9 @@ MUTANTS = [
            "            opened.append(path)\n            write(path)\n",
            "            write(path)\n            opened.append(path)\n",
            "a failed write removes the files before it but leaves the partly written one"),
+    Mutant("output-cleanup-keeps-directories", CLI,
+           "(os.rmdir, made)", "(os.rmdir, ())",
+           "a failed write removes its files but leaves the directories it created"),
     Mutant("output-oserror-unconverted", CLI,
            "        if isinstance(exc, OSError):\n", "        if False:\n",
            "an output file that cannot be written ends in a traceback, not exit 2"),
@@ -347,6 +353,9 @@ MUTANTS = [
     Mutant("validate-fit-half", MODEL,
            "        if node.capacity_mb < max_mem:", "        if node.capacity_mb < max_mem / 2:",
            "a node too small for the largest container is accepted"),
+    Mutant("truncated-at-horizon", SIM,
+           '"truncated": bool(intervals < config.horizon)', '"truncated": bool(intervals <= config.horizon)',
+           "a run that reaches its horizon is reported truncated"),
     Mutant("derive-seed-random", SIM,
            '        h.update(b"|")', '        h.update(b"|" + __import__("os").urandom(4))',
            "derived seeds differ from run to run"),
