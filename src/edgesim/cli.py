@@ -128,9 +128,12 @@ def _check_output(path):
 
 def _write_outputs(outdir, files):
     """Create `outdir` and call each (file name, writer) pair's writer with the
-    file's path, in order. When a writer raises, the call removes every file it
-    created or truncated, the one being written included, then every directory
-    it created, and an OSError becomes a ConfigError naming the file."""
+    file's path, in order. A file that already exists is replaced: once it
+    opens for writing it is removed, so the writer creates a new one rather
+    than truncating it in place or writing through a symlink. When a writer
+    raises, the call removes every file it created or replaced, the one being
+    written included, then every directory it created, and an OSError becomes
+    a ConfigError naming the file."""
     made, head = [], os.path.abspath(outdir)  # what makedirs creates: outdir and its missing ancestors
     while not os.path.lexists(head):
         made.append(head)
@@ -143,9 +146,14 @@ def _write_outputs(outdir, files):
     try:
         for name, write in files:
             path = os.path.join(outdir, name)
-            # opened before its writer opens it: a file that existed and could
-            # not be opened is not the call's to remove
-            open(path, "w").close()
+            if os.path.lexists(path):
+                # a file that cannot be opened for writing (a directory
+                # included) is not the call's to remove; a dangling link is
+                try:
+                    os.close(os.open(path, os.O_WRONLY))
+                except FileNotFoundError:
+                    pass
+                os.remove(path)
             opened.append(path)
             write(path)
     except BaseException as exc:

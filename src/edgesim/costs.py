@@ -19,8 +19,11 @@ class IntervalDecision:
     where they happened, destroyed the containers evicted under capacity
     pressure (not the end-of-interval sweep's), rejected the requests no node
     could host. closed marks a no-cache interval the router closed as it
-    routed it: every request was created at its origin, and none of those
-    containers is alive any more (`scheduler.distribute_interval`).
+    routed it: every request was created at its origin, none of those
+    containers is alive any more, and switching and running hold the
+    interval's unweighted costs, folded in `created` order
+    (`scheduler._close_if_fits`). An open decision leaves them at 0.0: its
+    lane prices it from `created` and the node states.
     """
 
     interval: int
@@ -31,6 +34,8 @@ class IntervalDecision:
     rejected: dict[tuple[int, int], int] = field(default_factory=dict)
     fallback_creations: int = 0
     closed: bool = False
+    switching: float = 0.0
+    running: float = 0.0
 
     def total_created(self) -> int:
         return sum(self.created.values())

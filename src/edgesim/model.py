@@ -139,12 +139,14 @@ def occupancy(state: NodeState, catalog) -> float:
     return total
 
 
-def validate_fit(topology: Topology, catalog) -> None:
+def validate_fit(topology: Topology, catalog, params: CostParams) -> None:
     """The alpha-independent half of `validate_setup`: a non-empty catalog
-    with dense ids, and every node able to hold the largest container.
+    with dense ids, every node able to hold the largest container, and a
+    finite switching cost p and running cost q for every (type, node) pair.
 
     A failure here fails every alpha, so a simulation raises it before any
-    lane steps.
+    lane steps. With p and q finite, an infinite alpha * q fails
+    `validate_setup`'s own check.
     """
     if not catalog:
         raise ConfigError("catalog is empty")
@@ -158,6 +160,15 @@ def validate_fit(topology: Topology, catalog) -> None:
                 f"node {node.id} capacity {node.capacity_mb} MB cannot hold the "
                 f"largest container ({max_mem} MB)"
             )
+    for node in topology.nodes:
+        for f in catalog:
+            for coeff, cost, price in (("switch_coeff", "p", switching_cost), ("run_coeff", "q", running_cost)):
+                value = price(node, f, params)
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"{coeff} {getattr(params, coeff):g} makes {cost} = {value} for type {f.id} "
+                        f"at node {node.id}; costs must be finite"
+                    )
 
 
 def validate_setup(topology: Topology, catalog, params: CostParams) -> None:
@@ -167,7 +178,7 @@ def validate_setup(topology: Topology, catalog, params: CostParams) -> None:
     otherwise caching can never pay off. Only this second check depends on
     alpha: in a sweep, its failure ends that alpha's cells alone.
     """
-    validate_fit(topology, catalog)
+    validate_fit(topology, catalog, params)
     for node in topology.nodes:
         for f in catalog:
             p = switching_cost(node, f, params)
@@ -185,7 +196,9 @@ class NodeState:
     `active` counts containers currently serving, `cache` idle alive ones.
     `freq` and `last_used` are the per-type invocation statistics the caching
     policies read. `used_mb` tracks occupancy incrementally. The router moves
-    containers and keeps the statistics; the state only destroys cached ones.
+    containers and, for a policy that holds idle containers, keeps the
+    statistics; the state only destroys cached ones. A no-cache lane's nodes
+    are all zero between intervals: no container, no statistics.
     """
 
     __slots__ = ("node_id", "active", "cache", "freq", "last_used", "used_mb")

@@ -90,7 +90,8 @@ def lru_select_victim(state: NodeState, catalog, last_used=None) -> int:
 class EvictionPolicy:
     """Behaviour contract shared by all policies.
 
-    The router keeps each node's invocation statistics. select_victim picks
+    The router keeps each node's invocation statistics for a policy that
+    holds idle containers (see holds_idle below). select_victim picks
     a cached type to destroy at `state`, one of the lane's `states`, under
     capacity pressure. end_of_interval is called once
     per interval, after service completes and the active containers have
@@ -240,8 +241,10 @@ class NoCache(EvictionPolicy):
     container: a run routes its requests by creation alone and closes each
     interval by destroying the created containers (`scheduler.close_created`),
     never through an end-of-interval sweep. An unaudited, unchecked interval
-    that fits at every origin comes back from the router closed already, and
-    the close only prices it.
+    that fits at every origin comes back from the router closed and priced
+    already, with nothing left to close. Nothing reads its invocation
+    statistics, so the router keeps none: its nodes carry no state from one
+    interval to the next.
     """
 
     name = "nocache"

@@ -103,10 +103,10 @@ def _make_room(state, mem_needed, ctx, policy, rng, destroyed, states):
 
 
 def _close_if_fits(batch: RequestBatch, states: list[NodeState], ctx: RoutingContext) -> IntervalDecision | None:
-    """Route and close one interval of a policy that holds no idle container
-    by one fit test and one fold over its keys, when every origin can host
-    its own requests; None, with nothing changed, when one cannot. The keys
-    ascend, so each origin's requests are one run of them.
+    """Route, close and price one interval of a policy that holds no idle
+    container by one fit test and one fold over its keys, when every origin
+    can host its own requests; None, with nothing changed, when one cannot.
+    The keys ascend, so each origin's requests are one run of them.
 
     Sizes are whole MB and capacities below 2**53 MB (`ctx.whole_mem`), so
     every occupancy the router forms container by container, `used + mem`,
@@ -115,30 +115,41 @@ def _close_if_fits(batch: RequestBatch, states: list[NodeState], ctx: RoutingCon
     in ints and compares it with capacity - used_mb, which is exact as well,
     since `used_mb` is a sum of whole sizes. The close would then destroy
     every container routing created, so `active` and `used_mb` would end at
-    their own bits: they are left alone, and only the statistics move. The
-    batch's counts are read, never written: every lane shares them.
+    their own bits: nothing in `states` is written. The batch's counts are
+    read, never written: every lane shares them.
+
+    A key that passes its fit test is priced in the same pass: p·c into the
+    switching and q·c into the running sum, each a fold from 0.0 in batch
+    order, the order `interval_switching_cost` and `close_created` add in.
+    A key is priced only once it fits, so a count beyond float range routes
+    open instead of overflowing a price.
     """
     mems = ctx.whole_mem
     capacity = ctx.capacity
+    p = ctx.p
+    q = ctx.q
     created = {}
+    switching = running = 0.0
     origin = -1
     for key, c in batch.counts.items():
         if c:
-            created[key] = c
             v, n = key
             if v != origin:
                 origin = v
                 room = capacity[v] - states[v].used_mb
                 need = 0
+                p_v = p[v]
+                q_v = q[v]
             need += mems[n] * c
             if need > room:
                 return None
-    t = batch.interval
-    for (v, n), c in created.items():
-        state = states[v]
-        state.freq[n] += c
-        state.last_used[n] = t
-    return IntervalDecision(interval=t, local_served=dict(created), created=created, closed=True)
+            created[key] = c
+            switching += p_v[n] * c
+            running += q_v[n] * c
+    return IntervalDecision(
+        interval=batch.interval, local_served=dict(created), created=created,
+        closed=True, switching=switching, running=running,
+    )
 
 
 def distribute_interval(
@@ -164,15 +175,16 @@ def distribute_interval(
     while requests are routed (`holds_idle` False) has nothing to hit,
     offload to or evict, so its groups go straight to creation. Each request
     is audited at the context's alpha; all but overflow creations are
-    bound-checked by `check`. Each step moves its containers and keeps the
-    serving node's `freq`/`last_used` itself.
+    bound-checked by `check`. Each step moves its containers; a step of a
+    policy that holds idle containers also keeps the serving node's
+    `freq`/`last_used`, which no one reads for any other policy.
 
     An interval of such a policy that is neither audited nor bound-checked,
     with whole-MB sizes (`ctx.whole_mem`) and every origin able to host its
     own requests, is closed as it is routed: its decision comes back
-    `closed`, every request created at its origin, with no container left
-    alive and `used_mb` at its own bits (`_close_if_fits`). Every other
-    interval is routed step by step as above.
+    `closed` and priced, every request created at its origin, with no
+    container left alive and `used_mb` at its own bits (`_close_if_fits`).
+    Every other interval is routed step by step as above.
     """
     if not policy.holds_idle and audit is None and check is None and ctx.whole_mem is not None:
         decision = _close_if_fits(batch, states, ctx)
@@ -263,8 +275,9 @@ def distribute_interval(
                 raise ContractError(f"node {v}: a creation step for type {n} created nothing")
             state_v.used_mb = used
             state_v.active[n] += k
-            state_v.freq[n] += k
-            state_v.last_used[n] = t
+            if holds_idle:
+                state_v.freq[n] += k
+                state_v.last_used[n] = t
             created[key] = created.get(key, 0) + k
             local_served[key] = local_served.get(key, 0) + k
             remaining -= k
@@ -299,8 +312,9 @@ def distribute_interval(
                     raise ContractError(f"node {v2}: a creation step for type {n} created nothing")
                 state_2.used_mb = used
                 state_2.active[n] += k
-                state_2.freq[n] += k
-                state_2.last_used[n] = t
+                if holds_idle:
+                    state_2.freq[n] += k
+                    state_2.last_used[n] = t
                 created[(v2, n)] = created.get((v2, n), 0) + k
                 offloaded[route] = offloaded.get(route, 0) + k
                 decision.fallback_creations += k
@@ -319,22 +333,19 @@ def distribute_interval(
 
 
 def close_created(decision: IntervalDecision, states: list[NodeState], ctx: RoutingContext) -> float:
-    """Close one interval of a policy that holds no idle container: price one
-    interval of q for every container `decision` created, node-major and
-    type-minor, and destroy them with one `used_mb -=` per (node, type).
+    """Close one interval of a policy that holds no idle container, routed
+    step by step: price one interval of q for every container `decision`
+    created, node-major and type-minor, and destroy them with one
+    `used_mb -=` per (node, type).
 
     Every cache was empty when the interval started, so the created
     containers are all that is alive; this prices and destroys exactly what
     `interval_running_cost` followed by `end_interval` would, to the bit.
-    A `closed` decision's containers are gone already: it is priced in batch
-    order, which is node-major and type-minor too, and nothing is destroyed.
+    A `closed` decision is not for this close: its containers are gone
+    already and its costs are on the decision.
     """
     running = 0.0
     q = ctx.q
-    if decision.closed:
-        for (v, n), count in decision.created.items():
-            running += q[v][n] * count
-        return running
     mems = ctx.mem
     for (v, n), count in sorted(decision.created.items()):
         running += q[v][n] * count

@@ -186,13 +186,15 @@ class _Lane:
     def step(self, batch: RequestBatch) -> bool:
         """Simulate one interval; False once the lane has ended.
 
-        Route, check, close, check again, then price switching and
+        Route, check, price switching, close, check again, then price
         communication and append the ledger row. A caching policy closes by
         idling the active containers while pricing the running cost, then
         running its sweep, which reads the interval's decision; a policy
         that holds no idle container closes by pricing and destroying the
-        containers it created, or only pricing them where the router closed
-        the interval as it routed it.
+        containers it created. Where the router closed the interval as it
+        routed it, the decision carries its switching and running costs and
+        there is nothing left to close: a no-cache lane's nodes hold no
+        container and no statistics between intervals.
         """
         t = batch.interval
         ctx = self.ctx
@@ -207,14 +209,17 @@ class _Lane:
             if check_now:
                 decision.check_conservation(batch)
                 _check_states(self.config, states, t)
-            if policy.holds_idle:
-                running = interval_running_cost(states, ctx)
-                end_interval(states, policy, t, ctx.catalog, decision)
+            if decision.closed:
+                switching, running = decision.switching, decision.running
             else:
-                running = close_created(decision, states, ctx)
+                switching = interval_switching_cost(decision, ctx)
+                if policy.holds_idle:
+                    running = interval_running_cost(states, ctx)
+                    end_interval(states, policy, t, ctx.catalog, decision)
+                else:
+                    running = close_created(decision, states, ctx)
             if check_now:
                 _check_states(self.config, states, t)
-            switching = interval_switching_cost(decision, ctx)
             communication = interval_comm_cost(decision, ctx.topology)
             self.ledger.append_interval(
                 t, switching, communication, running,
@@ -241,7 +246,8 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
 
     A failure ends the simulation in one of three tiers:
     1. what every lane shares raises from here before any lane steps: a
-       topology and catalog no alpha can run (`validate_fit`), a lane that
+       topology, catalog and cost coefficients no alpha can run
+       (`validate_fit`: a non-finite p or q among them), a lane that
        cannot be built (an fc ttl that is not an int >= 0), a source that
        cannot be built (a malformed replay list, bad Zipf parameters) and an
        audit that can outgrow MAX_AUDIT_RECORDS (`_check_audit_size`);
@@ -250,7 +256,7 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
     3. any other exception in a lane ends that lane only.
     """
     config = configs[0]
-    validate_fit(config.topology, config.catalog)
+    validate_fit(config.topology, config.catalog, config.params)
     failures = {}
     for p in params:
         try:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from edgesim.costs import interval_switching_cost
 from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, RequestBatch, Topology
 from edgesim.policies import NoCache, make_policy
-from edgesim.scheduler import distribute_interval
+from edgesim.scheduler import close_created, distribute_interval
 
 
 def make_topology(capacities, cpus=None, comm=None, coords=None):
@@ -52,6 +53,15 @@ class FlushingNoCache(NoCache):
 
     def end_of_interval(self, states, now, decision):
         return [(state.node_id, n, count) for state in states for n, count in enumerate(state.cache) if count]
+
+
+def price_nocache(decision, states, ctx):
+    """(switching, running) of one no-cache interval, as `sim._Lane.step`
+    takes them: off a closed decision, else from `created` and by
+    `close_created`, which also destroys the created containers."""
+    if decision.closed:
+        return decision.switching, decision.running
+    return interval_switching_cost(decision, ctx), close_created(decision, states, ctx)
 
 
 def create_active(state, n, mem, count=1):

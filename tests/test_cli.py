@@ -615,6 +615,68 @@ def test_failed_write_keeps_what_it_could_not_open_and_removes_what_it_truncated
     assert (out / "summary.json" / "keep.txt").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_rerun_replaces_its_outputs_without_truncating_them(command, nodes_csv, tmp_path, monkeypatch):
+    # rewriting a just-written file in place can stall on a flush; an output
+    # that exists is removed once it opens, and its writer creates a new file
+    flags = _run_flags if command == "run" else _sweep_flags
+    extra = ("--audit",) if command == "run" else ()
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main(flags(nodes_csv, fresh, extra)) == 0
+    assert main(flags(nodes_csv, out, extra)) == 0
+    real_open = open
+    truncated = []
+
+    def spying_open(file, mode="r", *args, **kwargs):
+        if any(c in mode for c in "wax+") and os.path.lexists(file):
+            truncated.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spying_open)
+    assert main(flags(nodes_csv, out, extra)) == 0
+    monkeypatch.undo()
+    assert truncated == []
+    assert sorted(os.listdir(out)) == sorted(os.listdir(fresh))
+    for name in os.listdir(fresh):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("dangling", [False, True])
+def test_output_symlink_is_replaced_not_written_through(dangling, nodes_csv, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = tmp_path / "elsewhere.csv"
+    if not dangling:
+        target.write_text("not the run's\n")
+    (out / "ledger.csv").symlink_to(target)
+    assert main(_run_flags(nodes_csv, out)) == 0
+    if dangling:
+        assert not target.exists()
+    else:
+        assert target.read_text() == "not the run's\n"
+    assert not (out / "ledger.csv").is_symlink()
+    assert (out / "ledger.csv").read_text().startswith("interval,switching,")
+
+
+NON_FINITE_COST_CASES = {
+    "switch_coeff": ("--switch-coeff", "1e308", "switch_coeff 1e+308 makes p = inf for type 0 at node 0"),
+    "run_coeff": ("--run-coeff", "1e307", "run_coeff 1e+307 makes q = inf for type 0 at node 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_COST_CASES))
+def test_non_finite_cost_exits_usage(case, command, nodes_csv, tmp_path, capsys):
+    # finite coefficients whose p or q overflows would price every run at
+    # inf and normalize it to nan; the run is refused before any lane steps
+    flag, value, message = NON_FINITE_COST_CASES[case]
+    out = tmp_path / "out"
+    flags = (_run_flags if command == "run" else _sweep_flags)(nodes_csv, out, extra=(flag, value))
+    assert main(flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_with_negative_seed_exits_usage(nodes_csv, tmp_path, capsys):
     trace = _write(tmp_path / "trace.csv", "interval,node,ftype,count\n1,0,0,3\n")
     out = tmp_path / "out"

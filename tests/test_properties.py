@@ -61,14 +61,13 @@ from edgesim.scheduler import (
     AuditRecord,
     BoundChecks,
     RoutingContext,
-    close_created,
     distribute_interval,
     end_interval,
 )
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 from edgesim.workload import read_trace
 
-from conftest import FlushingNoCache, MirroredStats, make_stepping_policy, record_invocations, take_cached
+from conftest import FlushingNoCache, MirroredStats, make_stepping_policy, price_nocache, record_invocations, take_cached
 
 # alpha * q <= p needs alpha <= 1 / cpu^2, so every alpha below is feasible
 CPUS = (1.0, 1.5, 2.0, 2.5)
@@ -295,7 +294,11 @@ def _decision_items(decision):
     ] + [decision.interval, decision.fallback_creations]
 
 
-def _node_states(states):
+def _node_states(states, stats=True):
+    """Each node's state; without its invocation statistics unless `stats`,
+    which a no-cache lane does not keep."""
+    if not stats:
+        return [(s.node_id, s.active, s.cache, s.used_mb) for s in states]
     return [(s.node_id, s.active, s.cache, s.freq, s.last_used, s.used_mb) for s in states]
 
 
@@ -363,7 +366,8 @@ def test_admission_step_equals_full_routing(config):
     # a no-cache lane's caches are empty at every interval start, so routing
     # by creation alone, or closing an interval that fits as it is routed,
     # and closing by destroying what was created decide, price and close as
-    # full routing and the step-by-step close do
+    # full routing and the step-by-step close do; only the reference keeps
+    # invocation statistics
     ctx = RoutingContext(config.topology, config.catalog, config.params)
     n_types = len(config.catalog)
     sides = [
@@ -374,15 +378,16 @@ def test_admission_step_equals_full_routing(config):
     rng = np.random.default_rng(config.seed)
     for batch in config.batches:
         decision = distribute_interval(batch, states, ctx, policy, rng)
-        running = close_created(decision, states, ctx)
+        switching, running = price_nocache(decision, states, ctx)
         ref = distribute_one_request_at_a_time(batch, ref_states, ctx, ref_policy, rng)
         ref_running = interval_running_cost(ref_states, ctx)
         end_interval(ref_states, ref_policy, batch.interval, config.catalog, ref)
         decision.check_conservation(batch)
         # insertion order fixes the float sums of the switching and communication costs
         assert _decision_items(decision) == _decision_items(ref)
+        assert switching.hex() == interval_switching_cost(ref, ctx).hex()
         assert running.hex() == ref_running.hex()
-        assert _node_states(states) == _node_states(ref_states)
+        assert _node_states(states, stats=False) == _node_states(ref_states, stats=False)
         assert vars(policy) == vars(ref_policy)
 
 
@@ -413,15 +418,16 @@ def streams_with_zero_counts(draw):
 
 
 def _state_bits(states):
-    return [(s.node_id, s.active, s.cache, s.freq, s.last_used, s.used_mb.hex()) for s in states]
+    return [(s.node_id, s.active, s.cache, s.used_mb.hex()) for s in states]
 
 
 @settings(SETTINGS, max_examples=100)
 @given(config=streams_with_zero_counts())
 def test_nocache_closed_as_routed_equals_open_routing(config):
-    # a lone NoCache lane closes each interval that fits as it routes it;
-    # FlushingNoCache holds idle containers as far as the router knows, so
-    # every interval of it is routed open. close_created closes both.
+    # a lone NoCache lane closes and prices each interval that fits as it
+    # routes it; FlushingNoCache holds idle containers as far as the router
+    # knows, so every interval of it is routed open, closed by close_created
+    # and keeps invocation statistics, which a NoCache lane does not.
     ctx = RoutingContext(config.topology, config.catalog, config.params)
     n_types = len(config.catalog)
     lane, ref = (
@@ -431,19 +437,49 @@ def test_nocache_closed_as_routed_equals_open_routing(config):
     rng = np.random.default_rng(config.seed)
     for batch in config.batches:
         counts = list(batch.counts.items())
-        (decision, running), (ref_decision, ref_running) = [
-            (d := distribute_interval(batch, states, ctx, policy, rng), close_created(d, states, ctx))
+        (decision, (switching, running)), (ref_decision, (ref_switching, ref_running)) = [
+            (d := distribute_interval(batch, states, ctx, policy, rng), price_nocache(d, states, ctx))
             for states, policy in (lane, ref)
         ]
         assert list(batch.counts.items()) == counts  # every lane shares the batch
         assert not ref_decision.closed
         assert _decision_items(decision) == _decision_items(ref_decision)
         assert decision.total_created() == ref_decision.total_created()
-        assert repr(interval_switching_cost(decision, ctx)) == repr(interval_switching_cost(ref_decision, ctx))
+        assert repr(switching) == repr(ref_switching)
         assert repr(interval_comm_cost(decision, config.topology)) == repr(interval_comm_cost(ref_decision, config.topology))
         assert repr(running) == repr(ref_running)
         assert _state_bits(lane[0]) == _state_bits(ref[0])
         assert vars(lane[1]) == vars(ref[1])
+
+
+@SETTINGS
+@given(
+    config=tiny_configs(
+        max_nodes=4, capacities=TIGHT_CAPACITIES, max_count=6,
+        catalogs=(DEFAULT_CATALOG, FRACTIONAL_CATALOG), global_stats=(False, True),
+    ),
+    check=st.sampled_from(("off", "full")),
+    audit=st.booleans(),
+)
+def test_nocache_lane_keeps_no_state_between_intervals(config, check, audit):
+    # closed as routed or routed open, with overflow and rejections on tight
+    # nodes, audited or checked: a no-cache lane's nodes hold no container
+    # and no invocation statistics when an interval starts or has closed
+    config = replace(config, policy="nocache", check=check, audit=audit)
+    ctx = RoutingContext(config.topology, config.catalog, config.params)
+    lane = sim._Lane(config, [config.params], ctx, {})
+    zeros = [0] * len(config.catalog)
+
+    def assert_stateless():
+        for state in lane.states:
+            assert state.active == state.cache == state.freq == state.last_used == zeros
+            if config.catalog is DEFAULT_CATALOG:  # whole MB: occupancy sums are exact
+                assert state.used_mb.hex() == (0.0).hex()
+
+    assert_stateless()
+    for batch in config.batches:
+        assert lane.step(batch), lane.failures
+        assert_stateless()
 
 
 class TwoPassFixedCaching(EvictionPolicy):
@@ -667,7 +703,7 @@ def _trajectory(lane):
         lane.audit,
         {alpha: f"{type(exc).__name__}: {exc}" for alpha, exc in lane.failures.items()},
         (lane.rejections, lane.fallback_creations),
-        _node_states(lane.states) if lane.states else None,
+        _node_states(lane.states, stats=not isinstance(lane.policy, NoCache)) if lane.states else None,
         vars(lane.policy) if lane.policy else None,
         lane.rng.bit_generator.state if lane.rng else None,
     )
@@ -730,7 +766,7 @@ def test_lockstep_lanes_equal_lone_runs(config, alphas, infeasible):
 
     def recording(log):
         def check(cfg, states, interval):
-            log.append((cfg.policy, cfg.check, interval, copy.deepcopy(_node_states(states))))
+            log.append((cfg.policy, cfg.check, interval, copy.deepcopy(_node_states(states, stats=cfg.policy != "nocache"))))
             return check_states(cfg, states, interval)
         return check
 

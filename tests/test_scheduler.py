@@ -25,13 +25,12 @@ from edgesim.scheduler import (
     AuditRecord,
     BoundChecks,
     RoutingContext,
-    close_created,
     distribute_interval,
     end_interval,
     write_audit_csv,
 )
 
-from conftest import create_active, make_stepping_policy, make_topology, record_invocations
+from conftest import create_active, make_stepping_policy, make_topology, price_nocache, record_invocations
 from test_properties import FRACTIONAL_CATALOG
 
 WEB = DEFAULT_CATALOG[0]
@@ -257,31 +256,31 @@ def test_end_interval_nocache_destroys_everything():
     assert states[0].cache[0] == 0 and states[0].used_mb == 0
 
 
-def _nocache_route(capacities, counts, catalog=ONE_TYPE, audit=None, bounds=False, global_stats=False):
+def _nocache_route(capacities, counts, catalog=ONE_TYPE, audit=None, bounds=False, global_stats=False, cpus=None):
     """Route one interval of a lone `NoCache` lane and close it; the decision,
-    the running cost and the states."""
-    topo, params, ctx, states = _setup(capacities, catalog=catalog)
+    its (switching, running) costs and the states."""
+    topo, params, ctx, states = _setup(capacities, catalog=catalog, cpus=cpus)
     policy = make_policy("nocache", len(catalog), global_stats=global_stats)
     check = BoundChecks(ctx, [ctx.alpha]) if bounds else None
     decision = distribute_interval(RequestBatch(1, counts), states, ctx, policy, np.random.default_rng(0), audit=audit, check=check)
-    return decision, close_created(decision, states, ctx), states, policy
+    return decision, price_nocache(decision, states, ctx), states, policy
 
 
 def test_nocache_exact_fill_closes_as_routed():
-    # 2 x 55 MB fill 110 MB exactly: the fit test is <=, as the router's
-    decision, running, states, policy = _nocache_route([110.0], {(0, 0): 2}, global_stats=True)
+    # 2 x 55 MB fill 110 MB exactly: the fit test is <=, as the router's;
+    # at 2 GHz, p = 55 / 2 and q = 55 * 2
+    decision, (switching, running), states, policy = _nocache_route([110.0], {(0, 0): 2}, global_stats=True, cpus=[2.0])
     assert decision.closed
     assert decision.created == decision.local_served == {(0, 0): 2}
     assert decision.offloaded == decision.destroyed == decision.rejected == {}
-    assert running == 2 * 55.0
+    assert (switching, running) == (2 * 27.5, 2 * 110.0)
     state = states[0]
-    assert (state.active, state.cache, state.freq, state.last_used) == ([0], [0], [2], [1])
+    assert (state.active, state.cache, state.freq, state.last_used) == ([0], [0], [0], [0])
     assert state.used_mb.hex() == (0.0).hex()
-    assert policy._stats(state, states) == ([2], [1])
 
 
 def test_nocache_one_mb_over_stays_open():
-    decision, running, states, _ = _nocache_route([109.0], {(0, 0): 2})
+    decision, (_, running), states, _ = _nocache_route([109.0], {(0, 0): 2})
     assert not decision.closed
     assert decision.created == {(0, 0): 1} and decision.rejected == {(0, 0): 1}
     assert running == 55.0 and states[0].used_mb == 0.0
@@ -294,23 +293,22 @@ def test_nocache_audited_checked_or_fractional_interval_stays_open(case):
     decision, _, states, _ = _nocache_route([4000.0], {(0, 0): 3}, catalog=catalog, audit=audit, bounds=case == "bounds")
     assert not decision.closed
     assert decision.created == decision.local_served == {(0, 0): 3}
-    assert states[0].active == [0] and states[0].freq == [3]
+    assert states[0].active == [0] and states[0].freq == [0] and states[0].last_used == [0]
     if audit is not None:
         assert [r.action for r in audit] == ["create"] * 3
 
 
-def test_nocache_zero_count_key_keeps_its_statistics():
+def test_nocache_zero_count_key_is_neither_created_nor_priced():
     counts = {(0, 0): 0, (0, 1): 2, (1, 3): 0}
-    decision, running, states, _ = _nocache_route([4000.0, 4000.0], counts, catalog=DEFAULT_CATALOG)
+    decision, (switching, running), states, _ = _nocache_route([4000.0, 4000.0], counts, catalog=DEFAULT_CATALOG)
     assert decision.closed
     assert decision.created == decision.local_served == {(0, 1): 2}
-    assert states[0].freq == [0, 2, 0, 0] and states[0].last_used == [0, 1, 0, 0]
-    assert states[1].freq == [0] * 4 and states[1].last_used == [0] * 4
-    assert running == 2 * 158.0
+    assert all(s.freq == s.last_used == [0] * 4 for s in states)
+    assert switching == running == 2 * 158.0
 
 
 def test_nocache_count_beyond_float_range_stays_open():
-    decision, running, _, _ = _nocache_route([110.0], {(0, 0): 10**400})
+    decision, _, _, _ = _nocache_route([110.0], {(0, 0): 10**400})
     assert not decision.closed
     assert decision.created == {(0, 0): 2} and decision.rejected == {(0, 0): 10**400 - 2}
 

@@ -88,8 +88,9 @@ OVERFLOW_CREATE = (
     '                    raise ContractError(f"node {v2}: a creation step for type {n} created nothing")\n'
     "                state_2.used_mb = used\n"
     "                state_2.active[n] += k\n"
-    "                state_2.freq[n] += k\n"
-    "                state_2.last_used[n] = t\n"
+    "                if holds_idle:\n"
+    "                    state_2.freq[n] += k\n"
+    "                    state_2.last_used[n] = t\n"
     "                created[(v2, n)] = created.get((v2, n), 0) + k\n"
     "                offloaded[route] = offloaded.get(route, 0) + k\n"
     "                decision.fallback_creations += k\n"
@@ -117,7 +118,7 @@ MUTANTS = [
            "{p.alpha: lane.ledger.total_cost(p.alpha)", "{p.alpha: lane.ledger.total_cost()",
            "every alpha priced at the first alpha's weight"),
     Mutant("skip-shared-input-check", SIM,
-           "    validate_fit(config.topology, config.catalog)\n    failures = {}\n", "    failures = {}\n",
+           "    validate_fit(config.topology, config.catalog, config.params)\n    failures = {}\n", "    failures = {}\n",
            "an input every lane shares fails cell by cell instead of raising"),
     Mutant("nocache-not-own-baseline", SIM,
            '    if config.policy != "nocache":', "    if True:",
@@ -188,7 +189,8 @@ MUTANTS = [
            "    for (v, n), count in sorted(decision.created.items()):", "    for (v, n), count in decision.created.items():",
            "the no-cache close prices in insertion order, not node-major"),
     Mutant("fallback-no-invocation", SCHED,
-           "                state_2.freq[n] += k\n                state_2.last_used[n] = t\n"
+           "                if holds_idle:\n"
+           "                    state_2.freq[n] += k\n                    state_2.last_used[n] = t\n"
            "                created[(v2, n)]",
            "                created[(v2, n)]",
            "a fallback creation updates no invocation statistics"),
@@ -198,7 +200,7 @@ MUTANTS = [
            "                state_v.freq[n] += hit\n",
            "a cache hit counts the invocation but keeps the old last_used"),
     Mutant("create-counts-one-invocation", SCHED,
-           "            state_v.freq[n] += k\n", "            state_v.freq[n] += 1\n",
+           "                state_v.freq[n] += k\n", "                state_v.freq[n] += 1\n",
            "a batch of creations at the origin counts as one invocation"),
     Mutant("running-cost-skips-cache-only-cell", COSTS,
            "            elif cache[n]:\n                total += q_v[n] * cache[n]\n", "",
@@ -212,20 +214,32 @@ MUTANTS = [
            "an origin that its requests fill exactly is routed open"),
     Mutant("fold-keeps-zero-counts", SCHED,
            "    for key, c in batch.counts.items():\n        if c:\n", "    for key, c in batch.counts.items():\n        if True:\n",
-           "a zero-count key is created and stamps its type's last_used"),
+           "a zero-count key is created at its origin and priced"),
     Mutant("fold-fractional-sizes", SCHED,
            "        whole = all(float(m).is_integer() for m in self.mem) and", "        whole = True and",
            "an interval of fractional sizes is closed as routed, with `used_mb` left at other bits"),
     Mutant("fold-under-bound-checks", SCHED,
            "audit is None and check is None and ctx.whole_mem", "audit is None and ctx.whole_mem",
            "a bound-checked no-cache interval skips its checks"),
-    Mutant("closed-still-destroys", SCHED,
-           "    if decision.closed:\n", "    if False:\n",
-           "the close destroys a closed decision's containers a second time"),
+    Mutant("closed-still-destroys", SIM,
+           "            if decision.closed:\n", "            if False:\n",
+           "the lane closes a closed decision, destroying its containers a second time"),
     Mutant("closed-priced-by-p", SCHED,
-           "            running += q[v][n] * count\n        return running\n",
-           "            running += ctx.p[v][n] * count\n        return running\n",
+           "            running += q_v[n] * c\n", "            running += p_v[n] * c\n",
            "a closed interval's running cost is priced with p"),
+    Mutant("closed-switching-priced-by-q", SCHED,
+           "            switching += p_v[n] * c\n", "            switching += q_v[n] * c\n",
+           "a closed interval's switching cost is priced with q"),
+    Mutant("closed-priced-before-fit-test", SCHED,
+           "            if need > room:\n                return None\n            created[key] = c\n"
+           "            switching += p_v[n] * c\n            running += q_v[n] * c\n",
+           "            switching += p_v[n] * c\n            running += q_v[n] * c\n"
+           "            if need > room:\n                return None\n            created[key] = c\n",
+           "a key is priced before its fit test, so a count beyond float range overflows instead of routing open"),
+    Mutant("nocache-keeps-statistics", SCHED,
+           "            if holds_idle:\n                state_v.freq[n] += k\n",
+           "            if True:\n                state_v.freq[n] += k\n",
+           "a no-cache lane's creations at the origin count invocations it never reads"),
     # batched overflow
     Mutant("overflow-creates-before-idle", SCHED,
            OVERFLOW_IDLE + OVERFLOW_CREATE, OVERFLOW_CREATE + OVERFLOW_IDLE,
@@ -317,6 +331,9 @@ MUTANTS = [
     Mutant("output-cleanup-keeps-directories", CLI,
            "(os.rmdir, made)", "(os.rmdir, ())",
            "a failed write removes its files but leaves the directories it created"),
+    Mutant("output-rewritten-in-place", CLI,
+           "                os.remove(path)\n            opened.append(path)\n", "            opened.append(path)\n",
+           "an output that exists is truncated and rewritten in place, or through its symlink, not replaced"),
     Mutant("output-oserror-unconverted", CLI,
            "        if isinstance(exc, OSError):\n", "        if False:\n",
            "an output file that cannot be written ends in a traceback, not exit 2"),
@@ -350,6 +367,9 @@ MUTANTS = [
     Mutant("fallback-by-distance", SCHED,
            "key=lambda v2: (self.d[v][v2] + self.p[v2][n], v2)", "key=lambda v2: (self.d[v][v2], v2)",
            "overflow goes to the nearest node, not the cheapest by d + p"),
+    Mutant("non-finite-cost-accepted", MODEL,
+           "                if not math.isfinite(value):\n", "                if False:\n",
+           "a p or q that overflows to inf is simulated, pricing every run at inf"),
     Mutant("validate-fit-half", MODEL,
            "        if node.capacity_mb < max_mem:", "        if node.capacity_mb < max_mem / 2:",
            "a node too small for the largest container is accepted"),
