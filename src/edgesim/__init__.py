@@ -11,7 +11,6 @@ from .model import (
     RequestBatch,
     Topology,
     comm_cost_from_coords,
-    occupancy,
     running_cost,
     switching_cost,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "generate_batch",
     "ingest_trace",
     "make_policy",
-    "occupancy",
     "pcache_distribution",
     "per_request_lower_bound",
     "run",

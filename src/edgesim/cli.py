@@ -171,7 +171,7 @@ def _write_outputs(outdir, files):
 def _write_jsonl(records, path):
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -269,7 +269,7 @@ def cmd_oracle(args) -> int:
             "cost": cost,
             "ratio": (cost / solution.cost) if solution.cost > 0 else None,
         }
-    print(json.dumps(out, sort_keys=True))
+    print(json.dumps(out, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

@@ -128,17 +128,6 @@ def left_sum(values):
     return reduce(add, values, 0)
 
 
-def occupancy(state: NodeState, catalog) -> float:
-    """Memory in MB held by this node's alive containers (serving + cached).
-    A left fold from the int 0 in catalog order, as `left_sum` adds; the full
-    state check (`sim._check_states`) folds the same terms inline, to the same
-    bits."""
-    total = 0
-    for f in catalog:
-        total += f.mem_mb * (state.active[f.id] + state.cache[f.id])
-    return total
-
-
 def validate_fit(topology: Topology, catalog, params: CostParams) -> None:
     """The alpha-independent half of `validate_setup`: a non-empty catalog
     with dense ids, every node able to hold the largest container, and a

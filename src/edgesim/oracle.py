@@ -455,64 +455,6 @@ def competitive_check(records, topology: Topology, catalog, params: CostParams) 
     )
 
 
-def random_tiny_instance(rng: np.random.Generator) -> TinyInstance:
-    """Random enumerable instance where local creation is always feasible.
-
-    Every node gets capacity for one full interval's global demand, which
-    rules out the overflow/rejection channel (a rejecting policy could
-    otherwise undercut the optimum); caches accumulating across intervals
-    still trigger eviction.
-    """
-    V = int(rng.integers(1, MAX_NODES + 1))
-    N = int(rng.integers(1, MAX_TYPES + 1))
-    T = int(rng.integers(1, MAX_INTERVALS + 1))
-    mems = rng.uniform(50, 350, size=N)
-    catalog = tuple(FunctionType(n, float(round(mems[n], 1))) for n in range(N))
-    cpus = rng.uniform(0.5, 2.0, size=V)
-
-    # <= 3 requests per interval, <= 2 per type, one per (node, type) slot
-    lam = np.zeros((T + 1, V, N), dtype=int)
-    for t in range(1, T + 1):
-        slots = [(v, n) for v in range(V) for n in range(N)]
-        rng.shuffle(slots)
-        per_type = [0] * N
-        placed = 0
-        for v, n in slots:
-            if placed >= 3:
-                break
-            if per_type[n] >= 2:
-                continue
-            if rng.random() < 0.6:
-                lam[t, v, n] = 1
-                per_type[n] += 1
-                placed += 1
-
-    demand_mb = 0.0
-    for t in range(1, T + 1):
-        demand_mb = max(demand_mb, left_sum(lam[t, :, n].sum() * catalog[n].mem_mb for n in range(N)))
-    cap = max(demand_mb, max(f.mem_mb for f in catalog)) * float(rng.uniform(1.0, 1.3))
-
-    nodes = [EdgeNode(v, float(round(cap, 1)), float(round(cpus[v], 2))) for v in range(V)]
-    dmat = np.zeros((V, V))
-    for i in range(V):
-        for j in range(i + 1, V):
-            dmat[i, j] = dmat[j, i] = float(round(rng.uniform(0.5, 150.0), 2))
-    topology = Topology(nodes=nodes, comm_cost=dmat)
-
-    alpha = float(rng.uniform(0.002, 0.02))
-    max_cpu = max(n.cpu_ghz for n in nodes)
-    run_coeff = float(rng.uniform(0.1, 0.9)) / (alpha * max_cpu**2)
-    params = CostParams(alpha=alpha, switch_coeff=1.0, run_coeff=run_coeff)
-
-    batches = []
-    for t in range(1, T + 1):
-        counts = {
-            (v, n): int(lam[t, v, n]) for v in range(V) for n in range(N) if lam[t, v, n]
-        }
-        batches.append(RequestBatch(interval=t, counts=counts))
-    return TinyInstance(topology=topology, catalog=catalog, params=params, horizon=T, batches=batches)
-
-
 def instance_from_json(obj: dict) -> TinyInstance:
     """Build an instance from the CLI's JSON schema.
 
@@ -574,20 +516,3 @@ def _instance_from_json(obj: dict) -> TinyInstance:
         bucket[key] = bucket.get(key, 0) + _integer(c)
     batches = [RequestBatch(interval=t, counts=cts) for t, cts in sorted(per_interval.items())]
     return TinyInstance(topology=topology, catalog=catalog, params=params, horizon=horizon, batches=batches)
-
-
-def instance_to_json(instance: TinyInstance) -> dict:
-    return {
-        "nodes": [
-            {"id": n.id, "capacity_mb": n.capacity_mb, "cpu_ghz": n.cpu_ghz} for n in instance.topology.nodes
-        ],
-        "comm_cost": [[float(x) for x in row] for row in instance.topology.comm_cost],
-        "types": [{"id": f.id, "mem_mb": f.mem_mb, "name": f.name} for f in instance.catalog],
-        "alpha": instance.params.alpha,
-        "switch_coeff": instance.params.switch_coeff,
-        "run_coeff": instance.params.run_coeff,
-        "horizon": instance.horizon,
-        "requests": [
-            [b.interval, v, n, c] for b in instance.batches for (v, n), c in b.counts.items()
-        ],
-    }

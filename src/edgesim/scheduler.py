@@ -41,7 +41,6 @@ class RoutingContext:
         self.topology = topology
         self.catalog = catalog
         self.n_nodes = topology.n_nodes
-        self.alpha = params.alpha
         self.mem = [f.mem_mb for f in catalog]
         self.capacity = [node.capacity_mb for node in topology.nodes]
         whole = all(float(m).is_integer() for m in self.mem) and max(self.capacity) < 2**53
@@ -77,7 +76,9 @@ class BoundChecks:
     request's realized cost and bound differ between alphas only through
     alpha * q: `live` maps each alpha still checked to its alpha * q table.
     The first violation at an alpha is kept in `failures` and ends that
-    alpha's checks; the other alphas carry on.
+    alpha's checks; the other alphas carry on. The router reads these tables
+    only for a channel whose cost exceeds its bound term (see `note` in
+    `distribute_interval`): every other channel passes at every alpha.
     """
 
     def __init__(self, ctx: RoutingContext, alphas):
@@ -175,9 +176,11 @@ def distribute_interval(
     while requests are routed (`holds_idle` False) has nothing to hit,
     offload to or evict, so its groups go straight to creation. Each request
     is audited at the context's alpha; all but overflow creations are
-    bound-checked by `check`. Each step moves its containers; a step of a
-    policy that holds idle containers also keeps the serving node's
-    `freq`/`last_used`, which no one reads for any other policy.
+    bound-checked by `check` once per channel, the requests one step serves
+    at one node: by one compare for a channel whose cost is within its bound
+    term, and at every live alpha otherwise. Each step moves its containers;
+    a step of a policy that holds idle containers also keeps the serving
+    node's `freq`/`last_used`, which no one reads for any other policy.
 
     An interval of such a policy that is neither audited nor bound-checked,
     with whole-MB sizes (`ctx.whole_mem`) and every origin able to host its
@@ -204,15 +207,21 @@ def distribute_interval(
     holds_idle = policy.holds_idle
     trace = audit is not None or check is not None
 
-    # `count` requests of one channel, each costing cost + alpha*q against the
-    # bound max(alpha*q + p, alpha*q + d) = alpha*q + top, with top = max(p, d).
     def note(origin, n, action, serving, cost, top, count, checked=True):
+        """Audit and bound-check the `count` requests of one channel, each
+        costing cost + alpha*q against the bound max(alpha*q + p, alpha*q + d)
+        = alpha*q + top, with top = max(p, d). `checked` is False for an
+        overflow creation, which the worst-case analysis does not cover."""
         if audit is not None:
             aq = aq_audit[origin][n]
             audit.extend([AuditRecord(t, origin, n, action, serving, cost + aq, aq + top)] * count)
-        if checked and check is not None:
-            # the channel's `count` requests share cost, top and alpha*q, so
-            # one check per alpha judges them all
+        # The channel's `count` requests share cost, top and alpha*q, so one
+        # check per alpha judges them all, and one compare settles every
+        # alpha of a channel with cost <= top: rounding is monotone and +
+        # commutes, so fl(cost + aq) <= fl(aq + top) <= fl(fl(aq + top) + 1e-9)
+        # for any aq, infinities included, and `cost + aq > aq + top + 1e-9`
+        # is False at every alpha. Only a channel with cost > top runs the loop.
+        if checked and check is not None and cost > top:
             for alpha, aq_table in check.live.items():
                 aq = aq_table[origin][n]
                 if cost + aq > aq + top + 1e-9:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -118,8 +119,8 @@ def _check_states(config: SimConfig, states, interval: int) -> None:
     node's first type that breaks either, no cached container of a
     never-invoked type, and no negative count.
 
-    One indexed pass per node folds the occupancy from the int 0, to the
-    bits of `model.occupancy`, and notes that first type.
+    One indexed pass per node folds the occupancy from the int 0 in catalog
+    order, as `left_sum` adds, and notes that first type.
     """
     mems = [f.mem_mb for f in config.catalog]
     types = range(len(mems))
@@ -282,8 +283,20 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
 
 
 def _totals(lane: _Lane, params: list[CostParams]) -> dict:
-    """alpha -> the lane's total cost, for every alpha of `params` it did not fail at."""
-    return {p.alpha: lane.ledger.total_cost(p.alpha) for p in params if p.alpha not in lane.failures}
+    """alpha -> the lane's total cost, for every alpha of `params` it did not
+    fail at. A total that is not finite (finite costs that overflow when
+    summed) fails its alpha here, with a ConfigError naming it."""
+    totals = {}
+    for p in params:
+        if p.alpha not in lane.failures:
+            total = lane.ledger.total_cost(p.alpha)
+            if math.isfinite(total):
+                totals[p.alpha] = total
+            else:
+                lane.failures[p.alpha] = ConfigError(
+                    f"the {lane.config.policy} total cost at alpha {p.alpha} is {total}: the costs overflow float range"
+                )
+    return totals
 
 
 def _summaries(lane: _Lane, params: list[CostParams], baselines: dict) -> dict:
@@ -321,19 +334,22 @@ def _run_lanes(configs: list[SimConfig], params: list[CostParams]) -> list:
     """Simulate `configs` on one request stream; (lane, summaries) per config.
 
     configs[0] is the no-cache lane that normalizes the others, and an alpha
-    it failed at fails them too. A checked no-cache lane that failed at an
+    it failed at fails them too; a total that is not finite fails its alpha
+    (`_totals`). A checked no-cache lane whose simulation failed at an
     alpha another lane still needs is replaced there by one unchecked
-    no-cache run, the baseline a lone `run()` normalizes by.
+    no-cache run, the baseline a lone `run()` normalizes by. A total that
+    overflows is not re-simulated: it would overflow again.
     """
     lanes = _simulate(configs, params)
     base, others = lanes[0], lanes[1:]
+    missing = [p for p in params if p.alpha in base.failures and any(p.alpha not in lane.failures for lane in others)]
     baselines = _totals(base, params)
     failed = base.failures
-    missing = [p for p in params if p.alpha in failed and any(p.alpha not in lane.failures for lane in others)]
     if missing and base.config.check != "off":
         [spare] = _simulate([replace(base.config, check="off")], missing)
         baselines.update(_totals(spare, missing))
-        failed = spare.failures
+        redone = {p.alpha for p in missing}
+        failed = {alpha: exc for alpha, exc in failed.items() if alpha not in redone} | spare.failures
     for lane in others:
         for alpha, exc in failed.items():
             lane.failures.setdefault(alpha, exc)
@@ -358,7 +374,7 @@ def run(config: SimConfig) -> RunResult:
 
 
 def summary_json(result: RunResult) -> str:
-    return json.dumps(result.summary, sort_keys=True)
+    return json.dumps(result.summary, sort_keys=True, allow_nan=False)
 
 
 @dataclass

@@ -12,11 +12,11 @@ import pytest
 from scipy.stats import ttest_1samp
 
 from edgesim.model import DEFAULT_CATALOG, CostParams, NodeState
-from edgesim.oracle import check_witness, competitive_check, random_tiny_instance, solve_exact
+from edgesim.oracle import check_witness, competitive_check, solve_exact
 from edgesim.policies import pcache_distribution, pcache_select_victim
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 
-from conftest import desk_topology
+from conftest import desk_topology, random_tiny_instance
 
 BETAS = [0.5, 1.0, 1.5]
 TREND_ALPHAS = [0.001, 0.005, 0.015]

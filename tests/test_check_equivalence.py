@@ -28,10 +28,10 @@ from edgesim.model import (
     NodeState,
     RequestBatch,
     Topology,
-    occupancy,
 )
 from edgesim.scheduler import RoutingContext
 
+from conftest import occupancy
 from test_properties import FRACTIONAL_CATALOG
 
 SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

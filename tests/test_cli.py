@@ -250,6 +250,22 @@ def test_oracle_witness_that_fails_its_replay_exits_1(tmp_path, capsys, monkeypa
     assert "invariant violation: the witness costs" in captured.err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_oracle_with_overflowing_costs_prints_no_infinity(tmp_path, capsys):
+    # p is finite (3e305 * 55 MB), but the two intervals' switching sums past
+    # float range: the solver finds no finite routing, exits 2, prints nothing
+    obj = _instance_obj()
+    obj["switch_coeff"] = 3e305
+    obj["types"] = [{"id": 0, "mem_mb": 55.0}, {"id": 1, "mem_mb": 55.0}]
+    obj["requests"] = [[1, 0, 0, 7], [2, 0, 1, 7]]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    assert main(["oracle", "--instance", str(path), "--compare", "pcache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_oracle_oversize_instance_refused(tmp_path, capsys):
     obj = _instance_obj()
     obj["horizon"] = 9
@@ -675,6 +691,44 @@ def test_non_finite_cost_exits_usage(case, command, nodes_csv, tmp_path, capsys)
     assert main(flags) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _strict_json(line):
+    """Parse one JSON line as RFC 8259 does: NaN and Infinity are no JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_run_with_non_finite_total_exits_usage(nodes_csv, tmp_path, capsys):
+    # p = 1e305 * 55 MB is finite and passes validate_fit, but a few dozen
+    # creations sum past float range: the total is inf and would normalize to nan
+    out = tmp_path / "out"
+    assert main(_run_flags(nodes_csv, out, extra=("--switch-coeff", "1e305"))) == 2
+    captured = capsys.readouterr()
+    assert "total cost at alpha 0.01 is inf" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_sweep_with_non_finite_total_writes_error_records(nodes_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(_sweep_flags(nodes_csv, out, extra=("--switch-coeff", "1e305"))) == 0
+    assert "0 runs, 12 failures" in capsys.readouterr().out  # 2 alphas x 2 betas x (pcache, lru, nocache)
+    assert (out / "results.jsonl").read_text() == ""
+    errors = [_strict_json(line) for line in (out / "errors.jsonl").read_text().splitlines()]
+    assert len(errors) == 12
+    assert all("total cost at alpha" in e["error"] and "is inf" in e["error"] for e in errors)
+    assert (out / "avg_cost_by_alpha.csv").read_text().splitlines() == ["beta,alpha,policy,normalized_cost"]
+
+
+def test_json_writers_refuse_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_jsonl([{"total_cost": math.inf}], tmp_path / "summary.json")
+    with pytest.raises(ValueError):
+        sim.summary_json(sim.RunResult(ledger=None, summary={"normalized_cost": math.nan}))
 
 
 def test_trace_with_negative_seed_exits_usage(nodes_csv, tmp_path, capsys):

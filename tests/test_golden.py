@@ -25,11 +25,11 @@ import pytest
 import edgesim
 from edgesim import cli, sim
 from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, FunctionType, RequestBatch, Topology
-from edgesim.oracle import TinyInstance, check_witness, instance_to_json, random_tiny_instance, solve_exact
+from edgesim.oracle import TinyInstance, check_witness, solve_exact
 from edgesim.policies import make_policy
 from edgesim.sim import SimConfig, run, summary_json
 
-from conftest import desk_topology
+from conftest import desk_topology, instance_to_json, random_tiny_instance
 
 DESK_GOLDEN = {
     ("pcache", "off"): "7e63fe054a1bb367353601dbfcc1daa58150c70869715d3c2eba6a40496c5644",

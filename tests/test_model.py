@@ -13,7 +13,6 @@ from edgesim.model import (
     Topology,
     comm_cost_from_coords,
     load_topology,
-    occupancy,
     running_cost,
     switching_cost,
     validate_setup,
@@ -21,7 +20,7 @@ from edgesim.model import (
 from edgesim.policies import make_policy
 from edgesim.scheduler import RoutingContext
 
-from conftest import make_topology, route
+from conftest import make_topology, occupancy, route
 
 WEB, FILEPROC, CHECKOUT, IMGREC = DEFAULT_CATALOG
 

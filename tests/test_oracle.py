@@ -12,16 +12,14 @@ from edgesim.oracle import (
     check_witness,
     competitive_check,
     instance_from_json,
-    instance_to_json,
     per_request_bound,
     per_request_lower_bound,
-    random_tiny_instance,
     solve_exact,
 )
 from edgesim.scheduler import AuditRecord
 from edgesim.sim import SimConfig, run
 
-from conftest import make_topology
+from conftest import instance_to_json, make_topology, random_tiny_instance
 
 
 def _one_node_instance(horizon, request_intervals, alpha=0.01, run_coeff=1.0, capacity=400.0):

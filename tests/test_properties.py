@@ -33,7 +33,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
-from edgesim import oracle, sim
+from edgesim import oracle, scheduler, sim
 from edgesim.costs import (
     CostLedger,
     IntervalDecision,
@@ -52,10 +52,9 @@ from edgesim.model import (
     Topology,
     load_catalog,
     load_topology,
-    occupancy,
     validate_setup,
 )
-from edgesim.oracle import MAX_ENUM_OPS, MAX_INTERVALS, TinyInstance, random_tiny_instance, solve_exact
+from edgesim.oracle import MAX_ENUM_OPS, MAX_INTERVALS, TinyInstance, solve_exact
 from edgesim.policies import POLICY_NAMES, EvictionPolicy, FixedCaching, NoCache, make_policy
 from edgesim.scheduler import (
     AuditRecord,
@@ -67,7 +66,16 @@ from edgesim.scheduler import (
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 from edgesim.workload import read_trace
 
-from conftest import FlushingNoCache, MirroredStats, make_stepping_policy, price_nocache, record_invocations, take_cached
+from conftest import (
+    FlushingNoCache,
+    MirroredStats,
+    make_stepping_policy,
+    occupancy,
+    price_nocache,
+    random_tiny_instance,
+    record_invocations,
+    take_cached,
+)
 
 # alpha * q <= p needs alpha <= 1 / cpu^2, so every alpha below is feasible
 CPUS = (1.0, 1.5, 2.0, 2.5)
@@ -302,20 +310,18 @@ def _node_states(states, stats=True):
     return [(s.node_id, s.active, s.cache, s.freq, s.last_used, s.used_mb) for s in states]
 
 
-@SETTINGS
-@given(config=pressure_configs(catalogs=(DEFAULT_CATALOG, FRACTIONAL_CATALOG), global_stats=(False, True)))
-def test_table_routing_equals_one_request_at_a_time(config):
-    # fractional sizes leave a residue in `used_mb` that each creation folds
-    # into; under global statistics every eviction derives its tables from
-    # the node states, which the reference mirrors request by request
-    ctx = RoutingContext(config.topology, config.catalog, config.params)
+def _assert_routers_agree(config, ctx, alphas):
+    """Route `config`'s batches through `distribute_interval` and the
+    reference on `ctx`, both bound-checked at `alphas`, and assert that they
+    agree after every interval: decisions, node states, policy, rng, audit
+    and bound failures."""
     n_types = len(config.catalog)
     mirror = MirroredStats(n_types)
     sides = []
     for route in (distribute_interval, partial(distribute_one_request_at_a_time, mirror=mirror)):
         states = [NodeState(v, n_types) for v in range(ctx.n_nodes)]
         policy = make_stepping_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
-        sides.append((route, states, policy, np.random.default_rng(config.seed), [], BoundChecks(ctx, [ctx.alpha])))
+        sides.append((route, states, policy, np.random.default_rng(config.seed), [], BoundChecks(ctx, alphas)))
     for batch in config.batches:
         decisions = [route(batch, states, ctx, policy, rng, audit, check) for route, states, policy, rng, audit, check in sides]
         (_, states, policy, rng, audit, check), (_, ref_states, ref_policy, ref_rng, ref_audit, ref_check) = sides
@@ -325,12 +331,67 @@ def test_table_routing_equals_one_request_at_a_time(config):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert audit == ref_audit
         assert list(map(str, check.failures.items())) == list(map(str, ref_check.failures.items()))
+        assert list(check.live) == list(ref_check.live)
         if config.global_stats:
             for state in states:
                 assert policy._stats(state, states) == (mirror.freq, mirror.last_used)
         for (_, states, policy, *_), decision in zip(sides, decisions):
             interval_running_cost(states, ctx)
             end_interval(states, policy, batch.interval, config.catalog, decision)
+
+
+@SETTINGS
+@given(config=pressure_configs(catalogs=(DEFAULT_CATALOG, FRACTIONAL_CATALOG), global_stats=(False, True)))
+def test_table_routing_equals_one_request_at_a_time(config):
+    # fractional sizes leave a residue in `used_mb` that each creation folds
+    # into; under global statistics every eviction derives its tables from
+    # the node states, which the reference mirrors request by request
+    ctx = RoutingContext(config.topology, config.catalog, config.params)
+    _assert_routers_agree(config, ctx, [config.params.alpha])
+
+
+# Switching costs that put a warm hit's cost, 0.0, above its bound term p:
+# within the 1e-9 tolerance, just beyond it, and far beyond it.
+DOCTORED_P = st.sampled_from([-1e-10, -2e-9, -0.5, -60.0])
+
+
+@SETTINGS
+@given(
+    config=pressure_configs(),
+    doctored=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), DOCTORED_P, max_size=6),
+    alpha=ALPHAS,
+)
+def test_guarded_bound_checks_fail_as_the_unguarded_reference(config, doctored, alpha):
+    # `note` loops over the alphas only for a channel whose cost exceeds its
+    # bound term; the reference checks every request at every alpha. Negative
+    # switching costs make some hit channels such candidates, at alphas whose
+    # alpha*q the doctoring survives and at 1e20, where it rounds away. The
+    # context is built from the doctored costs, so its offload tables agree
+    # with the reference's scan (no neighbour lies within a negative p).
+    switching_cost = scheduler.switching_cost
+
+    def doctored_switching_cost(node, f, params):
+        return doctored.get((node.id, f.id), switching_cost(node, f, params))
+
+    with mock.patch.object(scheduler, "switching_cost", doctored_switching_cost):
+        ctx = RoutingContext(config.topology, config.catalog, config.params)
+    alphas = list(dict.fromkeys([config.params.alpha, alpha, 1e20]))
+    _assert_routers_agree(config, ctx, alphas)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=st.lists(finite_floats, min_size=2, max_size=2).map(sorted), aq=finite_floats)
+@example(pair=[-1.0, -1.0], aq=1e20)
+@example(pair=[5e-324, 1.7976931348623157e308], aq=-1.7976931348623157e308)
+@example(pair=[1.7976931348623157e308, 1.7976931348623157e308], aq=1.7976931348623157e308)
+def test_a_cost_within_its_bound_term_passes_at_every_alpha(pair, aq):
+    # the guard in `note`: cost <= top settles the check at any alpha*q, since
+    # rounding is monotone and + commutes
+    cost, top = pair
+    assert not (cost + aq > aq + top + 1e-9)
 
 
 @SETTINGS

@@ -18,7 +18,6 @@ from edgesim.model import (
     FunctionType,
     NodeState,
     RequestBatch,
-    occupancy,
 )
 from edgesim.policies import make_policy
 from edgesim.scheduler import (
@@ -30,7 +29,7 @@ from edgesim.scheduler import (
     write_audit_csv,
 )
 
-from conftest import create_active, make_stepping_policy, make_topology, price_nocache, record_invocations
+from conftest import create_active, make_stepping_policy, make_topology, occupancy, price_nocache, record_invocations
 from test_properties import FRACTIONAL_CATALOG
 
 WEB = DEFAULT_CATALOG[0]
@@ -45,9 +44,10 @@ def _setup(capacities, comm=None, cpus=None, catalog=DEFAULT_CATALOG, alpha=0.00
     return topo, params, ctx, states
 
 
-def _checked(batch, states, ctx, policy, rng, audit=None):
-    """Route one interval with every request's cost bound checked at the context's alpha."""
-    bounds = BoundChecks(ctx, [ctx.alpha])
+def _checked(batch, states, ctx, policy, rng, audit=None, alpha=0.001):
+    """Route one interval with every request's cost bound checked at `alpha`,
+    the context's alpha (`_setup`'s by default)."""
+    bounds = BoundChecks(ctx, [alpha])
     decision = distribute_interval(batch, states, ctx, policy, rng, audit=audit, check=bounds)
     assert bounds.failures == {}
     return decision
@@ -261,7 +261,7 @@ def _nocache_route(capacities, counts, catalog=ONE_TYPE, audit=None, bounds=Fals
     its (switching, running) costs and the states."""
     topo, params, ctx, states = _setup(capacities, catalog=catalog, cpus=cpus)
     policy = make_policy("nocache", len(catalog), global_stats=global_stats)
-    check = BoundChecks(ctx, [ctx.alpha]) if bounds else None
+    check = BoundChecks(ctx, [params.alpha]) if bounds else None
     decision = distribute_interval(RequestBatch(1, counts), states, ctx, policy, np.random.default_rng(0), audit=audit, check=check)
     return decision, price_nocache(decision, states, ctx), states, policy
 
@@ -454,7 +454,7 @@ def _random_roundtrip(seed, policy_name):
                 if c:
                     counts[(node, n)] = c
         batch = RequestBatch(interval=t, counts=counts)
-        d = _checked(batch, states, ctx, policy, np.random.default_rng(seed + t))
+        d = _checked(batch, states, ctx, policy, np.random.default_rng(seed + t), alpha=params.alpha)
         d.check_conservation(batch)
         for state in states:
             assert occupancy(state, DEFAULT_CATALOG) <= caps[state.node_id] + 1e-9

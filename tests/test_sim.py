@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 import edgesim.sim as sim
 from edgesim.errors import ConfigError, InvariantViolation
 from edgesim.model import CostParams, FunctionType, RequestBatch
-from edgesim.scheduler import BoundChecks
+from edgesim.scheduler import BoundChecks, RoutingContext
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 
 from conftest import desk_topology, make_topology
@@ -280,12 +281,32 @@ def _cell(base, seed, beta, alpha, policy):
     return replace(base, policy=policy, params=params, beta=beta, seed=derive_seed(seed, "cell", beta))
 
 
+class _NearBoundContext(sim.RoutingContext):
+    """A routing context whose offload candidates carry a d one ulp above the
+    origin's switching cost p: every offload channel's cost exceeds its bound
+    term, so the bound check reads its alpha * q at every live alpha, and
+    passes it (the excess is far below the 1e-9 tolerance). Routing reads only
+    the candidates' ids and the ledger prices communication from the
+    topology, so every trajectory and cost stays as it was."""
+
+    def __init__(self, topology, catalog, params):
+        super().__init__(topology, catalog, params)
+        self.offload = [
+            [[(v2, math.nextafter(p, math.inf)) for v2, _ in pairs] for pairs, p in zip(row, self.p[v])]
+            for v, row in enumerate(self.offload)
+        ]
+
+
 def test_sweep_checks_every_alpha_as_often_as_separate_runs(monkeypatch):
     """One simulation per (seed, beta, policy) keeps the coverage of one run per
     cell: validate_setup once per alpha per (seed, beta) point, since every
-    lane of a point shares its inputs, and the per-request bound at
-    every alpha for every routing channel a separate run would check, once per
-    channel, since a channel's requests share their cost and bound."""
+    lane of a point shares its inputs, and the per-request bound at every
+    alpha for every routing channel a separate run would check, once per
+    channel, since a channel's requests share their cost and bound. A channel
+    whose cost is within its bound term passes at every alpha without reading
+    an alpha * q table, so the clean grid reads none; a grid whose offload
+    channels all exceed their bound terms reads as many per alpha as the
+    separate runs do."""
     validated = Counter()
     evaluated = Counter()
     validate_setup = sim.validate_setup
@@ -319,18 +340,50 @@ def test_sweep_checks_every_alpha_as_often_as_separate_runs(monkeypatch):
     assert errors == [] and len(records) == 18
     groups = 2  # betas; the policies and the nocache baseline of a point share one check
     assert validated == {alpha: groups for alpha in alphas}
+    assert evaluated == {}
+
+    monkeypatch.setattr(sim, "RoutingContext", _NearBoundContext)
+    near_records, errors = sweep(grid, base)
+    assert errors == [] and near_records == records
     swept = dict(evaluated)
 
     evaluated.clear()
-    channels = 0
+    channels = Counter()
+    near = [[{v2 for v2, _ in pairs} for pairs in row] for row in RoutingContext(base.topology, base.catalog, base.params).offload]
     for beta in grid.betas:
         for alpha in alphas:
             for policy in ("nocache", "pcache", "lru", "fc"):
                 audit = run(replace(_cell(base, 3, beta, alpha, policy), audit=True)).audit
-                # a channel's requests share one record; fallback creations go unchecked
-                channels += len({id(rec) for rec in audit if rec.action != "create" or rec.serving_node == rec.origin})
-    assert swept == dict(evaluated)
-    assert sum(swept.values()) == channels > 0
+                # a channel's requests share one record; an overflow offload
+                # reaches only nodes beyond p, whose d is not doctored, since
+                # the nearer ones gave up their idle containers of the type first
+                channels[alpha] += len(
+                    {id(rec) for rec in audit if rec.action == "offload" and rec.serving_node in near[rec.origin][rec.ftype]}
+                )
+    assert swept == dict(evaluated) == dict(channels)
+    assert sorted(swept) == alphas and min(swept.values()) > 0
+
+
+def test_overflowing_baseline_is_simulated_once(monkeypatch):
+    """A checked no-cache baseline whose total overflows fails its alpha in
+    every lane without an unchecked re-run, which would overflow again."""
+    calls = []
+    simulate = sim._simulate
+
+    def counting_simulate(configs, params):
+        calls.append([c.policy for c in configs])
+        return simulate(configs, params)
+
+    monkeypatch.setattr(sim, "_simulate", counting_simulate)
+    base = replace(_zipf_config(horizon=20, nodes=2), params=CostParams(alpha=0.005, switch_coeff=1e305), check="full")
+    grid = SweepGrid(alphas=[0.005, 0.01], betas=[1.0], policies=["pcache", "lru"], seeds=[3])
+    records, errors = sweep(grid, base)
+    assert records == []
+    assert [(e["alpha"], e["policy"]) for e in errors] == [
+        (alpha, policy) for alpha in (0.005, 0.01) for policy in ("lru", "nocache", "pcache")
+    ]
+    assert all("total cost at alpha" in e["error"] and "is inf" in e["error"] for e in errors)
+    assert calls == [["nocache", "pcache", "lru"]]
 
 
 def test_sweep_bound_failure_ends_only_its_alpha(monkeypatch):
