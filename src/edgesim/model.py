@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
@@ -111,14 +112,18 @@ class Topology:
 
 def comm_cost_from_coords(nodes: list[EdgeNode], scale: float = 1.0) -> np.ndarray:
     """Euclidean distance between node coordinates times `scale`."""
-    if scale <= 0:
-        raise ConfigError("comm-cost scale must be > 0")
+    if not 0 < scale < math.inf:  # written so that NaN fails too
+        raise ConfigError(f"comm-cost scale must be finite and > 0, got {scale!r}")
     for node in nodes:
         if node.coord is None:
             raise ConfigError(f"node {node.id} has no coordinate; cannot derive comm costs")
     pts = np.array([n.coord for n in nodes], dtype=float)
     diff = pts[:, None, :] - pts[None, :, :]
-    return scale * np.sqrt((diff**2).sum(axis=2))
+    dist = np.sqrt((diff**2).sum(axis=2))
+    # a Python float overflows to inf silently; by monotone rounding it bounds every scaled entry
+    if not math.isfinite(scale * float(dist.max())):
+        raise ConfigError(f"comm-cost scale {scale!r} times a distance between node coordinates is not finite")
+    return scale * dist
 
 
 def left_sum(values):
@@ -297,13 +302,16 @@ def load_topology(path, comm_path=None, scale: float = 1.0) -> Topology:
 
 def load_comm_matrix(path, n_nodes: int) -> np.ndarray:
     try:
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "no data": refused below
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read comm-cost file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed comm-cost matrix: {exc}") from exc
     if rows.shape != (n_nodes, n_nodes):
-        raise ConfigError(f"{path}: comm-cost matrix must be {n_nodes}x{n_nodes}, got {rows.shape}")
+        got = rows.shape if rows.size else "no rows"
+        raise ConfigError(f"{path}: comm-cost matrix must be {n_nodes}x{n_nodes}, got {got}")
     return rows
 
 

@@ -167,20 +167,20 @@ def distribute_interval(
 
     Each (origin, type) group is served from the origin's cache first, then
     from cached containers at nodes whose communication cost does not exceed
-    the origin's switching cost (nearest first), then by creating containers
-    at the origin, as many at once as fit, evicting via the policy under
-    capacity pressure. What the origin cannot host even with an empty cache
-    overflows in one pass over the other nodes by ascending (d + p): each
-    serves from its cache, then creates as many as fit, evicting likewise;
-    what no node can host is rejected. A policy that holds no idle container
-    while requests are routed (`holds_idle` False) has nothing to hit,
-    offload to or evict, so its groups go straight to creation. Each request
-    is audited at the context's alpha; all but overflow creations are
-    bound-checked by `check` once per channel, the requests one step serves
-    at one node: by one compare for a channel whose cost is within its bound
-    term, and at every live alpha otherwise. Each step moves its containers;
-    a step of a policy that holds idle containers also keeps the serving
-    node's `freq`/`last_used`, which no one reads for any other policy.
+    the origin's switching cost (nearest first). The rest walks the origin
+    and then, once the origin cannot finish it even with an empty cache, the
+    other nodes by ascending (d + p), sorted only then: each node serves from
+    its cache and creates as many containers at once as fit, evicting via the
+    policy under capacity pressure; what no node can host is rejected. A
+    policy that holds no idle container while requests are routed
+    (`holds_idle` False) has nothing to hit, offload to or evict, so its
+    groups go straight to the walk. Each request is audited at the context's
+    alpha; all but overflow creations are bound-checked by `check` once per
+    channel, the requests one step serves at one node: by one compare for a
+    channel whose cost is within its bound term, and at every live alpha
+    otherwise. Each step moves its containers; a step of a policy that holds
+    idle containers also keeps the serving node's `freq`/`last_used`, which
+    no one reads for any other policy.
 
     An interval of such a policy that is neither audited nor bound-checked,
     with whole-MB sizes (`ctx.whole_mem`) and every origin able to host its
@@ -207,11 +207,11 @@ def distribute_interval(
     holds_idle = policy.holds_idle
     trace = audit is not None or check is not None
 
-    def note(origin, n, action, serving, cost, top, count, checked=True):
+    def note(origin, n, action, serving, cost, top, count):
         """Audit and bound-check the `count` requests of one channel, each
         costing cost + alpha*q against the bound max(alpha*q + p, alpha*q + d)
-        = alpha*q + top, with top = max(p, d). `checked` is False for an
-        overflow creation, which the worst-case analysis does not cover."""
+        = alpha*q + top, with top = max(p, d). Overflow creations, which the
+        worst-case analysis does not cover, are audited where they happen."""
         if audit is not None:
             aq = aq_audit[origin][n]
             audit.extend([AuditRecord(t, origin, n, action, serving, cost + aq, aq + top)] * count)
@@ -221,7 +221,7 @@ def distribute_interval(
         # commutes, so fl(cost + aq) <= fl(aq + top) <= fl(fl(aq + top) + 1e-9)
         # for any aq, infinities included, and `cost + aq > aq + top + 1e-9`
         # is False at every alpha. Only a channel with cost > top runs the loop.
-        if checked and check is not None and cost > top:
+        if check is not None and cost > top:
             for alpha, aq_table in check.live.items():
                 aq = aq_table[origin][n]
                 if cost + aq > aq + top + 1e-9:
@@ -272,72 +272,63 @@ def distribute_interval(
                 if not remaining:
                     break
 
-        # 3) create at the origin, every container that fits at once, one `+= mem` each
-        cap = capacity[v]
-        while remaining and (state_v.used_mb + mem <= cap or _make_room(state_v, mem, ctx, policy, rng, destroyed, states)):
-            used = state_v.used_mb
-            k = 0
-            while k < remaining and used + mem <= cap:
-                used += mem
-                k += 1
-            if not k:
-                raise ContractError(f"node {v}: a creation step for type {n} created nothing")
-            state_v.used_mb = used
-            state_v.active[n] += k
-            if holds_idle:
-                state_v.freq[n] += k
-                state_v.last_used[n] = t
-            created[key] = created.get(key, 0) + k
-            local_served[key] = local_served.get(key, 0) + k
-            remaining -= k
-            if trace:
-                note(v, n, "create", v, p_vn, p_vn, k)
-        if not remaining:
-            continue
-
-        # 4) overflow by d + p: each node's idle containers, cheaper than new ones, first
-        for v2 in ctx.fallback_order(v, n):
-            state_2 = states[v2]
-            d = ctx.d[v][v2]
-            route = (v, v2, n)
-            take = min(remaining, state_2.cache[n])
-            if take:
-                state_2.cache[n] -= take
-                state_2.active[n] += take
-                state_2.freq[n] += take
-                state_2.last_used[n] = t
-                offloaded[route] = offloaded.get(route, 0) + take
-                remaining -= take
-                if trace:
-                    note(v, n, "offload", v2, d, max(p_vn, d), take)
-            cap = capacity[v2]
-            while remaining and (state_2.used_mb + mem <= cap or _make_room(state_2, mem, ctx, policy, rng, destroyed, states)):
-                used = state_2.used_mb
+        # 3) walk the origin, then the other nodes by ascending d + p, each serving its idle
+        # containers (the origin's went in step 1), then all that fit at once, one `+= mem` each
+        u, state_u, overflow = v, state_v, None
+        while True:
+            cap = capacity[u]
+            while remaining and (state_u.used_mb + mem <= cap or _make_room(state_u, mem, ctx, policy, rng, destroyed, states)):
+                used = state_u.used_mb
                 k = 0
                 while k < remaining and used + mem <= cap:
                     used += mem
                     k += 1
                 if not k:
-                    raise ContractError(f"node {v2}: a creation step for type {n} created nothing")
-                state_2.used_mb = used
-                state_2.active[n] += k
+                    raise ContractError(f"node {u}: a creation step for type {n} created nothing")
+                state_u.used_mb = used
+                state_u.active[n] += k
                 if holds_idle:
-                    state_2.freq[n] += k
-                    state_2.last_used[n] = t
-                created[(v2, n)] = created.get((v2, n), 0) + k
-                offloaded[route] = offloaded.get(route, 0) + k
-                decision.fallback_creations += k
+                    state_u.freq[n] += k
+                    state_u.last_used[n] = t
                 remaining -= k
-                if trace:
-                    # outside the worst-case analysis; not bound-checked
-                    note(v, n, "create", v2, d + p[v2][n], max(p_vn, d), k, checked=False)
+                if u == v:
+                    created[key] = created.get(key, 0) + k
+                    local_served[key] = local_served.get(key, 0) + k
+                    if trace:
+                        note(v, n, "create", v, p_vn, p_vn, k)
+                else:
+                    created[(u, n)] = created.get((u, n), 0) + k
+                    offloaded[(v, u, n)] = offloaded.get((v, u, n), 0) + k
+                    decision.fallback_creations += k
+                    if audit is not None:
+                        # outside the worst-case analysis: audited, never bound-checked
+                        aq = aq_audit[v][n]
+                        audit.extend([AuditRecord(t, v, n, "create", u, d + p[u][n] + aq, aq + max(p_vn, d))] * k)
             if not remaining:
                 break
-        else:
-            # 5) no node can host the rest
-            decision.rejected[key] = remaining
-            if audit is not None:
-                audit.extend([AuditRecord(t, v, n, "reject", -1, 0.0, 0.0)] * remaining)
+            if overflow is None:
+                overflow = iter(ctx.fallback_order(v, n))
+            u = next(overflow, None)
+            if u is None:
+                # 4) no node can host the rest
+                decision.rejected[key] = remaining
+                if audit is not None:
+                    audit.extend([AuditRecord(t, v, n, "reject", -1, 0.0, 0.0)] * remaining)
+                break
+            state_u = states[u]
+            d = ctx.d[v][u]
+            take = state_u.cache[n]
+            if take:
+                if take > remaining:
+                    take = remaining
+                state_u.cache[n] -= take
+                state_u.active[n] += take
+                state_u.freq[n] += take
+                state_u.last_used[n] = t
+                offloaded[(v, u, n)] = offloaded.get((v, u, n), 0) + take
+                remaining -= take
+                if trace:
+                    note(v, n, "offload", u, d, max(p_vn, d), take)
     return decision
 
 

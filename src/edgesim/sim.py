@@ -299,8 +299,8 @@ def _totals(lane: _Lane, params: list[CostParams]) -> dict:
     return totals
 
 
-def _summaries(lane: _Lane, params: list[CostParams], baselines: dict) -> dict:
-    """alpha -> summary, for every alpha of `params` the lane did not fail at.
+def _summaries(lane: _Lane, totals: dict, baselines: dict) -> dict:
+    """alpha -> summary, for every alpha of the lane's `totals` (`_totals`).
 
     Every lane's normalized cost divides by the no-cache total in
     `baselines` (alpha -> total) on the identical workload and seed; the
@@ -311,7 +311,7 @@ def _summaries(lane: _Lane, params: list[CostParams], baselines: dict) -> dict:
     requests = lane.ledger.total_requests()
     cold_starts = lane.ledger.total_cold_starts()
     summaries = {}
-    for alpha, total in _totals(lane, params).items():
+    for alpha, total in totals.items():
         summaries[alpha] = {
             "policy": config.policy,
             "alpha": alpha,
@@ -343,17 +343,17 @@ def _run_lanes(configs: list[SimConfig], params: list[CostParams]) -> list:
     lanes = _simulate(configs, params)
     base, others = lanes[0], lanes[1:]
     missing = [p for p in params if p.alpha in base.failures and any(p.alpha not in lane.failures for lane in others)]
-    baselines = _totals(base, params)
+    totals = baselines = _totals(base, params)
     failed = base.failures
     if missing and base.config.check != "off":
         [spare] = _simulate([replace(base.config, check="off")], missing)
-        baselines.update(_totals(spare, missing))
+        baselines = totals | _totals(spare, missing)
         redone = {p.alpha for p in missing}
         failed = {alpha: exc for alpha, exc in failed.items() if alpha not in redone} | spare.failures
     for lane in others:
         for alpha, exc in failed.items():
             lane.failures.setdefault(alpha, exc)
-    return [(lane, _summaries(lane, params, baselines)) for lane in lanes]
+    return [(lane, _summaries(lane, totals if lane is base else _totals(lane, params), baselines)) for lane in lanes]
 
 
 def run(config: SimConfig) -> RunResult:

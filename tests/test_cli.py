@@ -354,17 +354,17 @@ def test_trace_error_names_file(nodes_csv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_console_entry_point(nodes_csv, tmp_path):
-    out = tmp_path / "out"
-    # the child imports the same edgesim as this process, installed or not
+def _edgesim(flags):
+    """`python -m edgesim` in a child that imports the same edgesim as this
+    process, installed or not; the completed process, output captured."""
     src = str(Path(edgesim.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "edgesim", *(_run_flags(nodes_csv, out))],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "edgesim", *flags], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point(nodes_csv, tmp_path):
+    out = tmp_path / "out"
+    proc = _edgesim(_run_flags(nodes_csv, out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()
 
@@ -375,12 +375,36 @@ def test_run_mean_rate_beyond_numpy_poisson_exits_usage(nodes_csv, tmp_path):
     out = tmp_path / "out"
     flags = _run_flags(nodes_csv, out)
     flags[flags.index("--mean-rate") + 1] = "1e30"
-    src = str(Path(edgesim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "edgesim", *flags], capture_output=True, text=True, env=env)
+    proc = _edgesim(flags)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "mean_rate" in proc.stderr and "9.223372006484771e+18" in proc.stderr
+    assert not out.exists()
+
+
+COMM_INPUT_CASES = {
+    # nan passed a `scale <= 0` test and failed later as non-finite comm costs
+    "scale_nan": ("--comm-scale", "nan", "comm-cost scale must be finite and > 0, got nan"),
+    "scale_inf": ("--comm-scale", "inf", "comm-cost scale must be finite and > 0, got inf"),
+    # finite, but 1e308 times a 5-unit distance overflows to inf
+    "scale_overflows": ("--comm-scale", "1e308", "comm-cost scale 1e+308"),
+    "matrix_empty": ("--comm-matrix", "", "comm.csv: comm-cost matrix must be 4x4, got no rows"),
+    "matrix_blank_lines": ("--comm-matrix", "\n\n", "comm.csv: comm-cost matrix must be 4x4, got no rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMM_INPUT_CASES))
+def test_bad_comm_input_exits_usage_without_numpy_warning(case, nodes_csv, tmp_path):
+    # each case once printed a numpy RuntimeWarning or UserWarning, or an
+    # error that named the derived comm costs rather than the flag or file
+    flag, value, message = COMM_INPUT_CASES[case]
+    out = tmp_path / "out"
+    if flag == "--comm-matrix":
+        value = _write(tmp_path / "comm.csv", value)
+    proc = _edgesim(_run_flags(nodes_csv, out, extra=(flag, value)))
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
 
 

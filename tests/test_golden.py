@@ -27,6 +27,7 @@ from edgesim import cli, sim
 from edgesim.model import DEFAULT_CATALOG, CostParams, EdgeNode, FunctionType, RequestBatch, Topology
 from edgesim.oracle import TinyInstance, check_witness, solve_exact
 from edgesim.policies import make_policy
+from edgesim.scheduler import RoutingContext
 from edgesim.sim import SimConfig, run, summary_json
 
 from conftest import desk_topology, instance_to_json, random_tiny_instance
@@ -381,6 +382,45 @@ def test_pressure_inputs_exercise_every_path(policy, tmp_path, monkeypatch):
     caching = policy != "nocache"
     assert (max(map(len, in_radius.values()), default=0) >= 2) == caching
     assert (sum(evictions) > 0) == caching
+
+
+@pytest.mark.parametrize("policy", sorted(PRESSURE_AUDIT_GOLDEN))
+def test_overflow_order_is_sorted_once_per_group_the_origin_cannot_finish(policy, tmp_path, monkeypatch):
+    """The router sorts a group's overflow order only once its origin cannot
+    finish the group, and then once: for each (interval, origin, type) group
+    whose audit shows a fallback creation, an offload beyond the switching
+    cost or a rejection, and for no other group."""
+    lane = {}
+    calls = Counter()
+    distribute = sim.distribute_interval
+    fallback_order = RoutingContext.fallback_order
+
+    def spy_distribute(batch, states, ctx, *args, audit=None, **kwargs):
+        lane.update(t=batch.interval, ctx=ctx, audited=audit is not None)
+        return distribute(batch, states, ctx, *args, audit=audit, **kwargs)
+
+    def spy_order(ctx, v, n):
+        if lane["audited"]:  # the hidden no-cache lane routes the same batches unaudited
+            calls[(lane["t"], v, n)] += 1
+        return fallback_order(ctx, v, n)
+
+    monkeypatch.setattr(sim, "distribute_interval", spy_distribute)
+    monkeypatch.setattr(RoutingContext, "fallback_order", spy_order)
+    out = pressure_run(tmp_path, policy)
+    ctx = lane["ctx"]
+    overflowed = set()
+    with open(out / "audit.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            t, v, n, v2 = (int(row[k]) for k in ("interval", "origin", "ftype", "serving_node"))
+            action = row["action"]
+            if (
+                action == "reject"
+                or (action == "create" and v2 != v)
+                or (action == "offload" and ctx.d[v][v2] > ctx.p[v][n])
+            ):
+                overflowed.add((t, v, n))
+    assert overflowed
+    assert calls == Counter(overflowed)
 
 
 @pytest.mark.parametrize("policy", sorted({p for p, _c in GLOBAL_STATS_GOLDEN}))

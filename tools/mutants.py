@@ -73,41 +73,70 @@ MODEL = "src/edgesim/model.py"
 WORKLOAD = "src/edgesim/workload.py"
 CLI = "src/edgesim/cli.py"
 
-# the two steps an overflow node serves by, in order
-OVERFLOW_IDLE = (
-    "            take = min(remaining, state_2.cache[n])\n"
-    "            if take:\n"
-    "                state_2.cache[n] -= take\n"
-    "                state_2.active[n] += take\n"
-    "                state_2.freq[n] += take\n"
-    "                state_2.last_used[n] = t\n"
-    "                offloaded[route] = offloaded.get(route, 0) + take\n"
-    "                remaining -= take\n"
-    "                if trace:\n"
-    '                    note(v, n, "offload", v2, d, max(p_vn, d), take)\n'
+# an overflow creation's own audit records, outside the worst-case analysis
+OVERFLOW_AUDIT = (
+    "                    if audit is not None:\n"
+    "                        # outside the worst-case analysis: audited, never bound-checked\n"
+    "                        aq = aq_audit[v][n]\n"
+    '                        audit.extend([AuditRecord(t, v, n, "create", u, d + p[u][n] + aq, aq + max(p_vn, d))] * k)\n'
 )
-OVERFLOW_CREATE = (
-    "            cap = capacity[v2]\n"
-    "            while remaining and (state_2.used_mb + mem <= cap or _make_room(state_2, mem, ctx, policy, rng, destroyed, states)):\n"
-    "                used = state_2.used_mb\n"
+# the walk's one creation loop, at the origin and at every overflow node
+WALK_CREATE = (
+    "            cap = capacity[u]\n"
+    "            while remaining and (state_u.used_mb + mem <= cap or _make_room(state_u, mem, ctx, policy, rng, destroyed, states)):\n"
+    "                used = state_u.used_mb\n"
     "                k = 0\n"
     "                while k < remaining and used + mem <= cap:\n"
     "                    used += mem\n"
     "                    k += 1\n"
     "                if not k:\n"
-    '                    raise ContractError(f"node {v2}: a creation step for type {n} created nothing")\n'
-    "                state_2.used_mb = used\n"
-    "                state_2.active[n] += k\n"
+    '                    raise ContractError(f"node {u}: a creation step for type {n} created nothing")\n'
+    "                state_u.used_mb = used\n"
+    "                state_u.active[n] += k\n"
     "                if holds_idle:\n"
-    "                    state_2.freq[n] += k\n"
-    "                    state_2.last_used[n] = t\n"
-    "                created[(v2, n)] = created.get((v2, n), 0) + k\n"
-    "                offloaded[route] = offloaded.get(route, 0) + k\n"
-    "                decision.fallback_creations += k\n"
+    "                    state_u.freq[n] += k\n"
+    "                    state_u.last_used[n] = t\n"
     "                remaining -= k\n"
+    "                if u == v:\n"
+    "                    created[key] = created.get(key, 0) + k\n"
+    "                    local_served[key] = local_served.get(key, 0) + k\n"
+    "                    if trace:\n"
+    '                        note(v, n, "create", v, p_vn, p_vn, k)\n'
+    "                else:\n"
+    "                    created[(u, n)] = created.get((u, n), 0) + k\n"
+    "                    offloaded[(v, u, n)] = offloaded.get((v, u, n), 0) + k\n"
+    "                    decision.fallback_creations += k\n"
+) + OVERFLOW_AUDIT
+# the walk's step to the next node, then that node's idle containers, which it
+# serves before creating any
+WALK_ADVANCE = (
+    "            if not remaining:\n"
+    "                break\n"
+    "            if overflow is None:\n"
+    "                overflow = iter(ctx.fallback_order(v, n))\n"
+    "            u = next(overflow, None)\n"
+    "            if u is None:\n"
+    "                # 4) no node can host the rest\n"
+    "                decision.rejected[key] = remaining\n"
+    "                if audit is not None:\n"
+    '                    audit.extend([AuditRecord(t, v, n, "reject", -1, 0.0, 0.0)] * remaining)\n'
+    "                break\n"
+    "            state_u = states[u]\n"
+    "            d = ctx.d[v][u]\n"
+)
+WALK_IDLE = (
+    "            take = state_u.cache[n]\n"
+    "            if take:\n"
+    "                if take > remaining:\n"
+    "                    take = remaining\n"
+    "                state_u.cache[n] -= take\n"
+    "                state_u.active[n] += take\n"
+    "                state_u.freq[n] += take\n"
+    "                state_u.last_used[n] = t\n"
+    "                offloaded[(v, u, n)] = offloaded.get((v, u, n), 0) + take\n"
+    "                remaining -= take\n"
     "                if trace:\n"
-    "                    # outside the worst-case analysis; not bound-checked\n"
-    '                    note(v, n, "create", v2, d + p[v2][n], max(p_vn, d), k, checked=False)\n'
+    '                    note(v, n, "offload", u, d, max(p_vn, d), take)\n'
 )
 
 MUTANTS = [
@@ -146,7 +175,7 @@ MUTANTS = [
            "only the smallest live alpha records its violation",
            "tests/test_scheduler.py::test_bound_checks_trip_on_doctored_cost_at_every_alpha"),
     Mutant("bound-guard-misses-small-violations", SCHED,
-           "if checked and check is not None and cost > top:", "if checked and check is not None and cost > top + 1.0:",
+           "if check is not None and cost > top:", "if check is not None and cost > top + 1.0:",
            "a channel whose cost exceeds its bound term by at most 1.0 skips the bound check",
            "tests/test_properties.py::test_guarded_bound_checks_fail_as_the_unguarded_reference"),
     # oracle block pricing into the keep lattice
@@ -180,12 +209,12 @@ MUTANTS = [
            "tests/test_oracle.py::test_capacity_forces_second_node"),
     # routing tables
     Mutant("admit-strict-capacity", SCHED,
-           "            used = state_v.used_mb\n            k = 0\n            while k < remaining and used + mem <= cap:\n",
-           "            used = state_v.used_mb\n            k = 0\n            while k < remaining and used + mem < cap:\n",
+           "while k < remaining and used + mem <= cap:", "while k < remaining and used + mem < cap:",
            "a container that fills its node exactly is refused",
            "tests/test_golden.py::test_golden_inputs_exercise_every_path"),
     Mutant("offload-no-clamp", SCHED,
-           "                if take > remaining:\n                    take = remaining\n", "",
+           "                if not take:\n                    continue\n                if take > remaining:\n                    take = remaining\n",
+           "                if not take:\n                    continue\n",
            "an offload consumes more cached containers than requests remain",
            "tests/test_bench_spans.py::test_tracer_counts_the_requests_of_every_lane[pcache-2]"),
     Mutant("batch-keeps-caller-order", MODEL,
@@ -227,10 +256,8 @@ MUTANTS = [
            "the no-cache close prices in insertion order, not node-major",
            "tests/test_properties.py::test_admission_step_equals_full_routing"),
     Mutant("fallback-no-invocation", SCHED,
-           "                if holds_idle:\n"
-           "                    state_2.freq[n] += k\n                    state_2.last_used[n] = t\n"
-           "                created[(v2, n)]",
-           "                created[(v2, n)]",
+           "                if holds_idle:\n                    state_u.freq[n] += k\n",
+           "                if holds_idle and u == v:\n                    state_u.freq[n] += k\n",
            "a fallback creation updates no invocation statistics",
            "tests/test_golden.py::test_golden_inputs_exercise_every_path"),
     # statistics kept inline by the router, and the close that idles
@@ -240,7 +267,7 @@ MUTANTS = [
            "a cache hit counts the invocation but keeps the old last_used",
            "tests/test_policies.py::test_on_invocation_statistics"),
     Mutant("create-counts-one-invocation", SCHED,
-           "                state_v.freq[n] += k\n", "                state_v.freq[n] += 1\n",
+           "                    state_u.freq[n] += k\n", "                    state_u.freq[n] += 1\n",
            "a batch of creations at the origin counts as one invocation",
            "tests/test_properties.py::test_table_routing_equals_one_request_at_a_time"),
     Mutant("running-cost-skips-cache-only-cell", COSTS,
@@ -248,7 +275,7 @@ MUTANTS = [
            "the interval close prices no idle container of a type with none serving",
            "tests/test_check_equivalence.py::test_indexed_running_cost_equals_enumerate"),
     Mutant("fallback-credits-origin", SCHED,
-           "created[(v2, n)] = created.get((v2, n), 0) + k", "created[key] = created.get(key, 0) + k",
+           "created[(u, n)] = created.get((u, n), 0) + k", "created[key] = created.get(key, 0) + k",
            "a fallback creation is booked at the origin, not where it happened",
            "tests/test_golden.py::test_pressure_inputs_exercise_every_path[fc]"),
     # a no-cache interval that fits, closed as it is routed
@@ -288,17 +315,29 @@ MUTANTS = [
            "a key is priced before its fit test, so a count beyond float range overflows instead of routing open",
            "tests/test_scheduler.py::test_nocache_count_beyond_float_range_stays_open"),
     Mutant("nocache-keeps-statistics", SCHED,
-           "            if holds_idle:\n                state_v.freq[n] += k\n",
-           "            if True:\n                state_v.freq[n] += k\n",
+           "                if holds_idle:\n                    state_u.freq[n] += k\n",
+           "                if True:\n                    state_u.freq[n] += k\n",
            "a no-cache lane's creations at the origin count invocations it never reads",
            "tests/test_properties.py::test_nocache_lane_keeps_no_state_between_intervals"),
     # batched overflow
     Mutant("overflow-creates-before-idle", SCHED,
-           OVERFLOW_IDLE + OVERFLOW_CREATE, OVERFLOW_CREATE + OVERFLOW_IDLE,
+           WALK_ADVANCE + WALK_IDLE, WALK_IDLE + WALK_ADVANCE,
            "overflow creates before taking idle containers",
            "tests/test_oracle.py::test_competitive_check_verifies_every_channel_of_a_run"),
+    Mutant("overflow-create-bound-checked", SCHED,
+           OVERFLOW_AUDIT, '                    if trace:\n                        note(v, n, "create", u, d + p[u][n], max(p_vn, d), k)\n',
+           "an overflow creation is bound-checked, though the worst-case analysis does not cover it",
+           "tests/test_scheduler.py::test_overflow_takes_idle_containers_then_creates_beyond_radius"),
+    Mutant("overflow-create-served-at-origin", SCHED,
+           "offloaded[(v, u, n)] = offloaded.get((v, u, n), 0) + k", "local_served[key] = local_served.get(key, 0) + k",
+           "an overflow creation is booked as served at its origin, so its route goes unpriced",
+           "tests/test_scheduler.py::test_fallback_creates_at_cheapest_feasible_node"),
+    Mutant("overflow-order-eager", SCHED,
+           "u, state_u, overflow = v, state_v, None", "u, state_u, overflow = v, state_v, iter(ctx.fallback_order(v, n))",
+           "the overflow order is sorted for every group that reaches the walk, not only once the origin cannot finish it",
+           "tests/test_golden.py::test_overflow_order_is_sorted_once_per_group_the_origin_cannot_finish[pcache]"),
     Mutant("overflow-one-idle-per-node", SCHED,
-           "take = min(remaining, state_2.cache[n])", "take = min(remaining, state_2.cache[n], 1)",
+           "take = state_u.cache[n]", "take = min(state_u.cache[n], 1)",
            "overflow takes at most one idle container per node",
            "tests/test_scheduler.py::test_overflow_takes_idle_containers_then_creates_beyond_radius"),
     # fc entry logs
