@@ -114,10 +114,24 @@ def comm_cost_from_coords(nodes: list[EdgeNode], scale: float = 1.0) -> np.ndarr
     """Euclidean distance between node coordinates times `scale`."""
     if not 0 < scale < math.inf:  # written so that NaN fails too
         raise ConfigError(f"comm-cost scale must be finite and > 0, got {scale!r}")
-    for node in nodes:
-        if node.coord is None:
-            raise ConfigError(f"node {node.id} has no coordinate; cannot derive comm costs")
-    pts = np.array([n.coord for n in nodes], dtype=float)
+    coords = [node.coord for node in nodes]
+    if None in coords:
+        raise ConfigError(f"node {nodes[coords.index(None)].id} has no coordinate; cannot derive comm costs")
+    # O(V) in pure Python before numpy, which would warn on a coordinate that
+    # is not finite or a spread whose square overflows: a pair's squared
+    # distance is at most the sum of the axes' squared spreads, rounding being
+    # monotone
+    spread = 0.0
+    for axis in zip(*coords):
+        if not all(map(math.isfinite, axis)):
+            node = next(node for node in nodes if not all(map(math.isfinite, node.coord)))
+            raise ConfigError(f"node {node.id} coordinate {node.coord!r} is not finite")
+        lo, hi = min(axis), max(axis)
+        spread += (hi - lo) * (hi - lo)
+    if not math.isfinite(spread):
+        spans = ", ".join(f"{min(axis)!r} to {max(axis)!r}" for axis in zip(*coords))
+        raise ConfigError(f"node coordinates spanning {spans} are too far apart: their squared distance is not finite")
+    pts = np.array(coords, dtype=float)
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     # a Python float overflows to inf silently; by monotone rounding it bounds every scaled entry

@@ -193,6 +193,7 @@ def _kept_states(dp, m_all, comm, u, cap, p_flat, aq_flat, caps) -> tuple[dict, 
     return dict(zip(states, least[cell].tolist())), dict(zip(states, best[cell].tolist()))
 
 
+@np.errstate(over="ignore")  # a cost past float range is inf: an interval with no finite routing is refused
 def solve_exact(instance: TinyInstance) -> OracleSolution:
     """Global minimum of the total-cost objective by exhaustive enumeration.
 
@@ -255,6 +256,14 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
         prev_states = list(dp)
         dp, parent = _kept_states(dp, m_all, comm, u, cap, p_flat, aq_flat, keep_cap[t])
         if not dp:
+            # dp always holds the zero state, and a routing that fits from any
+            # state fits from it: the routings alone tell an interval none of
+            # which fits from one whose every fitting routing costs inf
+            used = 0.0
+            for n in range(N):
+                used = used + u[n] * m_all[:, n::N]  # (A, V), added as `_priced_blocks` adds it
+            if (used <= np.asarray(cap)).all(axis=1).any():
+                raise ConfigError(f"interval {t}: every feasible routing costs inf: the costs overflow float range")
             raise InfeasibleInstance(f"no feasible routing for interval {t}")
         parents[t] = (groups, m_all, prev_states, parent)
 
@@ -485,7 +494,7 @@ def _instance_from_json(obj: dict) -> TinyInstance:
             id=_integer(row["id"]),
             capacity_mb=float(row["capacity_mb"]),
             cpu_ghz=float(row["cpu_ghz"]),
-            coord=tuple(row["coord"]) if row.get("coord") else None,
+            coord=tuple(map(float, row["coord"])) if row.get("coord") else None,
         )
         for row in obj["nodes"]
     ]

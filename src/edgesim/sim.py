@@ -254,7 +254,8 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
        audit that can outgrow MAX_AUDIT_RECORDS (`_check_audit_size`);
     2. an alpha that fails `validate_setup` (checked once, here) ends in
        every lane; one that fails the per-request bound, in its lane only;
-    3. any other exception in a lane ends that lane only.
+    3. any other exception in a lane ends that lane only; `_run_lanes` then
+       fails the lanes that the no-cache lane normalizes at its alphas.
     """
     config = configs[0]
     validate_fit(config.topology, config.catalog, config.params)
@@ -333,27 +334,19 @@ def _summaries(lane: _Lane, totals: dict, baselines: dict) -> dict:
 def _run_lanes(configs: list[SimConfig], params: list[CostParams]) -> list:
     """Simulate `configs` on one request stream; (lane, summaries) per config.
 
-    configs[0] is the no-cache lane that normalizes the others, and an alpha
-    it failed at fails them too; a total that is not finite fails its alpha
-    (`_totals`). A checked no-cache lane whose simulation failed at an
-    alpha another lane still needs is replaced there by one unchecked
-    no-cache run, the baseline a lone `run()` normalizes by. A total that
-    overflows is not re-simulated: it would overflow again.
+    configs[0] is the no-cache lane that normalizes the others: an alpha it
+    failed at, in its simulation or in its total (`_totals`), fails every
+    other lane there with the baseline's exception, as an alpha that fails
+    `validate_setup` does. A lane's other failures stay its own.
     """
-    lanes = _simulate(configs, params)
-    base, others = lanes[0], lanes[1:]
-    missing = [p for p in params if p.alpha in base.failures and any(p.alpha not in lane.failures for lane in others)]
-    totals = baselines = _totals(base, params)
-    failed = base.failures
-    if missing and base.config.check != "off":
-        [spare] = _simulate([replace(base.config, check="off")], missing)
-        baselines = totals | _totals(spare, missing)
-        redone = {p.alpha for p in missing}
-        failed = {alpha: exc for alpha, exc in failed.items() if alpha not in redone} | spare.failures
-    for lane in others:
-        for alpha, exc in failed.items():
-            lane.failures.setdefault(alpha, exc)
-    return [(lane, _summaries(lane, totals if lane is base else _totals(lane, params), baselines)) for lane in lanes]
+    with np.errstate(over="ignore"):  # a cost past float range is inf, which `_totals` names
+        lanes = _simulate(configs, params)
+        base = lanes[0]
+        baselines = _totals(base, params)
+        for lane in lanes[1:]:
+            for alpha, exc in base.failures.items():
+                lane.failures.setdefault(alpha, exc)
+        return [(lane, _summaries(lane, baselines if lane is base else _totals(lane, params), baselines)) for lane in lanes]
 
 
 def run(config: SimConfig) -> RunResult:
@@ -423,12 +416,14 @@ def sweep(grid: SweepGrid, base: SimConfig, jobs: int = 1):
     the no-cache baseline and every policy on it in lockstep, each once,
     priced at every alpha, because alpha never changes a trajectory. `jobs > 1`
     maps the points over a pool of up to `jobs` processes, no more than there
-    are points. Each cell is reproducible in isolation and independent of
-    grid-axis order; records come back sorted by (seed, beta, alpha, policy).
-    A replay base (`batches` set) has no beta axis: its records carry beta
-    None. An input every cell shares raises ConfigError when the first
-    (seed, beta) point that uses it starts (see `_simulate`); a failure of one
-    alpha or one lane is an error record for its cells.
+    are points. Each cell is independent of grid-axis order, and a cell whose
+    baseline ran clean is reproducible in isolation; records come back sorted
+    by (seed, beta, alpha, policy). A replay base (`batches` set) has no beta
+    axis: its records carry beta None. An input every cell shares raises
+    ConfigError when the first (seed, beta) point that uses it starts (see
+    `_simulate`); a failure of one alpha or one lane is an error record for
+    its cells, and a failure of the no-cache baseline at an alpha is one for
+    every policy's cell at that alpha, with the baseline's exception.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")

@@ -250,20 +250,21 @@ def test_oracle_witness_that_fails_its_replay_exits_1(tmp_path, capsys, monkeypa
     assert "invariant violation: the witness costs" in captured.err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_oracle_with_overflowing_costs_prints_no_infinity(tmp_path, capsys):
+def test_oracle_with_overflowing_costs_prints_no_infinity(tmp_path):
     # p is finite (3e305 * 55 MB), but the two intervals' switching sums past
-    # float range: the solver finds no finite routing, exits 2, prints nothing
+    # float range: the solver finds no finite routing and exits 2, printing
+    # nothing, naming the overflow rather than "no feasible routing", and
+    # without numpy's RuntimeWarning
     obj = _instance_obj()
     obj["switch_coeff"] = 3e305
     obj["types"] = [{"id": 0, "mem_mb": 55.0}, {"id": 1, "mem_mb": 55.0}]
     obj["requests"] = [[1, 0, 0, 7], [2, 0, 1, 7]]
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(obj))
-    assert main(["oracle", "--instance", str(path), "--compare", "pcache"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    proc = _edgesim(["oracle", "--instance", str(path), "--compare", "pcache"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: interval 2: every feasible routing costs inf: the costs overflow float range\n"
 
 
 def test_oracle_oversize_instance_refused(tmp_path, capsys):
@@ -313,6 +314,11 @@ MALFORMED_INSTANCE_CASES = {
     "infeasible": ({**_instance_obj(), "requests": [[1, 0, 0, 10]]}, "no feasible routing for interval 1"),
     "horizon_infinite": ({**_instance_obj(), "horizon": math.inf}, "malformed instance JSON"),
     "count_infinite": ({**_instance_obj(), "requests": [[1, 0, 0, math.inf]]}, "malformed instance JSON"),
+    # the instance JSON's coordinates are checked as the --nodes CSV's are
+    "coord_infinite": (
+        {**_without(_instance_obj(), "comm_cost"), "nodes": [{"id": 0, "capacity_mb": 400.0, "cpu_ghz": 1.0, "coord": [math.inf, 0]}]},
+        "node 0 coordinate (inf, 0.0) is not finite",
+    ),
     "capacity_beyond_float": (
         {**_instance_obj(), "nodes": [{"id": 0, "capacity_mb": 10**400, "cpu_ghz": 1.0}]},
         "malformed instance JSON",
@@ -382,6 +388,39 @@ def test_run_mean_rate_beyond_numpy_poisson_exits_usage(nodes_csv, tmp_path):
     assert not out.exists()
 
 
+OVERFLOW_CASES = {
+    # finite p, but 200 intervals of creations sum past float range
+    "switching": ("--switch-coeff", "3e303", "--mean-rate", "3", "--horizon", "200"),
+    # finite d, but the offloads of one interval to a node 10 away sum past it
+    "communication": ("--comm-scale", "1.7e307", "--mean-rate", "30", "--horizon", "10"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_overflowing_costs_name_the_overflow_without_numpy_warning(command, case, tmp_path):
+    # each once printed numpy's "overflow encountered" RuntimeWarning first
+    nodes = _write(tmp_path / "nodes.csv", "id,capacity_mb,cpu_ghz,x,y\n0,600,1.0,0,0\n1,600,1.5,5,0\n2,600,1.0,10,0\n")
+    out = tmp_path / "out"
+    if command == "run":
+        flags = ["run", "--policy", "pcache", "--alpha", "0.01", "--zipf-beta", "1.0"]
+    else:
+        flags = ["sweep", "--alphas", "0.01", "--betas", "1.0", "--policies", "pcache"]
+    proc = _edgesim([*flags, "--nodes", nodes, *OVERFLOW_CASES[case], "--output", str(out)])
+    message = "the nocache total cost at alpha 0.01 is inf: the costs overflow float range"
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    if command == "run":
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: {message}\n"
+        assert not out.exists()
+    else:
+        # a sweep writes each failed cell to errors.jsonl and exits 0
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("0 runs, 2 failures")
+        errors = [json.loads(line) for line in (out / "errors.jsonl").read_text().splitlines()]
+        assert [(e["policy"], e["error"]) for e in errors] == [(p, f"ConfigError: {message}") for p in ("nocache", "pcache")]
+
+
 COMM_INPUT_CASES = {
     # nan passed a `scale <= 0` test and failed later as non-finite comm costs
     "scale_nan": ("--comm-scale", "nan", "comm-cost scale must be finite and > 0, got nan"),
@@ -390,6 +429,15 @@ COMM_INPUT_CASES = {
     "scale_overflows": ("--comm-scale", "1e308", "comm-cost scale 1e+308"),
     "matrix_empty": ("--comm-matrix", "", "comm.csv: comm-cost matrix must be 4x4, got no rows"),
     "matrix_blank_lines": ("--comm-matrix", "\n\n", "comm.csv: comm-cost matrix must be 4x4, got no rows"),
+    # a coordinate once reached numpy, which warned (or, for nan, did not),
+    # and the error blamed the comm-cost scale
+    "coord_inf": ("--nodes", "id,capacity_mb,cpu_ghz,x,y\n0,2500,1.0,0,0\n1,2500,1.5,inf,0\n", "node 1 coordinate (inf, 0.0) is not finite"),
+    "coord_nan": ("--nodes", "id,capacity_mb,cpu_ghz,x,y\n0,2500,1.0,0,0\n1,2500,1.5,0,nan\n", "node 1 coordinate (0.0, nan) is not finite"),
+    "coord_spread_overflows": (
+        "--nodes",
+        "id,capacity_mb,cpu_ghz,x,y\n0,2500,1.0,0,0\n1,2500,1.5,1e200,0\n",
+        "node coordinates spanning 0.0 to 1e+200, 0.0 to 0.0 are too far apart",
+    ),
 }
 
 
@@ -401,6 +449,8 @@ def test_bad_comm_input_exits_usage_without_numpy_warning(case, nodes_csv, tmp_p
     out = tmp_path / "out"
     if flag == "--comm-matrix":
         value = _write(tmp_path / "comm.csv", value)
+    elif flag == "--nodes":
+        value = _write(tmp_path / "bad_nodes.csv", value)
     proc = _edgesim(_run_flags(nodes_csv, out, extra=(flag, value)))
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr

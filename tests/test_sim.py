@@ -366,7 +366,7 @@ def test_sweep_checks_every_alpha_as_often_as_separate_runs(monkeypatch):
 
 def test_overflowing_baseline_is_simulated_once(monkeypatch):
     """A checked no-cache baseline whose total overflows fails its alpha in
-    every lane without an unchecked re-run, which would overflow again."""
+    every lane, and the point is simulated once."""
     calls = []
     simulate = sim._simulate
 
@@ -409,25 +409,55 @@ def test_sweep_bound_failure_ends_only_its_alpha(monkeypatch):
         run(replace(base, params=CostParams(alpha=0.01)))
 
 
-def test_sweep_failed_baseline_group_normalizes_per_policy(monkeypatch):
-    """When the checked nocache simulation fails, the policy cells still get a
-    normalized cost from a no-cache run of their own, as a lone run() does."""
+def test_sweep_failed_baseline_fails_every_policy_at_its_alphas(monkeypatch):
+    """When the checked nocache simulation fails, every policy cell it
+    normalizes gets the baseline's exception: no spare re-run turns the fault
+    into a normalized cost."""
     check_states = sim._check_states
+    calls = []
+    simulate = sim._simulate
 
     def failing_for_nocache(config, states, interval):
         if config.policy == "nocache" and interval == 3:
             raise InvariantViolation("injected")
         return check_states(config, states, interval)
 
+    def counting_simulate(configs, params):
+        calls.append([c.policy for c in configs])
+        return simulate(configs, params)
+
     base = _zipf_config(horizon=8)
-    grid = SweepGrid(alphas=[0.005, 0.01], betas=[1.0], policies=["pcache"], seeds=[3])
-    clean, _ = sweep(grid, base)
+    grid = SweepGrid(alphas=[0.005, 0.01], betas=[1.0], policies=["pcache", "lru"], seeds=[3])
     monkeypatch.setattr(sim, "_check_states", failing_for_nocache)
+    monkeypatch.setattr(sim, "_simulate", counting_simulate)
     records, errors = sweep(grid, base)
-    assert records == clean
-    assert [(e["alpha"], e["policy"], e["error"]) for e in errors] == [
-        (0.005, "nocache", "InvariantViolation: injected"),
-        (0.01, "nocache", "InvariantViolation: injected"),
+    assert records == []
+    assert errors == [
+        {"alpha": alpha, "beta": 1.0, "error": "InvariantViolation: injected", "policy": policy, "seed": 3}
+        for alpha in (0.005, 0.01)
+        for policy in ("lru", "nocache", "pcache")
+    ]
+    assert calls == [["nocache", "pcache", "lru"]]
+
+
+def test_sweep_failed_policy_lane_fails_only_its_own_cells(monkeypatch):
+    check_states = sim._check_states
+
+    def failing_for_pcache(config, states, interval):
+        if config.policy == "pcache" and interval == 3:
+            raise InvariantViolation("injected")
+        return check_states(config, states, interval)
+
+    base = _zipf_config(horizon=8)
+    grid = SweepGrid(alphas=[0.005, 0.01], betas=[1.0], policies=["pcache", "lru", "nocache"], seeds=[3])
+    clean, _ = sweep(grid, base)
+    monkeypatch.setattr(sim, "_check_states", failing_for_pcache)
+    records, errors = sweep(grid, base)
+    assert records == [r for r in clean if r["policy"] != "pcache"]
+    assert {r["policy"] for r in records} == {"lru", "nocache"}
+    assert errors == [
+        {"alpha": alpha, "beta": 1.0, "error": "InvariantViolation: injected", "policy": "pcache", "seed": 3}
+        for alpha in (0.005, 0.01)
     ]
 
 

@@ -151,8 +151,12 @@ MUTANTS = [
            "tests/test_golden.py::test_goldens_add_no_float_with_sum"),
     Mutant("lanes-share-failure-map", SIM,
            "_Lane(c, params, ctx, dict(failures))", "_Lane(c, params, ctx, failures)",
-           "every lane of a stream shares one failure map, so one lane's bound violation fails the others",
-           "tests/test_sim.py::test_sweep_failed_baseline_group_normalizes_per_policy"),
+           "every lane of a stream shares one failure map, so one lane's failure fails the others",
+           "tests/test_sim.py::test_sweep_failed_policy_lane_fails_only_its_own_cells"),
+    Mutant("baseline-failure-not-shared", SIM,
+           "                lane.failures.setdefault(alpha, exc)\n", "                pass\n",
+           "an alpha the no-cache baseline failed at is left to the lanes it normalizes",
+           "tests/test_sim.py::test_sweep_failed_baseline_fails_every_policy_at_its_alphas"),
     Mutant("drop-bound-failures", SCHED,
            "        self.failures[alpha] = InvariantViolation(", "        InvariantViolation(",
            "a bound violation ends the alpha's checks but is never reported",
