@@ -68,28 +68,6 @@ class RoutingContext:
         )
 
 
-class BoundChecks:
-    """Per-request worst-case bound checks of one trajectory, at every alpha it
-    is priced at.
-
-    Routing never reads alpha, so one trajectory serves every alpha. A
-    request's realized cost and bound differ between alphas only through
-    alpha * q: `live` maps each alpha still checked to its alpha * q table.
-    The first violation at an alpha is kept in `failures` and ends that
-    alpha's checks; the other alphas carry on. The router reads these tables
-    only for a channel whose cost exceeds its bound term (see `note` in
-    `distribute_interval`): every other channel passes at every alpha.
-    """
-
-    def __init__(self, ctx: RoutingContext, alphas):
-        self.live = {alpha: [[alpha * q for q in row] for row in ctx.q] for alpha in alphas}
-        self.failures: dict[float, InvariantViolation] = {}
-
-    def fail(self, alpha: float, record: AuditRecord) -> None:
-        self.failures[alpha] = InvariantViolation(f"per-request cost bound exceeded: {record}")
-        self.live = {a: table for a, table in self.live.items() if a != alpha}
-
-
 def _make_room(state, mem_needed, ctx, policy, rng, destroyed, states):
     """Evict cached containers via the policy until one more container fits."""
     capacity = ctx.capacity[state.node_id]
@@ -160,7 +138,7 @@ def distribute_interval(
     policy,
     rng,
     audit: list[AuditRecord] | None = None,
-    check: BoundChecks | None = None,
+    check: bool = False,
 ) -> IntervalDecision:
     """Route one interval's requests in the order `batch.counts` iterates:
     ascending (node, type), as every `RequestBatch` keeps it.
@@ -175,12 +153,14 @@ def distribute_interval(
     policy that holds no idle container while requests are routed
     (`holds_idle` False) has nothing to hit, offload to or evict, so its
     groups go straight to the walk. Each request is audited at the context's
-    alpha; all but overflow creations are bound-checked by `check` once per
-    channel, the requests one step serves at one node: by one compare for a
-    channel whose cost is within its bound term, and at every live alpha
-    otherwise. Each step moves its containers; a step of a policy that holds
-    idle containers also keeps the serving node's `freq`/`last_used`, which
-    no one reads for any other policy.
+    alpha. With `check` set, all but overflow creations are bound-checked
+    once per channel, the requests one step serves at one node: a request's
+    realized cost is cost + alpha*q and its bound alpha*q + max(p, d), so it
+    meets the bound at every alpha exactly when cost <= max(p, d), and a
+    channel that breaks this compare raises InvariantViolation, its record
+    priced at the context's alpha. Each step moves its containers; a step
+    of a policy that holds idle containers also keeps the serving node's
+    `freq`/`last_used`, which no one reads for any other policy.
 
     An interval of such a policy that is neither audited nor bound-checked,
     with whole-MB sizes (`ctx.whole_mem`) and every origin able to host its
@@ -189,7 +169,7 @@ def distribute_interval(
     container left alive and `used_mb` at its own bits (`_close_if_fits`).
     Every other interval is routed step by step as above.
     """
-    if not policy.holds_idle and audit is None and check is None and ctx.whole_mem is not None:
+    if not policy.holds_idle and audit is None and not check and ctx.whole_mem is not None:
         decision = _close_if_fits(batch, states, ctx)
         if decision is not None:
             return decision
@@ -205,7 +185,7 @@ def distribute_interval(
     capacity = ctx.capacity
     aq_audit = ctx.aq
     holds_idle = policy.holds_idle
-    trace = audit is not None or check is not None
+    trace = audit is not None or check
 
     def note(origin, n, action, serving, cost, top, count):
         """Audit and bound-check the `count` requests of one channel, each
@@ -215,17 +195,13 @@ def distribute_interval(
         if audit is not None:
             aq = aq_audit[origin][n]
             audit.extend([AuditRecord(t, origin, n, action, serving, cost + aq, aq + top)] * count)
-        # The channel's `count` requests share cost, top and alpha*q, so one
-        # check per alpha judges them all, and one compare settles every
-        # alpha of a channel with cost <= top: rounding is monotone and +
-        # commutes, so fl(cost + aq) <= fl(aq + top) <= fl(fl(aq + top) + 1e-9)
-        # for any aq, infinities included, and `cost + aq > aq + top + 1e-9`
-        # is False at every alpha. Only a channel with cost > top runs the loop.
-        if check is not None and cost > top:
-            for alpha, aq_table in check.live.items():
-                aq = aq_table[origin][n]
-                if cost + aq > aq + top + 1e-9:
-                    check.fail(alpha, AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
+        # alpha*q cancels: the channel's requests meet their bound at every
+        # alpha exactly when cost <= top, so one compare judges them all
+        if check and cost > top:
+            aq = aq_audit[origin][n]
+            raise InvariantViolation(
+                f"per-request cost bound exceeded: {AuditRecord(t, origin, n, action, serving, cost + aq, aq + top)}"
+            )
 
     for key, lam in batch.counts.items():
         if not lam:

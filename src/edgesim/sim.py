@@ -23,7 +23,7 @@ from .model import (
     validate_setup,
 )
 from .policies import POLICY_NAMES, make_policy
-from .scheduler import BoundChecks, RoutingContext, close_created, distribute_interval, end_interval
+from .scheduler import RoutingContext, close_created, distribute_interval, end_interval
 from .workload import ListSource, ZipfConfig, ZipfSource
 
 CHECK_LEVELS = ("off", "sample", "full")
@@ -156,16 +156,15 @@ class _Lane:
     """One policy's trajectory through a request stream it shares with other lanes.
 
     A lane owns everything a lone run of its config would: node states,
-    policy, policy rng, ledger, bound checks at every alpha it is priced at,
-    check level, audit list and `failures` (alpha -> the exception that ends
-    that alpha's run). Alpha never changes what a lane does; it only weights
-    the ledger later.
+    policy, policy rng, ledger, check level, audit list and `failures`
+    (alpha -> the exception that ends that alpha's run). Alpha never changes
+    what a lane does; it only weights the ledger later.
 
     Building a lane raises what no alpha of its config can run with (an fc
     ttl that is not an int >= 0). `failures` starts as the lane's own copy of
-    the alphas that failed `validate_setup`, and a bound violation adds its
-    alpha when it happens; both end that alpha only. Any other exception in
-    `step` is the lane's own fault and ends every alpha still running.
+    the alphas that failed `validate_setup`, which end that alpha only. Any
+    exception in `step`, a per-request bound violation included, is the
+    lane's own fault and ends every alpha still running.
     """
 
     def __init__(self, config: SimConfig, params: list[CostParams], ctx: RoutingContext, failures: dict):
@@ -178,8 +177,7 @@ class _Lane:
         self.ledger = CostLedger(config.params.alpha)
         self.audit = [] if config.audit else None
         self.failures = failures
-        self.bounds = BoundChecks(ctx, [p.alpha for p in params if p.alpha not in failures])
-        self.bounds.failures = failures  # bound violations land in the same map
+        self.alphas = [p.alpha for p in params]
         self.check_every = {"off": 0, "sample": 10, "full": 1}[config.check]
         self.rejections = 0
         self.fallback_creations = 0
@@ -202,11 +200,8 @@ class _Lane:
         states = self.states
         policy = self.policy
         try:
-            check_now = self.check_every and not t % self.check_every
-            checked = self.bounds if check_now else None
-            decision = distribute_interval(batch, states, ctx, policy, self.rng, audit=self.audit, check=checked)
-            if not self.bounds.live:
-                return False
+            check_now = self.check_every > 0 and not t % self.check_every
+            decision = distribute_interval(batch, states, ctx, policy, self.rng, audit=self.audit, check=check_now)
             if check_now:
                 decision.check_conservation(batch)
                 _check_states(self.config, states, t)
@@ -230,8 +225,8 @@ class _Lane:
             self.fallback_creations += decision.fallback_creations
             return True
         except Exception as exc:  # the lane's own fault: ends its alphas still running
-            for alpha in self.bounds.live:
-                self.failures[alpha] = exc
+            for alpha in self.alphas:
+                self.failures.setdefault(alpha, exc)
             return False
 
 
@@ -253,9 +248,10 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
        cannot be built (a malformed replay list, bad Zipf parameters) and an
        audit that can outgrow MAX_AUDIT_RECORDS (`_check_audit_size`);
     2. an alpha that fails `validate_setup` (checked once, here) ends in
-       every lane; one that fails the per-request bound, in its lane only;
-    3. any other exception in a lane ends that lane only; `_run_lanes` then
-       fails the lanes that the no-cache lane normalizes at its alphas.
+       every lane;
+    3. any exception in a lane, a per-request bound violation included,
+       ends that lane only; `_run_lanes` then fails the lanes that the
+       no-cache lane normalizes at its alphas.
     """
     config = configs[0]
     validate_fit(config.topology, config.catalog, config.params)
@@ -270,7 +266,7 @@ def _simulate(configs: list[SimConfig], params: list[CostParams]) -> list[_Lane]
     source = _workload_source(config)
     if any(c.audit for c in configs):
         _check_audit_size(config)
-    running = [lane for lane in lanes if lane.bounds.live]
+    running = lanes if any(p.alpha not in failures for p in params) else []
     for t in range(1, config.horizon + 1):
         if not running:
             break

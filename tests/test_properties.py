@@ -23,7 +23,6 @@ import math
 import tempfile
 from collections import deque
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -41,7 +40,7 @@ from edgesim.costs import (
     interval_running_cost,
     interval_switching_cost,
 )
-from edgesim.errors import ConfigError, ContractError, InstanceTooLarge
+from edgesim.errors import ConfigError, ContractError, InstanceTooLarge, InvariantViolation
 from edgesim.model import (
     DEFAULT_CATALOG,
     CostParams,
@@ -58,7 +57,6 @@ from edgesim.oracle import MAX_ENUM_OPS, MAX_INTERVALS, TinyInstance, solve_exac
 from edgesim.policies import POLICY_NAMES, EvictionPolicy, FixedCaching, NoCache, make_policy
 from edgesim.scheduler import (
     AuditRecord,
-    BoundChecks,
     RoutingContext,
     distribute_interval,
     end_interval,
@@ -186,7 +184,11 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
     """Reference for `scheduler.distribute_interval`: the loop it replaced,
     which scans every other node by (distance, id) until one is beyond the
     switching cost, and creates one container per pass. It records every
-    invocation on `mirror` too, when given."""
+    invocation on `mirror` too, when given.
+
+    `check`, when given, maps each alpha to None; the reference checks every
+    request's cost bound at each alpha still None, at that alpha's own
+    alpha*q, and keeps the first violation there as its record."""
     t = batch.interval
     decision = IntervalDecision(interval=t)
     local_served = decision.local_served
@@ -204,10 +206,10 @@ def distribute_one_request_at_a_time(batch, states, ctx, policy, rng, audit=None
             aq = aq_audit[origin][n]
             audit.append(AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
         if check is not None:
-            for alpha, aq_table in check.live.items():
-                aq = aq_table[origin][n]
-                if cost + aq > aq + top + 1e-9:
-                    check.fail(alpha, AuditRecord(t, origin, n, action, serving, cost + aq, aq + top))
+            for alpha, failed in check.items():
+                aq = alpha * ctx.q[origin][n]
+                if failed is None and cost + aq > aq + top + 1e-9:
+                    check[alpha] = AuditRecord(t, origin, n, action, serving, cost + aq, aq + top)
 
     for (v, n), lam in sorted(batch.counts.items()):
         if lam == 0:
@@ -311,33 +313,41 @@ def _node_states(states, stats=True):
 
 
 def _assert_routers_agree(config, ctx, alphas):
-    """Route `config`'s batches through `distribute_interval` and the
-    reference on `ctx`, both bound-checked at `alphas`, and assert that they
-    agree after every interval: decisions, node states, policy, rng, audit
-    and bound failures."""
+    """Route `config`'s batches through `distribute_interval`, bound-checked,
+    and through the reference, bound-checked at each of `alphas`, on `ctx`,
+    and assert that they agree after every interval: decisions, node states,
+    policy, rng and audit. Where the reference finds a violation at any
+    alpha, the router must raise in the same interval, naming the channel it
+    audited last; the comparison ends there, with that interval half routed."""
     n_types = len(config.catalog)
     mirror = MirroredStats(n_types)
-    sides = []
-    for route in (distribute_interval, partial(distribute_one_request_at_a_time, mirror=mirror)):
+
+    def lane():
         states = [NodeState(v, n_types) for v in range(ctx.n_nodes)]
         policy = make_stepping_policy(config.policy, n_types, ttl=config.ttl, global_stats=config.global_stats)
-        sides.append((route, states, policy, np.random.default_rng(config.seed), [], BoundChecks(ctx, alphas)))
+        return states, policy, np.random.default_rng(config.seed), []
+
+    (states, policy, rng, audit), (ref_states, ref_policy, ref_rng, ref_audit) = lane(), lane()
+    ref_check = dict.fromkeys(alphas)
     for batch in config.batches:
-        decisions = [route(batch, states, ctx, policy, rng, audit, check) for route, states, policy, rng, audit, check in sides]
-        (_, states, policy, rng, audit, check), (_, ref_states, ref_policy, ref_rng, ref_audit, ref_check) = sides
-        assert _decision_items(decisions[0]) == _decision_items(decisions[1])
+        ref_decision = distribute_one_request_at_a_time(batch, ref_states, ctx, ref_policy, ref_rng, ref_audit, ref_check, mirror)
+        try:
+            decision = distribute_interval(batch, states, ctx, policy, rng, audit, check=True)
+        except InvariantViolation as exc:
+            assert str(exc) == f"per-request cost bound exceeded: {audit[-1]}"
+            return
+        assert all(failed is None for failed in ref_check.values())
+        assert _decision_items(decision) == _decision_items(ref_decision)
         assert _node_states(states) == _node_states(ref_states)
         assert vars(policy) == vars(ref_policy)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert audit == ref_audit
-        assert list(map(str, check.failures.items())) == list(map(str, ref_check.failures.items()))
-        assert list(check.live) == list(ref_check.live)
         if config.global_stats:
             for state in states:
                 assert policy._stats(state, states) == (mirror.freq, mirror.last_used)
-        for (_, states, policy, *_), decision in zip(sides, decisions):
-            interval_running_cost(states, ctx)
-            end_interval(states, policy, batch.interval, config.catalog, decision)
+        for lane_states, lane_policy, lane_decision in ((states, policy, decision), (ref_states, ref_policy, ref_decision)):
+            interval_running_cost(lane_states, ctx)
+            end_interval(lane_states, lane_policy, batch.interval, config.catalog, lane_decision)
 
 
 @SETTINGS
@@ -362,12 +372,14 @@ DOCTORED_P = st.sampled_from([-1e-10, -2e-9, -0.5, -60.0])
     alpha=ALPHAS,
 )
 def test_guarded_bound_checks_fail_as_the_unguarded_reference(config, doctored, alpha):
-    # `note` loops over the alphas only for a channel whose cost exceeds its
-    # bound term; the reference checks every request at every alpha. Negative
-    # switching costs make some hit channels such candidates, at alphas whose
-    # alpha*q the doctoring survives and at 1e20, where it rounds away. The
-    # context is built from the doctored costs, so its offload tables agree
-    # with the reference's scan (no neighbour lies within a negative p).
+    # `note` compares a channel's cost with its bound term once, without
+    # alpha; the reference checks every request at every alpha. Negative
+    # switching costs put some hit channels above their bound terms: within
+    # the reference's 1e-9 tolerance, beyond it at alphas whose alpha*q the
+    # doctoring survives, and at 1e20, where it rounds away. The router must
+    # raise wherever the reference fails at any alpha. The context is built
+    # from the doctored costs, so its offload tables agree with the
+    # reference's scan (no neighbour lies within a negative p).
     switching_cost = scheduler.switching_cost
 
     def doctored_switching_cost(node, f, params):
@@ -388,8 +400,11 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 @example(pair=[5e-324, 1.7976931348623157e308], aq=-1.7976931348623157e308)
 @example(pair=[1.7976931348623157e308, 1.7976931348623157e308], aq=1.7976931348623157e308)
 def test_a_cost_within_its_bound_term_passes_at_every_alpha(pair, aq):
-    # the guard in `note`: cost <= top settles the check at any alpha*q, since
-    # rounding is monotone and + commutes
+    # the lemma `note`'s one compare rests on: rounding is monotone and +
+    # commutes, so cost <= top gives fl(cost + aq) <= fl(aq + top) <=
+    # fl(fl(aq + top) + 1e-9) at any alpha*q, infinities included; a check
+    # at any alpha*q can fail only a channel with cost > top, which `note`
+    # raises on
     cost, top = pair
     assert not (cost + aq > aq + top + 1e-9)
 
@@ -701,7 +716,8 @@ def simulate_alone(config, params, check_states):
     """Reference for `sim._simulate`'s lanes: the loop that simulated one
     trajectory from a source of its own, priced the running cost before the
     flush, idled every node and called the policy's end-of-interval hook
-    with the interval's decision."""
+    with the interval's decision. Any exception, a per-request bound
+    violation included, ends every alpha still running."""
     failures = {}
     for p in params:
         try:
@@ -716,7 +732,6 @@ def simulate_alone(config, params, check_states):
     if not alphas:
         return out
     ctx = RoutingContext(config.topology, config.catalog, config.params)
-    bounds = BoundChecks(ctx, alphas)
     try:
         n_types = len(config.catalog)
         out.states = states = [NodeState(v, n_types) for v in range(config.topology.n_nodes)]
@@ -729,9 +744,7 @@ def simulate_alone(config, params, check_states):
                 out.truncated = True
                 break
             check_now = config.check == "full" or (config.check == "sample" and t % 10 == 0)
-            decision = distribute_interval(batch, states, ctx, policy, rng, audit=out.audit, check=bounds if check_now else None)
-            if not bounds.live:
-                break
+            decision = distribute_interval(batch, states, ctx, policy, rng, audit=out.audit, check=check_now)
             switching = interval_switching_cost(decision, ctx)
             communication = interval_comm_cost(decision, config.topology)
             running = running_cost_before_flush(states, ctx)
@@ -751,9 +764,8 @@ def simulate_alone(config, params, check_states):
             out.fallback_creations += decision.fallback_creations
             out.intervals = t
     except Exception as exc:
-        for alpha in bounds.live:
+        for alpha in alphas:
             failures[alpha] = exc
-    failures.update(bounds.failures)
     return out
 
 

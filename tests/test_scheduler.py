@@ -22,7 +22,6 @@ from edgesim.model import (
 from edgesim.policies import make_policy
 from edgesim.scheduler import (
     AuditRecord,
-    BoundChecks,
     RoutingContext,
     distribute_interval,
     end_interval,
@@ -44,15 +43,6 @@ def _setup(capacities, comm=None, cpus=None, catalog=DEFAULT_CATALOG, alpha=0.00
     return topo, params, ctx, states
 
 
-def _checked(batch, states, ctx, policy, rng, audit=None, alpha=0.001):
-    """Route one interval with every request's cost bound checked at `alpha`,
-    the context's alpha (`_setup`'s by default)."""
-    bounds = BoundChecks(ctx, [alpha])
-    decision = distribute_interval(batch, states, ctx, policy, rng, audit=audit, check=bounds)
-    assert bounds.failures == {}
-    return decision
-
-
 def _close(states, policy, decision, ctx):
     """End the interval `decision` routed as a run does: the actives idle
     while the running cost is priced, then the policy's sweep runs."""
@@ -72,7 +62,7 @@ def test_local_cache_serves_everything():
     policy = make_policy("pcache", 1)
     _warm(states, 0, 0, 3, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 2})
-    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
+    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
     assert d.local_served == {(0, 0): 2}
     assert d.offloaded == {} and d.created == {} and d.rejected == {}
     assert states[0].active[0] == 2 and states[0].cache[0] == 1
@@ -84,7 +74,7 @@ def test_offload_to_cached_neighbor_within_radius():
     policy = make_policy("pcache", 1)
     _warm(states, 1, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 1})
-    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
+    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
     assert d.offloaded == {(0, 1, 0): 1}
     assert d.created == {} and d.local_served == {}
     assert states[1].active[0] == 1
@@ -94,7 +84,7 @@ def test_create_when_no_cache_anywhere():
     topo, params, ctx, states = _setup([4000.0, 4000.0], comm=[[0, 3], [3, 0]], catalog=ONE_TYPE)
     policy = make_policy("pcache", 1)
     batch = RequestBatch(interval=1, counts={(0, 0): 1})
-    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
+    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
     assert d.created == {(0, 0): 1}
     assert d.local_served == {(0, 0): 1}
     assert d.total_created() == 1
@@ -106,7 +96,7 @@ def test_offload_skipped_when_distance_exceeds_switching_cost():
     policy = make_policy("lru", 1)
     _warm(states, 1, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 1})
-    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
+    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
     assert d.created == {(0, 0): 1}
     assert d.offloaded == {}
     assert states[1].cache[0] == 1  # untouched
@@ -119,7 +109,7 @@ def test_nearest_neighbor_consumed_first_with_tiebreak():
     for v in (1, 2, 3):
         _warm(states, v, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 2})
-    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
+    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
     # node 3 is nearest (d=2); then the tie between 1 and 2 at d=5 goes to 1
     assert d.offloaded == {(0, 3, 0): 1, (0, 1, 0): 1}
 
@@ -130,7 +120,7 @@ def test_capacity_pressure_evicts_via_policy():
     policy = make_policy("lru", 2)
     _warm(states, 0, 1, 1, ctx)  # 332 MB cached checkout
     batch = RequestBatch(interval=2, counts={(0, 0): 2})  # needs 110 MB
-    d = _checked(batch, states, ctx, policy, np.random.default_rng(0))
+    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
     assert d.created == {(0, 0): 2}
     assert d.destroyed == {(0, 1): 1}
     assert states[0].cache[1] == 0
@@ -189,7 +179,7 @@ def test_fallback_prefers_remote_cache_beyond_radius():
     _warm(states, 1, 0, 1, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 3})
     audit = []
-    d = _checked(batch, states, ctx, policy, np.random.default_rng(0), audit=audit)
+    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), audit=audit, check=True)
     assert d.created == {(0, 0): 2}
     assert d.offloaded == {(0, 1, 0): 1}
     assert d.fallback_creations == 0
@@ -206,8 +196,7 @@ def test_overflow_takes_idle_containers_then_creates_beyond_radius():
     _warm(states, 1, 0, 2, ctx)
     batch = RequestBatch(interval=2, counts={(0, 0): 4})
     audit = []
-    bounds = BoundChecks(ctx, [0.001, 0.002])
-    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), audit=audit, check=bounds)
+    d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), audit=audit, check=True)
     assert d.offloaded == {(0, 1, 0): 4}
     assert d.created == {(1, 0): 2} and d.fallback_creations == 2
     assert d.local_served == {} and d.destroyed == {} and d.rejected == {}
@@ -216,8 +205,8 @@ def test_overflow_takes_idle_containers_then_creates_beyond_radius():
     offload = AuditRecord(2, 0, 0, "offload", 1, 100.0 + aq, aq + 100.0)
     create = AuditRecord(2, 0, 0, "create", 1, 100.0 + 55.0 + aq, aq + 100.0)
     assert audit == [offload, offload, create, create]
-    # the offloads meet their bound at every alpha; creations are not checked
-    assert bounds.failures == {} and sorted(bounds.live) == [0.001, 0.002]
+    # the offloads meet their bound, or the router would have raised;
+    # overflow creations are not checked
     from edgesim.oracle import competitive_check
 
     report = competitive_check(audit, topo, ONE_TYPE, params)
@@ -256,12 +245,11 @@ def test_end_interval_nocache_destroys_everything():
     assert states[0].cache[0] == 0 and states[0].used_mb == 0
 
 
-def _nocache_route(capacities, counts, catalog=ONE_TYPE, audit=None, bounds=False, global_stats=False, cpus=None):
+def _nocache_route(capacities, counts, catalog=ONE_TYPE, audit=None, check=False, global_stats=False, cpus=None):
     """Route one interval of a lone `NoCache` lane and close it; the decision,
     its (switching, running) costs and the states."""
     topo, params, ctx, states = _setup(capacities, catalog=catalog, cpus=cpus)
     policy = make_policy("nocache", len(catalog), global_stats=global_stats)
-    check = BoundChecks(ctx, [params.alpha]) if bounds else None
     decision = distribute_interval(RequestBatch(1, counts), states, ctx, policy, np.random.default_rng(0), audit=audit, check=check)
     return decision, price_nocache(decision, states, ctx), states, policy
 
@@ -290,7 +278,7 @@ def test_nocache_one_mb_over_stays_open():
 def test_nocache_audited_checked_or_fractional_interval_stays_open(case):
     catalog = (FRACTIONAL_CATALOG[0],) if case == "fractional" else ONE_TYPE
     audit = [] if case == "audit" else None
-    decision, _, states, _ = _nocache_route([4000.0], {(0, 0): 3}, catalog=catalog, audit=audit, bounds=case == "bounds")
+    decision, _, states, _ = _nocache_route([4000.0], {(0, 0): 3}, catalog=catalog, audit=audit, check=case == "bounds")
     assert not decision.closed
     assert decision.created == decision.local_served == {(0, 0): 3}
     assert states[0].active == [0] and states[0].freq == [0] and states[0].last_used == [0]
@@ -368,67 +356,40 @@ def test_bound_check_raises_on_violation():
         competitive_check([rec], topo, ONE_TYPE, params)
 
 
-def test_bound_checks_trip_on_doctored_cost_at_every_alpha():
-    # a negative switching cost puts a warm hit's realized cost above its bound
-    topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
-    policy = make_policy("pcache", 1)
-    _warm(states, 0, 0, 2, ctx)
-    ctx.p[0][0] = -1.0
-    bounds = BoundChecks(ctx, [0.001, 0.002])
-    batch = RequestBatch(interval=2, counts={(0, 0): 2})
-    distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=bounds)
-    assert bounds.live == {}
-    for alpha, exc in bounds.failures.items():
-        aq = alpha * 55.0
-        assert str(exc) == f"per-request cost bound exceeded: {AuditRecord(2, 0, 0, 'hit', 0, 0.0 + aq, aq - 1.0)}"
-    assert sorted(bounds.failures) == [0.001, 0.002]
-
-    # each alpha is judged on its own table: at 1e20 the doctored cost rounds away
-    _warm(states, 0, 0, 1, ctx, now=2)
-    bounds = BoundChecks(ctx, [0.001, 0.002])
-    bounds.live[0.001] = [[1e20]]
-    batch = RequestBatch(interval=3, counts={(0, 0): 1})
-    distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=bounds)
-    assert list(bounds.live) == [0.001] and list(bounds.failures) == [0.002]
-
-
-def test_bound_checks_judge_a_channel_of_several_requests_once_per_alpha():
-    # every request of a channel shares its cost, top and alpha*q: a doctored
-    # channel of 3 hits fails each alpha once, with the record all 3 share,
-    # and an alpha whose table rounds the doctoring away stays live
+def test_bound_check_raises_once_for_a_doctored_channel_of_several_requests():
+    # a negative switching cost puts a warm hit's cost, 0.0, above its bound
+    # term p; the channel's 3 hits share their cost, top and alpha*q, so the
+    # router raises once, with the record all 3 share, priced at the
+    # context's alpha as the audit prices it
     topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
     policy = make_policy("pcache", 1)
     _warm(states, 0, 0, 3, ctx)
     ctx.p[0][0] = -1.0
-    calls = []
-
-    class RecordingChecks(BoundChecks):
-        def fail(self, alpha, record):
-            calls.append((alpha, record))
-            super().fail(alpha, record)
-
-    bounds = RecordingChecks(ctx, [0.001, 0.002, 0.003])
-    bounds.live[0.003] = [[1e20]]
     audit = []
     batch = RequestBatch(interval=2, counts={(0, 0): 3})
-    distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), audit=audit, check=bounds)
-    assert len(audit) == 3 and all(rec is audit[0] for rec in audit)  # one channel
-    assert calls == [
-        (alpha, AuditRecord(2, 0, 0, "hit", 0, 0.0 + alpha * 55.0, alpha * 55.0 - 1.0)) for alpha in (0.001, 0.002)
-    ]
-    assert list(bounds.live) == [0.003] and sorted(bounds.failures) == [0.001, 0.002]
+    with pytest.raises(InvariantViolation) as raised:
+        distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), audit=audit, check=True)
+    aq = ctx.aq[0][0]
+    record = AuditRecord(2, 0, 0, "hit", 0, 0.0 + aq, aq - 1.0)
+    assert str(raised.value) == f"per-request cost bound exceeded: {record}"
+    assert audit == [record] * 3 and all(rec is audit[0] for rec in audit)  # one channel
 
 
-def test_bound_checks_fail_ends_only_that_alpha():
-    topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
-    bounds = BoundChecks(ctx, [0.001, 0.002])
-    record = AuditRecord(1, 0, 0, "create", 0, 60.0, 55.11)
-    bounds.fail(0.002, record)
-    assert list(bounds.live) == [0.001]
-    assert str(bounds.failures[0.002]) == f"per-request cost bound exceeded: {record}"
-    batch = RequestBatch(interval=1, counts={(0, 0): 3})
-    distribute_interval(batch, states, ctx, make_policy("lru", 1), np.random.default_rng(0), check=bounds)
-    assert list(bounds.live) == [0.001] and list(bounds.failures) == [0.002]
+def test_bound_check_raises_where_rounding_hid_the_violation():
+    # at alpha*q = 1.1e20 a doctored hit's cost + alpha*q and alpha*q + top
+    # round to one float, so a compare at that alpha*q passes it; cost > top
+    # does not
+    topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE, alpha=2e18)
+    policy = make_policy("pcache", 1)
+    _warm(states, 0, 0, 1, ctx)
+    ctx.p[0][0] = -1.0
+    aq = ctx.aq[0][0]
+    assert aq == 1.1e20 and not (0.0 + aq > aq - 1.0 + 1e-9)
+    batch = RequestBatch(interval=2, counts={(0, 0): 1})
+    record = AuditRecord(2, 0, 0, "hit", 0, 0.0 + aq, aq - 1.0)
+    with pytest.raises(InvariantViolation) as raised:
+        distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
+    assert str(raised.value) == f"per-request cost bound exceeded: {record}"
 
 
 def _random_roundtrip(seed, policy_name):
@@ -454,7 +415,7 @@ def _random_roundtrip(seed, policy_name):
                 if c:
                     counts[(node, n)] = c
         batch = RequestBatch(interval=t, counts=counts)
-        d = _checked(batch, states, ctx, policy, np.random.default_rng(seed + t), alpha=params.alpha)
+        d = distribute_interval(batch, states, ctx, policy, np.random.default_rng(seed + t), check=True)
         d.check_conservation(batch)
         for state in states:
             assert occupancy(state, DEFAULT_CATALOG) <= caps[state.node_id] + 1e-9

@@ -1,5 +1,5 @@
+import copy
 import json
-import math
 from collections import Counter
 from dataclasses import replace
 
@@ -9,7 +9,7 @@ import pytest
 import edgesim.sim as sim
 from edgesim.errors import ConfigError, InvariantViolation
 from edgesim.model import CostParams, FunctionType, RequestBatch
-from edgesim.scheduler import BoundChecks, RoutingContext
+from edgesim.scheduler import AuditRecord
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 
 from conftest import desk_topology, make_topology
@@ -214,10 +214,15 @@ def test_sweep_includes_nocache_rows_when_requested():
 
 def test_sweep_reports_per_cell_errors():
     base = _zipf_config(horizon=8)
-    # run_coeff feasible at alpha=0.005 but not at alpha=0.3 (cpu up to 2 GHz)
-    grid = SweepGrid(alphas=[0.005, 0.3], betas=[1.0], policies=["lru"], seeds=[3])
+    # run_coeff feasible at alpha=0.005 and 0.01 but not at alpha=0.3 (cpu up
+    # to 2 GHz): every alpha is validated, not only the first, and the second
+    # errors exactly its cells, the unreported nocache baseline's included,
+    # leaving the other alphas' records as a clean sweep's
+    grid = SweepGrid(alphas=[0.005, 0.3, 0.01], betas=[1.0], policies=["lru"], seeds=[3])
+    clean, clean_errors = sweep(replace(grid, alphas=[0.005, 0.01]), base)
     records, errors = sweep(grid, base)
-    assert len(records) == 1
+    assert clean_errors == [] and len(clean) == 2
+    assert records == clean
     message = "ConfigError: alpha*q > p for type 0 at node 2 (33 > 27.5); caching would never pay off"
     assert errors == [
         {"alpha": 0.3, "beta": 1.0, "error": message, "policy": policy, "seed": 3}
@@ -276,63 +281,27 @@ def test_sweep_over_batch_list_has_no_beta_axis():
     assert records[3]["normalized_cost"] == direct["normalized_cost"]
 
 
-def _cell(base, seed, beta, alpha, policy):
-    params = replace(base.params, alpha=alpha)
-    return replace(base, policy=policy, params=params, beta=beta, seed=derive_seed(seed, "cell", beta))
-
-
-class _NearBoundContext(sim.RoutingContext):
-    """A routing context whose offload candidates carry a d one ulp above the
-    origin's switching cost p: every offload channel's cost exceeds its bound
-    term, so the bound check reads its alpha * q at every live alpha, and
-    passes it (the excess is far below the 1e-9 tolerance). Routing reads only
-    the candidates' ids and the ledger prices communication from the
-    topology, so every trajectory and cost stays as it was."""
-
-    def __init__(self, topology, catalog, params):
-        super().__init__(topology, catalog, params)
-        self.offload = [
-            [[(v2, math.nextafter(p, math.inf)) for v2, _ in pairs] for pairs, p in zip(row, self.p[v])]
-            for v, row in enumerate(self.offload)
-        ]
-
-
 def test_sweep_checks_every_alpha_as_often_as_separate_runs(monkeypatch):
     """One simulation per (seed, beta, policy) keeps the coverage of one run per
     cell: validate_setup once per alpha per (seed, beta) point, since every
-    lane of a point shares its inputs, and the per-request bound at every
-    alpha for every routing channel a separate run would check, once per
-    channel, since a channel's requests share their cost and bound. A channel
-    whose cost is within its bound term passes at every alpha without reading
-    an alpha * q table, so the clean grid reads none; a grid whose offload
-    channels all exceed their bound terms reads as many per alpha as the
-    separate runs do."""
+    lane of a point shares its inputs, and the per-request bound on every
+    interval a separate run would check, since the check reads no alpha: at
+    check=full every lane routes every interval bound-checked."""
     validated = Counter()
-    evaluated = Counter()
+    routed = []
     validate_setup = sim.validate_setup
-    init = BoundChecks.__init__
+    distribute_interval = sim.distribute_interval
 
     def counting_validate(topology, catalog, params):
         validated[params.alpha] += 1
         return validate_setup(topology, catalog, params)
 
-    class CountingTable(list):
-        """An alpha * q table that counts one bound evaluation per row read."""
-
-        def __init__(self, rows, alpha):
-            super().__init__(rows)
-            self.alpha = alpha
-
-        def __getitem__(self, origin):
-            evaluated[self.alpha] += 1
-            return list.__getitem__(self, origin)
-
-    def counting_init(self, ctx, alphas):
-        init(self, ctx, alphas)
-        self.live = {alpha: CountingTable(table, alpha) for alpha, table in self.live.items()}
+    def recording_distribute(batch, states, ctx, policy, rng, audit=None, check=False):
+        routed.append((policy.name, batch.interval, check))
+        return distribute_interval(batch, states, ctx, policy, rng, audit=audit, check=check)
 
     monkeypatch.setattr(sim, "validate_setup", counting_validate)
-    monkeypatch.setattr(BoundChecks, "__init__", counting_init)
+    monkeypatch.setattr(sim, "distribute_interval", recording_distribute)
     alphas = [0.001, 0.005, 0.015]
     base = _zipf_config(horizon=15, nodes=3, mean_rate=4.0)
     grid = SweepGrid(alphas=alphas, betas=[0.5, 1.5], policies=["pcache", "lru", "fc"], seeds=[3])
@@ -340,28 +309,24 @@ def test_sweep_checks_every_alpha_as_often_as_separate_runs(monkeypatch):
     assert errors == [] and len(records) == 18
     groups = 2  # betas; the policies and the nocache baseline of a point share one check
     assert validated == {alpha: groups for alpha in alphas}
-    assert evaluated == {}
+    assert routed == [
+        (policy, t, True) for _ in grid.betas for t in range(1, 16) for policy in ("nocache", "pcache", "lru", "fc")
+    ]
 
-    monkeypatch.setattr(sim, "RoutingContext", _NearBoundContext)
-    near_records, errors = sweep(grid, base)
-    assert errors == [] and near_records == records
-    swept = dict(evaluated)
 
-    evaluated.clear()
-    channels = Counter()
-    near = [[{v2 for v2, _ in pairs} for pairs in row] for row in RoutingContext(base.topology, base.catalog, base.params).offload]
-    for beta in grid.betas:
-        for alpha in alphas:
-            for policy in ("nocache", "pcache", "lru", "fc"):
-                audit = run(replace(_cell(base, 3, beta, alpha, policy), audit=True)).audit
-                # a channel's requests share one record; an overflow offload
-                # reaches only nodes beyond p, whose d is not doctored, since
-                # the nearer ones gave up their idle containers of the type first
-                channels[alpha] += len(
-                    {id(rec) for rec in audit if rec.action == "offload" and rec.serving_node in near[rec.origin][rec.ftype]}
-                )
-    assert swept == dict(evaluated) == dict(channels)
-    assert sorted(swept) == alphas and min(swept.values()) > 0
+@pytest.mark.parametrize("level, checked", [("off", ()), ("sample", (10, 20)), ("full", range(1, 21))])
+def test_lane_bound_checks_the_intervals_of_its_check_level(monkeypatch, level, checked):
+    routed = []
+    distribute_interval = sim.distribute_interval
+
+    def recording_distribute(batch, states, ctx, policy, rng, audit=None, check=False):
+        if policy.name == "pcache":
+            routed.append((batch.interval, type(check), check))
+        return distribute_interval(batch, states, ctx, policy, rng, audit=audit, check=check)
+
+    monkeypatch.setattr(sim, "distribute_interval", recording_distribute)
+    run(replace(_zipf_config(horizon=20), check=level))
+    assert routed == [(t, bool, t in checked) for t in range(1, 21)]
 
 
 def test_overflowing_baseline_is_simulated_once(monkeypatch):
@@ -386,27 +351,36 @@ def test_overflowing_baseline_is_simulated_once(monkeypatch):
     assert calls == [["nocache", "pcache", "lru"]]
 
 
-def test_sweep_bound_failure_ends_only_its_alpha(monkeypatch):
+def test_sweep_bound_failure_ends_its_lane_at_every_alpha(monkeypatch):
     distribute_interval = sim.distribute_interval
 
-    def failing_at_interval_4(batch, states, ctx, policy, rng, audit=None, check=None):
-        if batch.interval == 4 and check is not None and 0.01 in check.live:
-            check.failures[0.01] = InvariantViolation("injected at interval 4")
-            del check.live[0.01]
+    def violating_at_interval_4(batch, states, ctx, policy, rng, audit=None, check=False):
+        # pcache's checked interval 4 sees every switching cost at -1: its
+        # first warm hit costs more than its bound term
+        if batch.interval == 4 and check and policy.name == "pcache":
+            ctx = copy.copy(ctx)
+            ctx.p = [[-1.0] * len(row) for row in ctx.p]
         return distribute_interval(batch, states, ctx, policy, rng, audit=audit, check=check)
 
     base = _zipf_config(horizon=8)
-    grid = SweepGrid(alphas=[0.005, 0.01], betas=[1.0], policies=["pcache", "lru"], seeds=[3])
+    grid = SweepGrid(alphas=[0.005, 0.01], betas=[1.0], policies=["pcache", "lru", "nocache"], seeds=[3])
     clean, _ = sweep(grid, base)
-    monkeypatch.setattr(sim, "distribute_interval", failing_at_interval_4)
+    monkeypatch.setattr(sim, "distribute_interval", violating_at_interval_4)
     records, errors = sweep(grid, base)
-    assert records == [r for r in clean if r["alpha"] == 0.005]
+    assert records == [r for r in clean if r["policy"] != "pcache"]
+    assert {r["policy"] for r in records} == {"lru", "nocache"}
+    # the record is priced at the context's alpha, as an audit would price it:
+    # the base's in a sweep, the run's own in a run
+    q = 55.0  # type 0 at the 1 GHz node 0
+    message = "per-request cost bound exceeded: {}"
+    hit = AuditRecord(4, 0, 0, "hit", 0, 0.0 + 0.005 * q, 0.005 * q - 1.0)
     assert errors == [
-        {"alpha": 0.01, "beta": 1.0, "error": "InvariantViolation: injected at interval 4", "policy": policy, "seed": 3}
-        for policy in ("lru", "nocache", "pcache")
+        {"alpha": alpha, "beta": 1.0, "error": "InvariantViolation: " + message.format(hit), "policy": "pcache", "seed": 3}
+        for alpha in (0.005, 0.01)
     ]
-    with pytest.raises(InvariantViolation, match="injected at interval 4"):
-        run(replace(base, params=CostParams(alpha=0.01)))
+    with pytest.raises(InvariantViolation) as raised:
+        run(replace(base, policy="pcache", params=CostParams(alpha=0.01)))
+    assert str(raised.value) == message.format(AuditRecord(4, 0, 0, "hit", 0, 0.0 + 0.01 * q, 0.01 * q - 1.0))
 
 
 def test_sweep_failed_baseline_fails_every_policy_at_its_alphas(monkeypatch):

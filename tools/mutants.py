@@ -141,14 +141,14 @@ WALK_IDLE = (
 
 MUTANTS = [
     # alpha collapse: one trajectory priced and checked at every alpha
-    Mutant("bounds-first-alpha-only", SCHED,
-           "for alpha in alphas}", "for alpha in alphas[:1]}",
-           "per-request bounds checked at the first alpha only",
-           "tests/test_scheduler.py::test_overflow_takes_idle_containers_then_creates_beyond_radius"),
+    Mutant("lane-fault-first-alpha-only", SIM,
+           "            for alpha in self.alphas:\n", "            for alpha in self.alphas[:1]:\n",
+           "a lane's own fault, a bound violation included, ends only its first alpha",
+           "tests/test_sim.py::test_sweep_bound_failure_ends_its_lane_at_every_alpha"),
     Mutant("validate-first-alpha-only", SIM,
            "    for p in params:\n        try:\n", "    for p in params[:1]:\n        try:\n",
            "alpha*q <= p checked at the first alpha only",
-           "tests/test_golden.py::test_goldens_add_no_float_with_sum"),
+           "tests/test_sim.py::test_sweep_reports_per_cell_errors"),
     Mutant("lanes-share-failure-map", SIM,
            "_Lane(c, params, ctx, dict(failures))", "_Lane(c, params, ctx, failures)",
            "every lane of a stream shares one failure map, so one lane's failure fails the others",
@@ -158,9 +158,9 @@ MUTANTS = [
            "an alpha the no-cache baseline failed at is left to the lanes it normalizes",
            "tests/test_sim.py::test_sweep_failed_baseline_fails_every_policy_at_its_alphas"),
     Mutant("drop-bound-failures", SCHED,
-           "        self.failures[alpha] = InvariantViolation(", "        InvariantViolation(",
-           "a bound violation ends the alpha's checks but is never reported",
-           "tests/test_scheduler.py::test_bound_checks_trip_on_doctored_cost_at_every_alpha"),
+           "            raise InvariantViolation(\n", "            InvariantViolation(\n",
+           "a per-request bound violation is never reported",
+           "tests/test_scheduler.py::test_bound_check_raises_once_for_a_doctored_channel_of_several_requests"),
     Mutant("price-at-ledger-alpha", SIM,
            "total = lane.ledger.total_cost(p.alpha)", "total = lane.ledger.total_cost()",
            "every alpha priced at the first alpha's weight",
@@ -173,15 +173,15 @@ MUTANTS = [
            '    if config.policy != "nocache":', "    if True:",
            "a no-cache run simulates a second no-cache lane as its baseline",
            "tests/test_bench_spans.py::test_tracer_counts_the_requests_of_every_lane[nocache-1]"),
-    Mutant("smallest-alpha-violation-only", SCHED,
-           "                aq = aq_table[origin][n]\n                if cost + aq > aq + top + 1e-9:\n",
-           "                aq = aq_table[origin][n]\n                if cost + aq > aq + top + 1e-9 and alpha == min(check.live):\n",
-           "only the smallest live alpha records its violation",
-           "tests/test_scheduler.py::test_bound_checks_trip_on_doctored_cost_at_every_alpha"),
     Mutant("bound-guard-misses-small-violations", SCHED,
-           "if check is not None and cost > top:", "if check is not None and cost > top + 1.0:",
-           "a channel whose cost exceeds its bound term by at most 1.0 skips the bound check",
+           "if check and cost > top:", "if check and cost > top + 1.0:",
+           "a channel whose cost exceeds its bound term by at most 1.0 passes the bound check",
            "tests/test_properties.py::test_guarded_bound_checks_fail_as_the_unguarded_reference"),
+    Mutant("bound-check-at-context-alpha", SCHED,
+           "        if check and cost > top:\n",
+           "        if check and cost + aq_audit[origin][n] > aq_audit[origin][n] + top + 1e-9:\n",
+           "the bound is checked at the context's alpha*q, where rounding can hide a violation",
+           "tests/test_scheduler.py::test_bound_check_raises_where_rounding_hid_the_violation"),
     # oracle block pricing into the keep lattice
     Mutant("cells-keep-later-tie", ORACLE,
            "        best[cells[now < held]] = none  # a lower cost: the cell's earlier pairs lose\n"
@@ -296,7 +296,7 @@ MUTANTS = [
            "an interval of fractional sizes is closed as routed, with `used_mb` left at other bits",
            "tests/test_properties.py::test_nocache_closed_as_routed_equals_open_routing"),
     Mutant("fold-under-bound-checks", SCHED,
-           "audit is None and check is None and ctx.whole_mem", "audit is None and ctx.whole_mem",
+           "audit is None and not check and ctx.whole_mem", "audit is None and ctx.whole_mem",
            "a bound-checked no-cache interval skips its checks",
            "tests/test_scheduler.py::test_nocache_audited_checked_or_fractional_interval_stays_open[bounds]"),
     Mutant("closed-still-destroys", SIM,
