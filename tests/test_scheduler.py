@@ -356,23 +356,40 @@ def test_bound_check_raises_on_violation():
         competitive_check([rec], topo, ONE_TYPE, params)
 
 
-def test_bound_check_raises_once_for_a_doctored_channel_of_several_requests():
+def test_bound_checks_trip_on_doctored_cost_at_every_alpha():
     # a negative switching cost puts a warm hit's cost, 0.0, above its bound
-    # term p; the channel's 3 hits share their cost, top and alpha*q, so the
-    # router raises once, with the record all 3 share, priced at the
-    # context's alpha as the audit prices it
-    topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
-    policy = make_policy("pcache", 1)
-    _warm(states, 0, 0, 3, ctx)
-    ctx.p[0][0] = -1.0
-    audit = []
-    batch = RequestBatch(interval=2, counts={(0, 0): 3})
-    with pytest.raises(InvariantViolation) as raised:
-        distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), audit=audit, check=True)
-    aq = ctx.aq[0][0]
-    record = AuditRecord(2, 0, 0, "hit", 0, 0.0 + aq, aq - 1.0)
-    assert str(raised.value) == f"per-request cost bound exceeded: {record}"
-    assert audit == [record] * 3 and all(rec is audit[0] for rec in audit)  # one channel
+    # term p; the check reads no alpha, so it trips at every alpha, 2e18
+    # (alpha*q = 1.1e20, where cost + alpha*q rounds onto its bound) included
+    for alpha in (0.001, 0.002, 2e18):
+        topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE, alpha=alpha)
+        policy = make_policy("pcache", 1)
+        _warm(states, 0, 0, 2, ctx)
+        ctx.p[0][0] = -1.0
+        aq = ctx.aq[0][0]
+        assert aq == alpha * 55.0
+        batch = RequestBatch(interval=2, counts={(0, 0): 2})
+        with pytest.raises(InvariantViolation) as raised:
+            distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), check=True)
+        assert str(raised.value) == f"per-request cost bound exceeded: {AuditRecord(2, 0, 0, 'hit', 0, 0.0 + aq, aq - 1.0)}"
+
+
+def test_bound_checks_judge_a_channel_of_several_requests_once_per_alpha():
+    # the channel's 3 hits share their cost, top and alpha*q, so at each
+    # alpha the router raises once, with the record all 3 share, priced at
+    # the context's alpha as the audit prices it
+    for alpha in (0.001, 0.002, 0.003):
+        topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE, alpha=alpha)
+        policy = make_policy("pcache", 1)
+        _warm(states, 0, 0, 3, ctx)
+        ctx.p[0][0] = -1.0
+        audit = []
+        batch = RequestBatch(interval=2, counts={(0, 0): 3})
+        with pytest.raises(InvariantViolation) as raised:
+            distribute_interval(batch, states, ctx, policy, np.random.default_rng(0), audit=audit, check=True)
+        aq = ctx.aq[0][0]
+        record = AuditRecord(2, 0, 0, "hit", 0, 0.0 + aq, aq - 1.0)
+        assert str(raised.value) == f"per-request cost bound exceeded: {record}"
+        assert audit == [record] * 3 and all(rec is audit[0] for rec in audit)  # one channel
 
 
 def test_bound_check_raises_where_rounding_hid_the_violation():

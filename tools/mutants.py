@@ -160,7 +160,7 @@ MUTANTS = [
     Mutant("drop-bound-failures", SCHED,
            "            raise InvariantViolation(\n", "            InvariantViolation(\n",
            "a per-request bound violation is never reported",
-           "tests/test_scheduler.py::test_bound_check_raises_once_for_a_doctored_channel_of_several_requests"),
+           "tests/test_scheduler.py::test_bound_checks_judge_a_channel_of_several_requests_once_per_alpha"),
     Mutant("price-at-ledger-alpha", SIM,
            "total = lane.ledger.total_cost(p.alpha)", "total = lane.ledger.total_cost()",
            "every alpha priced at the first alpha's weight",
