@@ -117,27 +117,23 @@ def comm_cost_from_coords(nodes: list[EdgeNode], scale: float = 1.0) -> np.ndarr
     coords = [node.coord for node in nodes]
     if None in coords:
         raise ConfigError(f"node {nodes[coords.index(None)].id} has no coordinate; cannot derive comm costs")
-    # O(V) in pure Python before numpy, which would warn on a coordinate that
-    # is not finite or a spread whose square overflows: a pair's squared
-    # distance is at most the sum of the axes' squared spreads, rounding being
-    # monotone
-    spread = 0.0
-    for axis in zip(*coords):
-        if not all(map(math.isfinite, axis)):
-            node = next(node for node in nodes if not all(map(math.isfinite, node.coord)))
-            raise ConfigError(f"node {node.id} coordinate {node.coord!r} is not finite")
-        lo, hi = min(axis), max(axis)
-        spread += (hi - lo) * (hi - lo)
-    if not math.isfinite(spread):
-        spans = ", ".join(f"{min(axis)!r} to {max(axis)!r}" for axis in zip(*coords))
-        raise ConfigError(f"node coordinates spanning {spans} are too far apart: their squared distance is not finite")
     pts = np.array(coords, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    # a Python float overflows to inf silently; by monotone rounding it bounds every scaled entry
-    if not math.isfinite(scale * float(dist.max())):
+    # a coordinate that is not finite, a squared distance or a scaled one past
+    # float range: each leaves an entry that is not finite, told apart below
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        scaled = scale * dist
+    if not np.isfinite(scaled).all():
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            node = nodes[int(finite.argmin())]
+            raise ConfigError(f"node {node.id} coordinate {node.coord!r} is not finite")
+        if not np.isfinite(dist).all():
+            spans = ", ".join(f"{lo!r} to {hi!r}" for lo, hi in zip(pts.min(axis=0).tolist(), pts.max(axis=0).tolist()))
+            raise ConfigError(f"node coordinates spanning {spans} are too far apart: their squared distance is not finite")
         raise ConfigError(f"comm-cost scale {scale!r} times a distance between node coordinates is not finite")
-    return scale * dist
+    return scaled
 
 
 def left_sum(values):

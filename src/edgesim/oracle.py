@@ -133,10 +133,10 @@ def _priced_blocks(dp, m_all, comm, u, cap, p_flat, aq_flat):
             yield first_state, pool.reshape(size, -1), flat, cost.ravel()[flat]
 
 
-def _kept_states(dp, m_all, comm, u, cap, p_flat, aq_flat, caps) -> tuple[dict, dict]:
+def _kept_states(dp, m_all, comm, u, cap, p_flat, aq_flat, caps) -> tuple[dict, dict, bool]:
     """Every state an interval can end in after destroying containers:
-    (state -> cost, state -> parent pair), where pair s * A + a is routing a
-    from the s-th state of dp.
+    (state -> cost, state -> parent pair, whether any pair fits), where pair
+    s * A + a is routing a from the s-th state of dp.
 
     A pair reaches every state at or below its pool clipped to caps. One pass
     over the priced blocks reduces the pairs into the dense lattice of clipped
@@ -160,7 +160,9 @@ def _kept_states(dp, m_all, comm, u, cap, p_flat, aq_flat, caps) -> tuple[dict, 
     best = np.full(len(least), none)  # the earliest pair of least cost
     first = np.full(len(least), none)  # the first pair to reach the cell
     ceiling = math.inf  # the costliest cell's cost, once every cell is reached
+    any_fit = False  # a block is yielded only with a pair that fits
     for first_state, pool, flat, costs in _priced_blocks(dp, m_all, comm, u, cap, p_flat, aq_flat):
+        any_fit = True
         if costs.min() >= ceiling:
             continue
         cells = stride @ np.minimum(pool[:, flat], caps_col)
@@ -190,7 +192,7 @@ def _kept_states(dp, m_all, comm, u, cap, p_flat, aq_flat, caps) -> tuple[dict, 
     kept = kept[np.argsort(reach[kept], kind="stable")]
     cell = by_cost[top[kept]]
     states = list(map(tuple, np.stack(np.unravel_index(kept, shape), axis=1).tolist()))
-    return dict(zip(states, least[cell].tolist())), dict(zip(states, best[cell].tolist()))
+    return dict(zip(states, least[cell].tolist())), dict(zip(states, best[cell].tolist())), any_fit
 
 
 @np.errstate(over="ignore")  # a cost past float range is inf: an interval with no finite routing is refused
@@ -254,15 +256,10 @@ def solve_exact(instance: TinyInstance) -> OracleSolution:
                 comm = (comm[:, None] + ccost).ravel()
                 groups.append((v, n, comps))
         prev_states = list(dp)
-        dp, parent = _kept_states(dp, m_all, comm, u, cap, p_flat, aq_flat, keep_cap[t])
+        dp, parent, any_fit = _kept_states(dp, m_all, comm, u, cap, p_flat, aq_flat, keep_cap[t])
         if not dp:
-            # dp always holds the zero state, and a routing that fits from any
-            # state fits from it: the routings alone tell an interval none of
-            # which fits from one whose every fitting routing costs inf
-            used = 0.0
-            for n in range(N):
-                used = used + u[n] * m_all[:, n::N]  # (A, V), added as `_priced_blocks` adds it
-            if (used <= np.asarray(cap)).all(axis=1).any():
+            # a pair that fits keeps a state unless its cost is inf
+            if any_fit:
                 raise ConfigError(f"interval {t}: every feasible routing costs inf: the costs overflow float range")
             raise InfeasibleInstance(f"no feasible routing for interval {t}")
         parents[t] = (groups, m_all, prev_states, parent)

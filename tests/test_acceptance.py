@@ -100,7 +100,7 @@ def test_criterion_1_theorem_bound():
         passed,
         f"{checked}/{requests} requests within the worst-case bound "
         f"(0 violations, {fallbacks} overflow creations, {rejected} rejections, "
-        f"max realized/OPT ratio {max_ratio:.1f})",
+        f"max ratio of realized cost to the per-request lower bound alpha*q {max_ratio:.1f})",
     )
 
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from edgesim.model import (
     load_topology,
     running_cost,
     switching_cost,
+    validate_fit,
     validate_setup,
 )
 from edgesim.policies import make_policy
@@ -96,6 +100,48 @@ def test_comm_cost_missing_coord():
     nodes = [EdgeNode(0, 500, 1.0, coord=(0, 0)), EdgeNode(1, 500, 1.0)]
     with pytest.raises(ConfigError):
         comm_cost_from_coords(nodes, 1.0)
+
+
+def test_comm_cost_far_apart_on_two_axes_is_finite():
+    # each axis spans 1e154, so the axes' squared spreads add past float
+    # range, but no two nodes differ on both axes by that much: the largest
+    # distance is 1e154, its square 1e308
+    coords = [(5e153, 0.0), (-5e153, 0.0), (0.0, 5e153), (0.0, -5e153)]
+    nodes = [EdgeNode(v, 500, 1.0, coord=c) for v, c in enumerate(coords)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = comm_cost_from_coords(nodes, 1.0)
+    assert np.isfinite(d).all()
+    assert d[0][1] == d[2][3] == 1e154
+    assert d[0][2] == np.sqrt(5e307)
+    Topology(nodes=nodes, comm_cost=d)
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        # the first node in id order, though its bad entry is on the later axis
+        ([(0.0, 0.0), (0.0, math.inf), (math.nan, 0.0)], "node 1 coordinate (0.0, inf) is not finite"),
+        ([(math.nan, 0.0)], "node 0 coordinate (nan, 0.0) is not finite"),
+        # finite coordinates a finite distance apart, whose square is not finite
+        ([(0.0, 0.0), (2e154, 0.0)], "node coordinates spanning 0.0 to 2e+154, 0.0 to 0.0 are too far apart"),
+    ],
+    ids=["coord_inf_before_nan", "lone_coord_nan", "squared_distance_overflows"],
+)
+def test_comm_cost_refusal_names_its_cause_without_warning(coords, message):
+    # cases the CLI's refusal tests do not reach; a lone node's diagonal is
+    # its only distance
+    nodes = [EdgeNode(v, 500, 1.0, coord=c) for v, c in enumerate(coords)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as raised:
+            comm_cost_from_coords(nodes, 1.0)
+    assert str(raised.value).startswith(message)
+
+
+def test_validate_fit_rejects_empty_catalog():
+    with pytest.raises(ConfigError, match="catalog is empty"):
+        validate_fit(make_topology([500.0]), (), CostParams(alpha=0.001))
 
 
 def test_topology_rejects_asymmetric_matrix():

@@ -136,6 +136,9 @@ def test_instance_caps_enforced():
     topo2 = make_topology([4000.0])
     with pytest.raises(InstanceTooLarge):
         TinyInstance(topology=topo2, catalog=catalog, params=params, horizon=5, batches=[])
+    three_types = tuple(FunctionType(n, 55.0) for n in range(3))
+    with pytest.raises(InstanceTooLarge, match="at most 2 types, got 3"):
+        TinyInstance(topology=topo2, catalog=three_types, params=params, horizon=1, batches=[])
 
 
 def test_instance_rejects_two_batches_for_one_interval():

@@ -217,6 +217,16 @@ def test_fc_victim_is_oldest_entry():
     assert fc.select_victim(state, DEFAULT_CATALOG, rng, [state]) == CHECKOUT.id
 
 
+def test_fc_empty_cache_rejected():
+    # the log still holds the entry of a container a hit has since consumed
+    fc = FixedCaching(n_types=4, ttl=10)
+    state = _state(cache={WEB.id: 1}, freq={WEB.id: 1})
+    fc.end_of_interval([state], 1, _decision(1, [WEB.id]))
+    state.cache[WEB.id] = 0
+    with pytest.raises(ContractError, match="node 0: no cached containers to evict"):
+        fc.select_victim(state, DEFAULT_CATALOG, np.random.default_rng(0), [state])
+
+
 def test_fc_ttl_zero_flushes_everything():
     fc = FixedCaching(n_types=4, ttl=0)
     state = _state(cache={WEB.id: 2, IMGREC.id: 1}, freq={WEB.id: 2, IMGREC.id: 1})

@@ -29,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, example, given, settings
+from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgesim import oracle, scheduler, sim
@@ -407,6 +407,60 @@ def test_a_cost_within_its_bound_term_passes_at_every_alpha(pair, aq):
     # raises on
     cost, top = pair
     assert not (cost + aq > aq + top + 1e-9)
+
+
+MAX_FLOAT = 1.7976931348623157e308
+wide_floats = st.floats(min_value=1e-60, max_value=1e60)
+
+
+@st.composite
+def accepted_setups(draw):
+    """A topology, catalog and cost parameters that `validate_setup` accepts:
+    sizes, speeds and coefficients in 1e-60..1e60, so p and q are finite;
+    alpha drawn below switch_coeff / (run_coeff * cpu^2) at the fastest node,
+    so alpha*q <= p; and d >= 0 finite and symmetric, from the whole float
+    range."""
+    n_nodes, n_types = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    catalog = tuple(FunctionType(n, draw(wide_floats)) for n in range(n_types))
+    nodes = [EdgeNode(v, max(f.mem_mb for f in catalog), draw(wide_floats)) for v in range(n_nodes)]
+    comm = np.zeros((n_nodes, n_nodes))
+    for v, u in itertools.combinations(range(n_nodes), 2):
+        comm[v, u] = comm[u, v] = draw(st.floats(0.0, MAX_FLOAT))
+    switch_coeff, run_coeff = draw(wide_floats), draw(wide_floats)
+    fastest = max(node.cpu_ghz for node in nodes)
+    alpha = draw(st.floats(5e-324, 1.0)) * switch_coeff / (run_coeff * fastest * fastest)
+    assume(alpha > 0)
+    params = CostParams(alpha, switch_coeff, run_coeff)
+    topology = Topology(nodes=nodes, comm_cost=comm)
+    try:
+        validate_setup(topology, catalog, params)  # alpha*q may round above p
+    except ConfigError:
+        assume(False)
+    return topology, catalog, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(setup=accepted_setups())
+@example(setup=(
+    Topology(nodes=[EdgeNode(0, 1.0, 1.0), EdgeNode(1, 1.0, 1.0)], comm_cost=np.array([[0.0, MAX_FLOAT], [MAX_FLOAT, 0.0]])),
+    (FunctionType(0, 1.0),),
+    CostParams(alpha=5e-324, switch_coeff=MAX_FLOAT, run_coeff=0.5),  # alpha*q underflows to 0
+))
+def test_every_route_but_a_fallback_creation_is_within_its_bound(setup):
+    # the lemma that leaves `competitive_check`'s bound raise unreachable on
+    # every input `validate_setup` accepts: with aq = alpha*q >= 0, p > 0 and
+    # d >= 0, a hit costs aq <= fl(aq + p), an offload fl(d + aq) = fl(aq + d)
+    # and an origin creation fl(p + aq) = fl(aq + p), each at most the bound
+    # max(fl(aq + p), fl(aq + d)) by monotone rounding and commuting +; a
+    # fallback creation pays the remote p too and sits outside the analysis
+    topology, catalog, params = setup
+    nodes = topology.nodes
+    routes = [(v, v, True) for v in nodes] + [(v, v, False) for v in nodes]  # hits, origin creations
+    routes += [(v, u, True) for v in nodes for u in nodes if u is not v]  # offloads
+    for origin, serving, from_cache in routes:
+        for f in catalog:
+            realized, bound = oracle.per_request_bound(f, origin, serving, from_cache, params, topology)
+            assert realized <= bound  # so never realized > bound + 1e-9, the raise's test
 
 
 @SETTINGS
@@ -872,9 +926,10 @@ def test_lockstep_lanes_equal_lone_runs(config, alphas, infeasible):
 def kept_states_one_pair_at_a_time(dp, m_all, comm, u, cap, p_flat, aq_flat, caps):
     """Reference for `oracle._kept_states`: prices one (state, routing) pair at
     a time and walks every destruction vector of the pair's pool clipped to
-    caps, replacing a state's entry only on a strictly lower cost."""
+    caps, replacing a state's entry only on a strictly lower cost; and
+    whether any pair fits."""
     N, A = len(u), len(m_all)
-    kept, parent = {}, {}
+    kept, parent, any_fit = {}, {}, False
     for s, (state, cost0) in enumerate(dp.items()):
         for aidx, (m, comm_a) in enumerate(zip(m_all.tolist(), comm.tolist())):
             pool = tuple(max(x, y) for x, y in zip(state, m))
@@ -887,6 +942,7 @@ def kept_states_one_pair_at_a_time(dp, m_all, comm, u, cap, p_flat, aq_flat, cap
                     feasible = False
             if not feasible:
                 continue
+            any_fit = True
             cost = cost0 + comm_a
             for i in range(len(pool)):
                 if m[i] > state[i]:
@@ -896,7 +952,7 @@ def kept_states_one_pair_at_a_time(dp, m_all, comm, u, cap, p_flat, aq_flat, cap
                 if cost < kept.get(after, math.inf):
                     kept[after] = cost
                     parent[after] = s * A + aidx
-    return kept, parent
+    return kept, parent, any_fit
 
 
 @st.composite
@@ -933,12 +989,13 @@ def assert_kept_states_equal_the_walk(args, block_pairs):
     # same states in the same insertion order, each with the same cost bits
     # and the same parent pair
     with mock.patch.object(oracle, "_BLOCK_PAIRS", block_pairs):
-        dp, parent = oracle._kept_states(*args)
-    ref_dp, ref_parent = kept_states_one_pair_at_a_time(*args)
+        dp, parent, any_fit = oracle._kept_states(*args)
+    ref_dp, ref_parent, ref_any_fit = kept_states_one_pair_at_a_time(*args)
     assert [(state, cost.hex()) for state, cost in dp.items()] == [
         (state, cost.hex()) for state, cost in ref_dp.items()
     ]
     assert parent == ref_parent
+    assert any_fit == ref_any_fit
     if args[0] is CROSS_POOL_TIE[0]:
         # the earliest pair of least cost wins: from state (0, 1), pair 1,
         # not the pool (1, 0) reached first
@@ -963,7 +1020,7 @@ def test_cheapest_pool_equals_best_pools_then_destroy(args, block_pairs):
     # state, the one cell of the lattice, where blocks that cannot lower its
     # cost are skipped; no feasible pair keeps no state
     assert_kept_states_equal_the_walk(args, block_pairs)
-    dp, _parent = oracle._kept_states(*args)
+    dp, _parent, _any_fit = oracle._kept_states(*args)
     assert set(dp) <= {(0,) * len(args[-1])}
 
 

@@ -245,6 +245,26 @@ def test_end_interval_nocache_destroys_everything():
     assert states[0].cache[0] == 0 and states[0].used_mb == 0
 
 
+class _UnknownTypeSweep:
+    """A policy whose sweep names a type outside the catalog."""
+
+    def __init__(self, ftype):
+        self.ftype = ftype
+
+    def end_of_interval(self, states, now, decision):
+        return [(0, self.ftype, 1)]
+
+
+@pytest.mark.parametrize("ftype", [-1, 1])
+def test_end_interval_refuses_a_sweep_of_an_unknown_type(ftype):
+    # type -1 would index the catalog from its end, type 1 past it
+    topo, params, ctx, states = _setup([4000.0], catalog=ONE_TYPE)
+    states[0].cache[0] = 1
+    with pytest.raises(ContractError, match=f"policy returned unknown type {ftype}"):
+        end_interval(states, _UnknownTypeSweep(ftype), 1, ctx.catalog, IntervalDecision(interval=1))
+    assert states[0].cache == [1]
+
+
 def _nocache_route(capacities, counts, catalog=ONE_TYPE, audit=None, check=False, global_stats=False, cpus=None):
     """Route one interval of a lone `NoCache` lane and close it; the decision,
     its (switching, running) costs and the states."""

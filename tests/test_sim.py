@@ -8,11 +8,11 @@ import pytest
 
 import edgesim.sim as sim
 from edgesim.errors import ConfigError, InvariantViolation
-from edgesim.model import CostParams, FunctionType, RequestBatch
+from edgesim.model import CostParams, RequestBatch
 from edgesim.scheduler import AuditRecord
 from edgesim.sim import SimConfig, SweepGrid, derive_seed, run, summary_json, sweep
 
-from conftest import desk_topology, make_topology
+from conftest import make_topology
 
 
 def _zipf_config(policy="pcache", beta=1.0, horizon=20, seed=7, nodes=4, mean_rate=3.0, **kw):
@@ -433,6 +433,51 @@ def test_sweep_failed_policy_lane_fails_only_its_own_cells(monkeypatch):
         {"alpha": alpha, "beta": 1.0, "error": "InvariantViolation: injected", "policy": "pcache", "seed": 3}
         for alpha in (0.005, 0.01)
     ]
+
+
+def test_sweep_failed_policy_lane_keeps_its_own_exception_where_the_baseline_failed(monkeypatch):
+    # both fail at every alpha: pcache's cells name pcache's fault, lru's the
+    # baseline's
+    check_states = sim._check_states
+
+    def failing(config, states, interval):
+        if (config.policy, interval) in (("nocache", 3), ("pcache", 2)):
+            raise InvariantViolation(f"{config.policy} injected")
+        return check_states(config, states, interval)
+
+    base = _zipf_config(horizon=8)
+    grid = SweepGrid(alphas=[0.005, 0.01], betas=[1.0], policies=["pcache", "lru"], seeds=[3])
+    monkeypatch.setattr(sim, "_check_states", failing)
+    records, errors = sweep(grid, base)
+    assert records == []
+    assert errors == [
+        {"alpha": alpha, "beta": 1.0, "error": f"InvariantViolation: {culprit} injected", "policy": policy, "seed": 3}
+        for alpha in (0.005, 0.01)
+        for policy, culprit in (("lru", "nocache"), ("nocache", "nocache"), ("pcache", "pcache"))
+    ]
+
+
+def test_run_refuses_a_source_that_skips_an_interval(monkeypatch):
+    class SkippingSource:
+        def batch(self, t):
+            return RequestBatch(t + 1, {(0, 0): 1})
+
+    monkeypatch.setattr(sim, "_workload_source", lambda config: SkippingSource())
+    with pytest.raises(InvariantViolation, match="workload produced interval 2 for clock 1"):
+        run(_zipf_config(horizon=3))
+
+
+@pytest.mark.parametrize("axis", ["alphas", "betas", "policies", "seeds"])
+def test_sweep_grid_rejects_an_empty_axis(axis):
+    grid = dict(alphas=[0.005], betas=[1.0], policies=["pcache"], seeds=[3])
+    grid[axis] = []
+    with pytest.raises(ConfigError, match="sweep grid must have at least one alpha, beta, policy, and seed"):
+        SweepGrid(**grid)
+
+
+def test_sweep_grid_rejects_an_unknown_policy():
+    with pytest.raises(ConfigError, match="unknown policy 'lfu' in grid; valid policies: "):
+        SweepGrid(alphas=[0.005], betas=[1.0], policies=["pcache", "lfu"])
 
 
 @pytest.mark.parametrize("axis", ["alphas", "betas", "policies", "seeds"])

@@ -157,6 +157,10 @@ MUTANTS = [
            "                lane.failures.setdefault(alpha, exc)\n", "                pass\n",
            "an alpha the no-cache baseline failed at is left to the lanes it normalizes",
            "tests/test_sim.py::test_sweep_failed_baseline_fails_every_policy_at_its_alphas"),
+    Mutant("baseline-failure-overrides-lane", SIM,
+           "                lane.failures.setdefault(alpha, exc)\n", "                lane.failures[alpha] = exc\n",
+           "a policy cell that failed on its own names the baseline's exception where the baseline failed too",
+           "tests/test_sim.py::test_sweep_failed_policy_lane_keeps_its_own_exception_where_the_baseline_failed"),
     Mutant("drop-bound-failures", SCHED,
            "            raise InvariantViolation(\n", "            InvariantViolation(\n",
            "a per-request bound violation is never reported",
@@ -418,6 +422,10 @@ MUTANTS = [
            "    except OverflowError:\n        return math.inf\n", "    except ZeroDivisionError:\n        return math.inf\n",
            "a request count beyond float range ends in a traceback, not a refusal",
            "tests/test_cli.py::test_oracle_malformed_instance_exits_usage[huge_count]"),
+    Mutant("overflow-told-from-infeasible-backwards", ORACLE,
+           "            if any_fit:\n", "            if not any_fit:\n",
+           "an interval no routing fits is refused as an overflow, and an overflowing one as infeasible",
+           "tests/test_oracle.py::test_interval_over_every_capacity_is_infeasible"),
     # the audit as evidence: what note logs, and the writer's runs
     Mutant("note-understates-cost", SCHED,
            "audit.extend([AuditRecord(t, origin, n, action, serving, cost + aq, aq + top)] * count)",
@@ -499,6 +507,14 @@ MUTANTS = [
            "                if not math.isfinite(value):\n", "                if False:\n",
            "a p or q that overflows to inf is simulated, pricing every run at inf",
            "tests/test_cli.py::test_non_finite_cost_exits_usage[run_coeff-run]"),
+    Mutant("coordinate-mask-dropped", MODEL,
+           "        if not finite.all():\n", "        if False:\n",
+           "a coordinate that is not finite is refused as coordinates too far apart, naming no node",
+           "tests/test_model.py::test_comm_cost_refusal_names_its_cause_without_warning[coord_inf_before_nan]"),
+    Mutant("squared-distance-blamed-on-scale", MODEL,
+           "        if not np.isfinite(dist).all():\n", "        if False:\n",
+           "coordinates whose squared distance overflows are refused as a comm-cost scale that overflows",
+           "tests/test_model.py::test_comm_cost_refusal_names_its_cause_without_warning[squared_distance_overflows]"),
     Mutant("non-finite-total-accepted", SIM,
            "            if math.isfinite(total):\n", "            if True:\n",
            "finite costs that overflow when summed are reported as an inf total and a nan normalized cost",
